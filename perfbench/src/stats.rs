@@ -1,0 +1,35 @@
+//! Order statistics over measured samples.
+
+/// The `q`-quantile (0..=1) of `samples` by linear interpolation
+/// between the closest ranks; 0 for an empty slice.
+#[must_use]
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// The median of `samples`; 0 for an empty slice.
+#[must_use]
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(quantile(&[0.0, 10.0], 0.9), 9.0);
+        assert_eq!(median(&[]), 0.0);
+    }
+}
