@@ -62,7 +62,9 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
             "--stages" => {
                 opts.stages = value("--stages", it.next())?
                     .parse()
-                    .map_err(|_| "--stages needs a positive even integer".to_owned())?;
+                    .ok()
+                    .filter(|&n: &usize| n > 0 && n % 2 == 0)
+                    .ok_or_else(|| format!("--stages needs a positive even integer\n{USAGE}"))?;
             }
             "--cycles" => {
                 opts.cycles = value("--cycles", it.next())?
@@ -72,12 +74,16 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
             "--side" => {
                 opts.side = value("--side", it.next())?
                     .parse()
-                    .map_err(|_| "--side needs a positive integer".to_owned())?;
+                    .ok()
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or_else(|| format!("--side needs a positive integer\n{USAGE}"))?;
             }
             "--rate" => {
                 opts.rate = value("--rate", it.next())?
                     .parse()
-                    .map_err(|_| "--rate needs a probability".to_owned())?;
+                    .ok()
+                    .filter(|r: &f64| (0.0..=1.0).contains(r))
+                    .ok_or_else(|| format!("--rate needs a probability in [0, 1]\n{USAGE}"))?;
             }
             "--seed" => {
                 opts.seed = value("--seed", it.next())?
@@ -257,5 +263,33 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        parse_opts(args.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn workloads_it_cannot_run_are_usage_errors() {
+        for bad in [
+            &["--side", "0"][..],
+            &["--stages", "0"],
+            &["--stages", "3"],
+            &["--rate", "2"],
+            &["--rate", "-0.1"],
+            &["--rate", "NaN"],
+            &["--side", "many"],
+            &["--frobnicate"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        let ok = parse(&["--side", "1", "--stages", "2", "--rate", "1"]).unwrap();
+        assert_eq!((ok.side, ok.stages, ok.rate), (1, 2, 1.0));
+        assert!(parse(&["--rate", "0"]).is_ok());
     }
 }

@@ -1,8 +1,8 @@
-//! The flat netlist arena: struct-of-arrays gate/wire storage and the
-//! CSR fanout table.
+//! The flat netlist arena: one packed record per gate and the CSR
+//! fanout table.
 //!
 //! A [`Netlist`] is the mutable builder: wires are plain `u32`
-//! indices, gates append one entry to each column vector. [`seal`]
+//! indices, gates append one `Gate` record each. [`seal`]
 //! freezes it into a [`SealedNetlist`]: a compressed-sparse-row
 //! fanout table (`fanout_offsets` / `fanout`, wire → driven gates),
 //! per-wire inertial windows, and the delay bound the calendar-wheel
@@ -90,23 +90,30 @@ pub enum GateKind {
     OneShot = 4,
 }
 
-/// The mutable struct-of-arrays netlist builder.
+/// One gate, packed into 24 bytes, so an evaluation reads one record
+/// rather than six columns. Delays are picoseconds in `u32` (a single
+/// gate delay beyond ~4 ms would be a spec bug, and the narrow fields
+/// keep a million-gate arena at ~24 MB).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Gate {
+    pub kind: GateKind,
+    pub in_a: u32,
+    /// Second input, or [`NONE`] for one-input kinds.
+    pub in_b: u32,
+    pub out: u32,
+    /// Rise delay; for one-shots the propagation delay.
+    pub d_rise: u32,
+    /// Fall delay; for one-shots the pulse width.
+    pub d_fall: u32,
+}
+
+/// The mutable netlist builder.
 ///
 /// Wires carry no storage here at all — a wire is just an index the
-/// engine later attaches state to. Gates are five parallel `u32`
-/// columns. Delays are picoseconds in `u32` (a single gate delay
-/// beyond ~4 ms would be a spec bug, and the narrow column keeps a
-/// million-gate arena at ~20 MB).
+/// engine later attaches state to. Gates are one `Gate` record each.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
-    pub(crate) kinds: Vec<GateKind>,
-    pub(crate) in_a: Vec<u32>,
-    pub(crate) in_b: Vec<u32>,
-    pub(crate) outs: Vec<u32>,
-    /// Rise delay; for one-shots the propagation delay.
-    pub(crate) d_rise: Vec<u32>,
-    /// Fall delay; for one-shots the pulse width.
-    pub(crate) d_fall: Vec<u32>,
+    gates: Vec<Gate>,
     wires: u32,
     /// Which wires already have a driving gate (one driver per wire).
     driven: Vec<bool>,
@@ -151,7 +158,7 @@ impl Netlist {
     /// Number of gates added so far.
     #[must_use]
     pub fn n_gates(&self) -> usize {
-        self.kinds.len()
+        self.gates.len()
     }
 
     fn check_wire(&self, w: WireId) {
@@ -184,13 +191,15 @@ impl Netlist {
             assert_ne!(a, b, "two-input gate needs distinct input wires");
         }
         self.claim_output(out);
-        let id = GateId(u32::try_from(self.kinds.len()).expect("gate arena full"));
-        self.kinds.push(kind);
-        self.in_a.push(a.0);
-        self.in_b.push(b.map_or(NONE, |w| w.0));
-        self.outs.push(out.0);
-        self.d_rise.push(d_rise);
-        self.d_fall.push(d_fall);
+        let id = GateId(u32::try_from(self.gates.len()).expect("gate arena full"));
+        self.gates.push(Gate {
+            kind,
+            in_a: a.0,
+            in_b: b.map_or(NONE, |w| w.0),
+            out: out.0,
+            d_rise,
+            d_fall,
+        });
         id
     }
 
@@ -260,7 +269,6 @@ impl Netlist {
     #[must_use]
     pub fn seal(self) -> SealedNetlist {
         let n_wires = self.wires as usize;
-        let n_gates = self.kinds.len();
 
         // CSR fanout: counting pass, prefix sum, fill pass. The fill
         // iterates gates in id order, so each wire's fanout list keeps
@@ -270,10 +278,10 @@ impl Netlist {
         let bump = |w: u32, counts: &mut Vec<u32>| {
             counts[w as usize + 1] += 1;
         };
-        for g in 0..n_gates {
-            bump(self.in_a[g], &mut counts);
-            if self.in_b[g] != NONE {
-                bump(self.in_b[g], &mut counts);
+        for g in &self.gates {
+            bump(g.in_a, &mut counts);
+            if g.in_b != NONE {
+                bump(g.in_b, &mut counts);
             }
         }
         for i in 1..=n_wires {
@@ -282,12 +290,11 @@ impl Netlist {
         let fanout_offsets = counts;
         let mut cursor = fanout_offsets.clone();
         let mut fanout = vec![0u32; fanout_offsets[n_wires] as usize];
-        for g in 0..n_gates {
-            let gi = g as u32;
-            let a = self.in_a[g] as usize;
+        for (gi, g) in (0u32..).zip(&self.gates) {
+            let a = g.in_a as usize;
             fanout[cursor[a] as usize] = gi;
             cursor[a] += 1;
-            let b = self.in_b[g];
+            let b = g.in_b;
             if b != NONE {
                 fanout[cursor[b as usize] as usize] = gi;
                 cursor[b as usize] += 1;
@@ -300,10 +307,10 @@ impl Netlist {
         // one-shots). Externally driven wires stay at zero.
         let mut min_sep = vec![0u32; n_wires];
         let mut max_delay: u64 = 1;
-        for g in 0..n_gates {
-            let out = self.outs[g] as usize;
-            let (r, f) = (self.d_rise[g], self.d_fall[g]);
-            let (sep, reach) = match self.kinds[g] {
+        for g in &self.gates {
+            let out = g.out as usize;
+            let (r, f) = (g.d_rise, g.d_fall);
+            let (sep, reach) = match g.kind {
                 GateKind::OneShot => (f, u64::from(r) + u64::from(f)),
                 _ => (r.min(f), u64::from(r.max(f))),
             };
@@ -312,12 +319,7 @@ impl Netlist {
         }
 
         SealedNetlist {
-            kinds: self.kinds,
-            in_a: self.in_a,
-            in_b: self.in_b,
-            outs: self.outs,
-            d_rise: self.d_rise,
-            d_fall: self.d_fall,
+            gates: self.gates,
             n_wires: n_wires as u32,
             fanout_offsets,
             fanout,
@@ -352,12 +354,7 @@ impl ChainSink for Netlist {
 /// The frozen, simulation-ready netlist (see [`Netlist::seal`]).
 #[derive(Debug, Clone)]
 pub struct SealedNetlist {
-    pub(crate) kinds: Vec<GateKind>,
-    pub(crate) in_a: Vec<u32>,
-    pub(crate) in_b: Vec<u32>,
-    pub(crate) outs: Vec<u32>,
-    pub(crate) d_rise: Vec<u32>,
-    pub(crate) d_fall: Vec<u32>,
+    pub(crate) gates: Vec<Gate>,
     pub(crate) n_wires: u32,
     /// CSR row offsets: wire `w` drives gates
     /// `fanout[fanout_offsets[w]..fanout_offsets[w + 1]]`.
@@ -380,7 +377,7 @@ impl SealedNetlist {
     /// Number of gates.
     #[must_use]
     pub fn n_gates(&self) -> usize {
-        self.kinds.len()
+        self.gates.len()
     }
 
     /// The output wire of gate `g`.
@@ -390,7 +387,7 @@ impl SealedNetlist {
     /// Panics if `g` is stale.
     #[must_use]
     pub fn gate_output(&self, g: GateId) -> WireId {
-        WireId(self.outs[g.index()])
+        WireId(self.gates[g.index()].out)
     }
 
     /// The scheduler's per-gate delay bound, in picoseconds.

@@ -6,16 +6,21 @@
 //! the differential suite can demand byte-identical reports from the
 //! two cores. What changes is the machinery underneath:
 //!
-//! * per-wire state lives in parallel `Vec`s indexed by the wire id,
-//!   not per-net structs behind a heap of boxed events;
-//! * the pending-event set is a calendar [`Wheel`] (O(1) amortized
-//!   push/dispatch under the bounded-delay model) plus a small sorted
-//!   *far list* for the rare event beyond the wheel's horizon
-//!   (pre-scheduled clock edges whole periods away, delay-fault
-//!   scalings past nominal);
-//! * fanout propagation runs through a dirty-flagged ring work queue
-//!   over the CSR table, so zero-redundancy settling needs no
-//!   per-event allocation.
+//! * each wire's whole state is one 32-byte `WireState` record in a
+//!   flat `Vec` indexed by the wire id, and each gate one 24-byte
+//!   record in the sealed arena, so an event reads one record per
+//!   wire and per gate instead of one column per field;
+//! * the pending-event set is a calendar [`Wheel`] (O(1) push/dispatch
+//!   under the bounded-delay model, singleton buckets stored inline)
+//!   plus a small sorted *far list* for the rare event beyond the
+//!   wheel's horizon (pre-scheduled clock edges whole periods away,
+//!   delay-fault scalings past nominal);
+//! * fanout propagation walks the wire's CSR row directly. Gate
+//!   evaluation only *schedules* (a nominal delay of at least 1 ps
+//!   ahead) and never applies, so nothing re-enters settling mid-walk,
+//!   and the distinct-input rule puts each gate in a row at most once:
+//!   the row itself is the exact, duplicate-free settling work list,
+//!   and no work queue is needed.
 //!
 //! Dispatch order equals the reference engine's `(time, seq)` heap
 //! order: wheel buckets and the far list both preserve push order
@@ -34,7 +39,6 @@ use desim::engine::{EngineStats, StillActiveError};
 use desim::time::SimTime;
 use desim::vcd::VcdWriter;
 use sim_observe::{TraceBuf, TraceEvent};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Outcome of one dispatch step.
@@ -44,6 +48,42 @@ enum Step {
     Beyond,
 }
 
+/// Everything the engine tracks about one wire, packed into 32 bytes:
+/// dispatch, scheduling and the inertial checks all read the same
+/// record.
+#[derive(Debug, Clone, Copy)]
+struct WireState {
+    /// Fire time of the latest accepted schedule — the inertial
+    /// window's anchor.
+    last_event_ps: u64,
+    /// Time of the latest value change.
+    change_ps: u64,
+    /// Generation counter; in-flight events carrying an older one are
+    /// dead.
+    gen: u32,
+    /// Index into `NetSim::watches`, or `NONE`.
+    watch_slot: u32,
+    /// Delay-fault scale, percent of nominal; 100 on the hot path.
+    delay_scale: u16,
+    value: bool,
+    /// The value the wire settles at once in-flight events land.
+    scheduled: bool,
+    /// Pinned by a stuck-at fault.
+    stuck: bool,
+}
+
+/// A wire before anything has happened to it.
+const FRESH_WIRE: WireState = WireState {
+    last_event_ps: 0,
+    change_ps: 0,
+    gen: 0,
+    watch_slot: NONE,
+    delay_scale: 100,
+    value: false,
+    scheduled: false,
+    stuck: false,
+};
+
 /// The flat-arena event-driven simulator.
 ///
 /// Build a [`crate::Netlist`], [`seal`](crate::Netlist::seal) it,
@@ -52,17 +92,8 @@ enum Step {
 #[derive(Debug)]
 pub struct NetSim {
     nl: Arc<SealedNetlist>,
-    // ---- per-wire state, parallel to the arena ----
-    value: Vec<bool>,
-    scheduled: Vec<bool>,
-    gen: Vec<u32>,
-    last_event_ps: Vec<u64>,
-    change_ps: Vec<u64>,
-    stuck: Vec<bool>,
-    /// Delay-fault scale, percent of nominal; 100 on the hot path.
-    delay_scale: Vec<u16>,
-    /// Index into `watches`, or `NONE`.
-    watch_slot: Vec<u32>,
+    /// Per-wire state, indexed by wire id.
+    wires: Vec<WireState>,
     watches: Vec<Vec<(u64, bool)>>,
     // ---- pending events ----
     wheel: Wheel,
@@ -74,11 +105,9 @@ pub struct NetSim {
     /// Scheduled SEU upsets, sorted by `(time, wire)`.
     upsets: Vec<(u64, u32)>,
     next_upset: usize,
-    /// Scratch bucket for wheel dispatch (buffers circulate).
+    /// Scratch for a wheel bucket's same-time followers (spill
+    /// buffers circulate through it).
     drain: Vec<Ev>,
-    // ---- fanout work queue ----
-    ring: VecDeque<u32>,
-    dirty: Vec<bool>,
     // ---- clock + bookkeeping ----
     now_ps: u64,
     stats: EngineStats,
@@ -97,18 +126,9 @@ impl NetSim {
     /// real scheduled event.
     #[must_use]
     pub fn new(nl: Arc<SealedNetlist>) -> NetSim {
-        let n = nl.n_wires();
-        let n_gates = nl.n_gates();
         let wheel = Wheel::with_horizon(nl.max_delay_ps());
         let mut sim = NetSim {
-            value: vec![false; n],
-            scheduled: vec![false; n],
-            gen: vec![0; n],
-            last_event_ps: vec![0; n],
-            change_ps: vec![0; n],
-            stuck: vec![false; n],
-            delay_scale: vec![100; n],
-            watch_slot: vec![NONE; n],
+            wires: vec![FRESH_WIRE; nl.n_wires()],
             watches: Vec::new(),
             wheel,
             far: Vec::new(),
@@ -116,8 +136,6 @@ impl NetSim {
             upsets: Vec::new(),
             next_upset: 0,
             drain: Vec::new(),
-            ring: VecDeque::new(),
-            dirty: vec![false; n_gates],
             now_ps: 0,
             stats: EngineStats::default(),
             trace: None,
@@ -125,24 +143,24 @@ impl NetSim {
             nl,
         };
         let nl = Arc::clone(&sim.nl);
-        for g in 0..n_gates {
-            let a = nl.in_a[g] as usize;
-            let out = nl.outs[g] as usize;
-            match nl.kinds[g] {
+        for g in &nl.gates {
+            let a = g.in_a as usize;
+            let out = g.out as usize;
+            match g.kind {
                 GateKind::Buffer | GateKind::Inverter => {
-                    let v = sim.value[a] ^ (nl.kinds[g] == GateKind::Inverter);
-                    sim.value[out] = v;
-                    sim.scheduled[out] = v;
+                    let v = sim.wires[a].value ^ (g.kind == GateKind::Inverter);
+                    sim.wires[out].value = v;
+                    sim.wires[out].scheduled = v;
                 }
                 GateKind::Or2 | GateKind::And2 => {
-                    let b = nl.in_b[g] as usize;
-                    let v = if nl.kinds[g] == GateKind::Or2 {
-                        sim.value[a] | sim.value[b]
+                    let (va, vb) = (sim.wires[a].value, sim.wires[g.in_b as usize].value);
+                    let v = if g.kind == GateKind::Or2 {
+                        va | vb
                     } else {
-                        sim.value[a] & sim.value[b]
+                        va & vb
                     };
-                    if sim.value[out] != v {
-                        let delay = if v { nl.d_rise[g] } else { nl.d_fall[g] };
+                    if sim.wires[out].value != v {
+                        let delay = if v { g.d_rise } else { g.d_fall };
                         sim.schedule_change(out, u64::from(delay), v);
                     }
                 }
@@ -227,7 +245,7 @@ impl NetSim {
         self.check_wire(wire);
         let kind = if value { "stuck_at_1" } else { "stuck_at_0" };
         self.force_wire(wire.index(), self.now_ps, value, kind);
-        self.stuck[wire.index()] = true;
+        self.wires[wire.index()].stuck = true;
     }
 
     /// Schedules one transient (SEU-style) upset: at `t` the wire's
@@ -259,7 +277,7 @@ impl NetSim {
             (1..=10_000).contains(&percent),
             "delay scale must be in 1..=10000 percent"
         );
-        self.delay_scale[wire.index()] = percent as u16;
+        self.wires[wire.index()].delay_scale = percent as u16;
         self.stats.faults_injected += 1;
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::FaultInjected {
@@ -275,8 +293,8 @@ impl NetSim {
     /// Starts recording value transitions on `wire`.
     pub fn watch(&mut self, wire: WireId) {
         self.check_wire(wire);
-        if self.watch_slot[wire.index()] == NONE {
-            self.watch_slot[wire.index()] =
+        if self.wires[wire.index()].watch_slot == NONE {
+            self.wires[wire.index()].watch_slot =
                 u32::try_from(self.watches.len()).expect("watch arena full");
             self.watches.push(Vec::new());
         }
@@ -286,7 +304,7 @@ impl NetSim {
     /// `(time_ps, new_value)` pairs (empty for unwatched wires).
     #[must_use]
     pub fn transitions_ps(&self, wire: WireId) -> &[(u64, bool)] {
-        match self.watch_slot[wire.index()] {
+        match self.wires[wire.index()].watch_slot {
             NONE => &[],
             slot => &self.watches[slot as usize],
         }
@@ -361,7 +379,7 @@ impl NetSim {
     /// Current value of a wire.
     #[must_use]
     pub fn value(&self, wire: WireId) -> bool {
-        self.value[wire.index()]
+        self.wires[wire.index()].value
     }
 
     /// Time of the wire's last value change, in picoseconds (0 if it
@@ -370,7 +388,7 @@ impl NetSim {
     /// analyses read.
     #[must_use]
     pub fn last_change_ps(&self, wire: WireId) -> u64 {
-        self.change_ps[wire.index()]
+        self.wires[wire.index()].change_ps
     }
 
     /// Events waiting for dispatch (dead events included).
@@ -423,9 +441,11 @@ impl NetSim {
 
     /// Dispatches the earliest pending action at or before `limit`.
     /// Tie order at one instant: upsets, then far-list entries, then
-    /// the wheel bucket (see the module docs).
+    /// the wheel bucket (see the module docs). The wheel is scanned
+    /// once: the bucket found here is the one dispatched.
     fn step_once(&mut self, limit: u64) -> Step {
-        let next_wheel = self.wheel.peek_earliest(self.now_ps);
+        let bucket = self.wheel.earliest(self.now_ps);
+        let next_wheel = bucket.map(|b| self.wheel.time_at(b));
         let next_far = self.far.get(self.far_next).map(|e| e.t_ps);
         let next_ev = match (next_wheel, next_far) {
             (Some(w), Some(f)) => Some(w.min(f)),
@@ -441,7 +461,7 @@ impl NetSim {
             (ev, Some(ut)) if ut <= limit && ev.is_none_or(|et| ut <= et) => {
                 let (t, w) = self.upsets[self.next_upset];
                 self.next_upset += 1;
-                let flipped = !self.value[w as usize];
+                let flipped = !self.wires[w as usize].value;
                 self.force_wire(w as usize, t, flipped, "seu_flip");
                 Step::Did
             }
@@ -451,17 +471,17 @@ impl NetSim {
                     self.far_next += 1;
                     self.apply(ev);
                 } else {
-                    let mut batch = std::mem::take(&mut self.drain);
-                    self.wheel
-                        .pop_earliest_into(self.now_ps, &mut batch)
-                        .expect("peeked non-empty wheel");
-                    // Apply sequentially: a cancellation mid-batch must
+                    let b = bucket.expect("wheel time implies a bucket");
+                    let mut rest = std::mem::take(&mut self.drain);
+                    let head = self.wheel.take(b, &mut rest);
+                    // Apply sequentially: a cancellation mid-bucket must
                     // kill later same-time entries, exactly as the
                     // reference heap would.
-                    for ev in batch.drain(..) {
+                    self.apply(head);
+                    for ev in rest.drain(..) {
                         self.apply(ev);
                     }
-                    self.drain = batch;
+                    self.drain = rest;
                 }
                 Step::Did
             }
@@ -472,22 +492,23 @@ impl NetSim {
     /// Schedules a wire change with inertial-delay semantics —
     /// line-for-line the reference engine's conflict rules.
     fn schedule_change(&mut self, w: usize, t_ps: u64, value: bool) {
-        if self.stuck[w] {
+        let ws = &mut self.wires[w];
+        if ws.stuck {
             return;
         }
-        let t_ps = if self.delay_scale[w] == 100 {
+        let t_ps = if ws.delay_scale == 100 {
             t_ps
         } else {
             let delta = t_ps.saturating_sub(self.now_ps);
-            self.now_ps + (delta * u64::from(self.delay_scale[w])) / 100
+            self.now_ps + (delta * u64::from(ws.delay_scale)) / 100
         };
         let sep = u64::from(self.nl.min_sep[w]);
-        let last = self.last_event_ps[w];
+        let last = ws.last_event_ps;
         let too_close = last > 0 && t_ps < last + sep;
-        let conflict = t_ps < last || value == self.scheduled[w] || too_close;
+        let conflict = t_ps < last || value == ws.scheduled || too_close;
         if conflict {
             // Cancel everything in flight for this wire.
-            self.gen[w] = self.gen[w].wrapping_add(1);
+            ws.gen = ws.gen.wrapping_add(1);
             self.stats.cancellations += 1;
             if let Some(tr) = &mut self.trace {
                 tr.record(TraceEvent::EventCancelled {
@@ -495,19 +516,19 @@ impl NetSim {
                     net: w as u32,
                 });
             }
-            if value == self.value[w] {
+            if value == ws.value {
                 // Settles at the current value; nothing to apply.
-                self.scheduled[w] = value;
-                self.last_event_ps[w] = t_ps;
+                ws.scheduled = value;
+                ws.last_event_ps = t_ps;
                 return;
             }
         }
-        self.scheduled[w] = value;
-        self.last_event_ps[w] = t_ps;
+        ws.scheduled = value;
+        ws.last_event_ps = t_ps;
         let ev = Ev {
             t_ps,
             wire: w as u32,
-            gen: self.gen[w],
+            gen: ws.gen,
             value,
         };
         if self.wheel.fits(self.now_ps, t_ps) {
@@ -536,15 +557,16 @@ impl NetSim {
         debug_assert!(ev.t_ps >= self.now_ps, "event time went backwards");
         self.now_ps = ev.t_ps;
         let w = ev.wire as usize;
-        if ev.gen != self.gen[w] || self.value[w] == ev.value {
+        let ws = &mut self.wires[w];
+        if ev.gen != ws.gen || ws.value == ev.value {
             self.stats.dead_events += 1;
             return; // cancelled or redundant
         }
         self.stats.events_processed += 1;
-        self.value[w] = ev.value;
-        self.change_ps[w] = ev.t_ps;
-        if self.watch_slot[w] != NONE {
-            self.watches[self.watch_slot[w] as usize].push((ev.t_ps, ev.value));
+        ws.value = ev.value;
+        ws.change_ps = ev.t_ps;
+        if ws.watch_slot != NONE {
+            self.watches[ws.watch_slot as usize].push((ev.t_ps, ev.value));
         }
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::EventFired {
@@ -581,16 +603,17 @@ impl NetSim {
                 kind: kind.to_owned(),
             });
         }
-        self.gen[w] = self.gen[w].wrapping_add(1); // kill in-flight events
-        self.scheduled[w] = value;
-        self.last_event_ps[w] = now;
-        if self.value[w] == value {
+        let ws = &mut self.wires[w];
+        ws.gen = ws.gen.wrapping_add(1); // kill in-flight events
+        ws.scheduled = value;
+        ws.last_event_ps = now;
+        if ws.value == value {
             return;
         }
-        self.value[w] = value;
-        self.change_ps[w] = now;
-        if self.watch_slot[w] != NONE {
-            self.watches[self.watch_slot[w] as usize].push((now, value));
+        ws.value = value;
+        ws.change_ps = now;
+        if ws.watch_slot != NONE {
+            self.watches[ws.watch_slot as usize].push((now, value));
         }
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::EventFired {
@@ -602,59 +625,139 @@ impl NetSim {
         self.settle_fanout(w);
     }
 
-    /// Propagates a wire change through its CSR fanout via the
-    /// dirty-flagged ring queue: each driven gate is enqueued once,
-    /// then the ring drains to quiescence *within this timestep* —
-    /// scheduled outputs all land at least one gate delay in the
-    /// future, so the drain is the zero-delay settling pass and every
-    /// evaluation bumps `settle_iterations`.
+    /// Propagates a wire change through its CSR fanout: the zero-delay
+    /// settling pass of this timestep. Each driven gate is evaluated
+    /// once, in row (gate-insertion) order, and every evaluation bumps
+    /// `settle_iterations`. Walking the row directly is exact — see
+    /// the module docs for why no work queue is needed.
     fn settle_fanout(&mut self, w: usize) {
-        let s = self.nl.fanout_offsets[w] as usize;
-        let e = self.nl.fanout_offsets[w + 1] as usize;
+        let (s, e) = (
+            self.nl.fanout_offsets[w] as usize,
+            self.nl.fanout_offsets[w + 1] as usize,
+        );
+        self.stats.settle_iterations += (e - s) as u64;
         for i in s..e {
-            let g = self.nl.fanout[i];
-            if !self.dirty[g as usize] {
-                self.dirty[g as usize] = true;
-                self.ring.push_back(g);
-            }
-        }
-        while let Some(g) = self.ring.pop_front() {
-            self.dirty[g as usize] = false;
-            self.stats.settle_iterations += 1;
-            self.eval_gate(g as usize);
+            self.eval_gate(self.nl.fanout[i] as usize);
         }
     }
 
     /// Evaluates one gate against current wire values and schedules
     /// its output — the reference engine's `react`, arena-indexed.
     fn eval_gate(&mut self, g: usize) {
-        let kind = self.nl.kinds[g];
-        let a = self.nl.in_a[g] as usize;
-        let out = self.nl.outs[g] as usize;
-        let (rise, fall) = (u64::from(self.nl.d_rise[g]), u64::from(self.nl.d_fall[g]));
-        match kind {
+        let gate = self.nl.gates[g];
+        let a = gate.in_a as usize;
+        let out = gate.out as usize;
+        let (rise, fall) = (u64::from(gate.d_rise), u64::from(gate.d_fall));
+        match gate.kind {
             GateKind::Buffer | GateKind::Inverter => {
-                let out_val = self.value[a] ^ (kind == GateKind::Inverter);
+                let out_val = self.wires[a].value ^ (gate.kind == GateKind::Inverter);
                 let delay = if out_val { rise } else { fall };
-                self.schedule_change(out, self.now_ps + delay, out_val);
+                self.schedule_output(out, delay, out_val);
             }
             GateKind::Or2 | GateKind::And2 => {
-                let b = self.nl.in_b[g] as usize;
-                let (va, vb) = (self.value[a], self.value[b]);
-                let out_val = if kind == GateKind::Or2 { va | vb } else { va & vb };
-                if self.scheduled[out] != out_val {
+                let (va, vb) = (self.wires[a].value, self.wires[gate.in_b as usize].value);
+                let out_val = if gate.kind == GateKind::Or2 {
+                    va | vb
+                } else {
+                    va & vb
+                };
+                if self.wires[out].scheduled != out_val {
                     let delay = if out_val { rise } else { fall };
-                    self.schedule_change(out, self.now_ps + delay, out_val);
+                    self.schedule_output(out, delay, out_val);
                 }
             }
             GateKind::OneShot => {
-                if self.value[a] {
+                if self.wires[a].value {
                     // Rising edge: fresh pulse, rise scheduled first.
-                    let t0 = self.now_ps + rise;
-                    self.schedule_change(out, t0, true);
-                    self.schedule_change(out, t0 + fall, false);
+                    self.schedule_output(out, rise, true);
+                    self.schedule_output(out, rise + fall, false);
                 }
             }
         }
+    }
+
+    /// Schedules a gate output `delay` ps from now. Gate delays are at
+    /// least 1 ps (the builder rejects zero), so an evaluation never
+    /// schedules into the current instant: whatever it triggers is
+    /// applied by a later dispatch, never inside the row walk of
+    /// [`NetSim::settle_fanout`], which therefore needs no work queue.
+    fn schedule_output(&mut self, out: usize, delay: u64, value: bool) {
+        debug_assert!(
+            delay >= 1,
+            "gate evaluation scheduled at the current instant"
+        );
+        self.schedule_change(out, self.now_ps + delay, value);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Netlist;
+
+    fn ps(v: u64) -> SimTime {
+        SimTime::from_ps(v)
+    }
+
+    /// `(scheduled_at, fire_ps, net)` of every `EventScheduled` record.
+    fn schedules(sim: &mut NetSim) -> Vec<(u64, u64, u32)> {
+        let (events, dropped) = sim.take_trace().expect("tracing on").into_ordered();
+        assert_eq!(dropped, 0);
+        events
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::EventScheduled {
+                    t_ps, fire_ps, net, ..
+                } => Some((t_ps, fire_ps, net)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// One wire fanning out to every evaluation path: the settling
+    /// pass walks the CSR row in gate-insertion order, evaluates each
+    /// gate exactly once per change, and never schedules into the
+    /// current instant — the invariants that replaced the work queue.
+    #[test]
+    fn fanout_settles_once_per_gate_in_csr_order() {
+        let mut nl = Netlist::new();
+        let a = nl.add_wire();
+        let other = nl.add_wire();
+        // Outputs allocated in reverse gate order, so CSR order is not
+        // wire-id order.
+        let (shot, or, inv, buf) = (nl.add_wire(), nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_buffer(a, buf, ps(30), ps(30));
+        nl.add_inverter(a, inv, ps(20), ps(25));
+        nl.add_or2(other, a, or, ps(10), ps(10)); // `a` as the second input
+        nl.add_one_shot(a, shot, ps(5), ps(40));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.schedule_input(a, ps(100), true);
+        sim.schedule_input(a, ps(500), false);
+        let fanout = 4;
+
+        // Rising edge: every gate schedules (the one-shot twice).
+        sim.enable_trace(64);
+        let before = sim.stats().settle_iterations;
+        sim.run_until(ps(100));
+        assert_eq!(sim.stats().settle_iterations - before, fanout);
+        let rise = schedules(&mut sim);
+        assert_eq!(
+            rise.iter().map(|s| s.2).collect::<Vec<_>>(),
+            vec![buf.0, inv.0, or.0, shot.0, shot.0]
+        );
+        assert!(rise.iter().all(|&(t, fire, _)| t == 100 && fire > t));
+
+        // Falling edge: the one-shot is still evaluated (and counted)
+        // but schedules nothing.
+        sim.enable_trace(64);
+        let before = sim.stats().settle_iterations;
+        sim.run_until(ps(500));
+        assert_eq!(sim.stats().settle_iterations - before, fanout);
+        let fall = schedules(&mut sim);
+        assert_eq!(
+            fall.iter().map(|s| s.2).collect::<Vec<_>>(),
+            vec![buf.0, inv.0, or.0]
+        );
+        assert!(fall.iter().all(|&(t, fire, _)| t == 500 && fire > t));
     }
 }

@@ -134,9 +134,9 @@ pub fn inject_fault_words(
     );
     let start_ps = sim.now().as_ps();
     let mut summary = InjectionSummary::default();
-    for (g, word) in words.iter().enumerate() {
+    for (gate, word) in nl.gates.iter().zip(words) {
         let Some(fault) = word.unpack() else { continue };
-        let out: WireId = nl.gate_output(crate::arena::GateId(g as u32));
+        let out = WireId(gate.out);
         match fault {
             GateFault::StuckAt(v) => {
                 sim.pin_wire(out, v);

@@ -1,5 +1,5 @@
-//! `netlist`: the flat struct-of-arrays netlist core — million-gate
-//! simulation as the workspace's hot path.
+//! `netlist`: the flat netlist core — million-gate simulation as the
+//! workspace's hot path.
 //!
 //! The reference engine ([`desim`]) models rich components (registers
 //! with setup/hold checking, C-elements) behind per-net structs and a
@@ -9,12 +9,13 @@
 //! question is how timing uncertainty scales to a million gates. This
 //! crate is the large-scale counterpart:
 //!
-//! * [`Netlist`] / [`SealedNetlist`] — arena-allocated gates and
-//!   wires addressed by `u32` indices, fanout as a CSR table
-//!   ([`arena`]);
+//! * [`Netlist`] / [`SealedNetlist`] — arena-allocated gates (one
+//!   packed record each) and wires addressed by `u32` indices, fanout
+//!   as a CSR table ([`arena`]);
 //! * [`NetSim`] — the event engine: calendar-wheel scheduler
-//!   exploiting the bounded `m ± ε` delay model ([`wheel`]), dirty-flag
-//!   ring work queue for settling, per-wire state in parallel arrays
+//!   exploiting the bounded `m ± ε` delay model, singleton buckets
+//!   stored inline (`wheel`), settling by a direct walk of the
+//!   changed wire's CSR row, each wire's state one packed record
 //!   ([`engine`]);
 //! * [`faults`] — [`sim_faults::FaultPlan`] compiled to packed
 //!   per-gate fault words, applied in one batch pass;

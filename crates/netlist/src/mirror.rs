@@ -19,22 +19,22 @@ use desim::time::SimTime;
 pub fn mirror_into_desim(nl: &SealedNetlist) -> (Simulator, Vec<NetId>) {
     let mut sim = Simulator::new();
     let map: Vec<NetId> = (0..nl.n_wires()).map(|_| sim.add_net()).collect();
-    for g in 0..nl.n_gates() {
-        let a = map[nl.in_a[g] as usize];
-        let out = map[nl.outs[g] as usize];
-        let rise = SimTime::from_ps(u64::from(nl.d_rise[g]));
-        let fall = SimTime::from_ps(u64::from(nl.d_fall[g]));
-        match nl.kinds[g] {
+    for g in &nl.gates {
+        let a = map[g.in_a as usize];
+        let out = map[g.out as usize];
+        let rise = SimTime::from_ps(u64::from(g.d_rise));
+        let fall = SimTime::from_ps(u64::from(g.d_fall));
+        match g.kind {
             GateKind::Buffer => sim.add_buffer(a, out, rise, fall),
             GateKind::Inverter => sim.add_inverter(a, out, rise, fall),
             GateKind::Or2 | GateKind::And2 => {
-                let func = if nl.kinds[g] == GateKind::Or2 {
+                let func = if g.kind == GateKind::Or2 {
                     GateFn::Or
                 } else {
                     GateFn::And
                 };
-                debug_assert_ne!(nl.in_b[g], NONE);
-                let b = map[nl.in_b[g] as usize];
+                debug_assert_ne!(g.in_b, NONE);
+                let b = map[g.in_b as usize];
                 sim.add_gate2(func, a, b, out, rise, fall);
             }
             GateKind::OneShot => sim.add_one_shot(a, out, rise, fall),

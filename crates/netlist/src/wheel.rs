@@ -7,9 +7,18 @@
 //! power-of-two horizon `W > max_delay` all pending events live in
 //! the window `[now, now + W)` and the bucket index `t & (W − 1)` is
 //! collision-free *per timestamp* — two pending events can only share
-//! a bucket if they share an exact fire time. Scheduling is a push
-//! onto a bucket `Vec` (amortized O(1), no boxing); dispatch drains
-//! the next non-empty bucket whole.
+//! a bucket if they share an exact fire time.
+//!
+//! Buckets are therefore almost always empty or singletons, and the
+//! wheel stores them that way: each bucket's first event sits inline
+//! in one flat `heads` array, and only a second event at the same
+//! fire time spills into that bucket's side `Vec` (flagged in a
+//! `spilled` bitmap, so the common path never touches it). A sparse
+//! run such as the 1M-inverter string, whose handful of pending events
+//! cycles through every bucket, then costs one array slot per push
+//! and pop rather than a separate heap allocation per bucket.
+//! Dispatch takes the next non-empty bucket whole: its head, then its
+//! spilled followers in push order.
 //!
 //! Finding that next bucket is the only non-trivial part. Sparse
 //! equipotential runs (a 1M-inverter string with 8 ns stage delays)
@@ -18,7 +27,8 @@
 //! summary bit per 64-bucket word. A cyclic scan from the cursor is
 //! then two or three word probes with `trailing_zeros` — O(1) for any
 //! realistic horizon (a 2²⁰-bucket wheel has 16 K words and 256
-//! summary bits).
+//! summary bits). [`Wheel::earliest`] scans once and returns the
+//! bucket index; the caller reads its time and takes it by index.
 //!
 //! Events beyond the horizon (pre-scheduled clock edges whole periods
 //! away, delay-fault scalings past nominal) are the *caller's*
@@ -37,15 +47,30 @@ pub(crate) struct Ev {
     pub value: bool,
 }
 
+/// Contents of a bucket slot whose occupancy bit is clear.
+const VACANT: Ev = Ev {
+    t_ps: 0,
+    wire: 0,
+    gen: 0,
+    value: false,
+};
+
 /// The calendar wheel. See the module docs for the invariants.
 #[derive(Debug)]
 pub(crate) struct Wheel {
     mask: u64,
-    buckets: Vec<Vec<Ev>>,
-    /// One bit per bucket.
+    /// Each bucket's first event; meaningful only while the bucket's
+    /// occupancy bit is set.
+    heads: Vec<Ev>,
+    /// Same-time followers of each bucket's head, in push order;
+    /// non-empty only while the bucket's `spilled` bit is set.
+    spill: Vec<Vec<Ev>>,
+    /// Occupancy: one bit per bucket.
     words: Vec<u64>,
     /// One bit per `words` entry.
     summary: Vec<u64>,
+    /// One bit per bucket holding more than its head.
+    spilled: Vec<u64>,
     len: usize,
 }
 
@@ -63,9 +88,11 @@ impl Wheel {
         let n_words = capacity / 64;
         Wheel {
             mask: capacity as u64 - 1,
-            buckets: vec![Vec::new(); capacity],
+            heads: vec![VACANT; capacity],
+            spill: vec![Vec::new(); capacity],
             words: vec![0u64; n_words],
             summary: vec![0u64; n_words.div_ceil(64)],
+            spilled: vec![0u64; n_words],
             len: 0,
         }
     }
@@ -95,45 +122,59 @@ impl Wheel {
     /// Pushes an event. The caller must have checked [`Wheel::fits`].
     pub fn push(&mut self, ev: Ev) {
         let b = (ev.t_ps & self.mask) as usize;
-        let bucket = &mut self.buckets[b];
-        debug_assert!(
-            bucket.last().is_none_or(|prev| prev.t_ps == ev.t_ps),
-            "bucket collision across timestamps: horizon invariant broken"
-        );
-        bucket.push(ev);
-        self.words[b / 64] |= 1 << (b % 64);
-        self.summary[b / (64 * 64)] |= 1 << ((b / 64) % 64);
+        let (word, bit) = (b / 64, 1u64 << (b % 64));
+        if self.words[word] & bit == 0 {
+            self.heads[b] = ev;
+            self.words[word] |= bit;
+            self.summary[word / 64] |= 1 << (word % 64);
+        } else {
+            debug_assert_eq!(
+                self.heads[b].t_ps, ev.t_ps,
+                "bucket collision across timestamps: horizon invariant broken"
+            );
+            self.spill[b].push(ev);
+            self.spilled[word] |= bit;
+        }
         self.len += 1;
     }
 
-    /// Fire time of the earliest pending bucket at or after `now_ps`,
-    /// or `None` when the wheel is empty.
-    pub fn peek_earliest(&self, now_ps: u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let b = self.next_occupied((now_ps & self.mask) as usize);
-        Some(self.buckets[b][0].t_ps)
+    /// The bucket holding the earliest pending events at or after
+    /// `now_ps`, or `None` when the wheel is empty. Read its fire
+    /// time with [`Wheel::time_at`] and dispatch it with
+    /// [`Wheel::take`].
+    pub fn earliest(&self, now_ps: u64) -> Option<usize> {
+        (self.len > 0).then(|| self.next_occupied((now_ps & self.mask) as usize))
     }
 
-    /// Swaps the earliest pending bucket's entries into `out` (which
-    /// must be empty) and returns their shared fire time. Bucket
-    /// buffers circulate through `out`, so steady-state dispatch does
-    /// not allocate.
-    pub fn pop_earliest_into(&mut self, now_ps: u64, out: &mut Vec<Ev>) -> Option<u64> {
-        debug_assert!(out.is_empty());
-        if self.len == 0 {
-            return None;
+    /// Fire time shared by every event in occupied bucket `b`.
+    pub fn time_at(&self, b: usize) -> u64 {
+        debug_assert!(
+            self.words[b / 64] & (1 << (b % 64)) != 0,
+            "bucket {b} is empty"
+        );
+        self.heads[b].t_ps
+    }
+
+    /// Empties occupied bucket `b`: returns its head and swaps its
+    /// same-time followers into `rest` (which must be empty; it stays
+    /// empty for a singleton bucket). Spill buffers circulate through
+    /// `rest`, so steady-state dispatch does not allocate.
+    pub fn take(&mut self, b: usize, rest: &mut Vec<Ev>) -> Ev {
+        debug_assert!(rest.is_empty());
+        let (word, bit) = (b / 64, 1u64 << (b % 64));
+        debug_assert!(self.words[word] & bit != 0, "bucket {b} is empty");
+        let head = self.heads[b];
+        if self.spilled[word] & bit != 0 {
+            std::mem::swap(&mut self.spill[b], rest);
+            self.spilled[word] &= !bit;
+            debug_assert!(rest.iter().all(|e| e.t_ps == head.t_ps));
         }
-        let b = self.next_occupied((now_ps & self.mask) as usize);
-        std::mem::swap(&mut self.buckets[b], out);
-        self.words[b / 64] &= !(1 << (b % 64));
-        if self.words[b / 64] == 0 {
-            self.summary[b / (64 * 64)] &= !(1 << ((b / 64) % 64));
+        self.words[word] &= !bit;
+        if self.words[word] == 0 {
+            self.summary[word / 64] &= !(1 << (word % 64));
         }
-        self.len -= out.len();
-        debug_assert!(out.iter().all(|e| e.t_ps == out[0].t_ps));
-        Some(out[0].t_ps)
+        self.len -= 1 + rest.len();
+        head
     }
 
     /// Cyclic two-level bitmap scan: the first occupied bucket at or
@@ -172,6 +213,8 @@ impl Wheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_runtime::{Rng, SimRng};
+    use std::collections::BTreeMap;
 
     fn ev(t_ps: u64, wire: u32) -> Ev {
         Ev {
@@ -180,6 +223,19 @@ mod tests {
             gen: 0,
             value: true,
         }
+    }
+
+    /// One dispatch step as the engine performs it: a single scan for
+    /// the earliest bucket, then the whole bucket (head first, then
+    /// its spilled followers) appended to `out`. Returns the bucket's
+    /// fire time.
+    fn pop_into(w: &mut Wheel, now_ps: u64, out: &mut Vec<Ev>) -> Option<u64> {
+        let b = w.earliest(now_ps)?;
+        let t = w.time_at(b);
+        let mut rest = Vec::new();
+        out.push(w.take(b, &mut rest));
+        out.append(&mut rest);
+        Some(t)
     }
 
     #[test]
@@ -208,19 +264,19 @@ mod tests {
         w.push(ev(130, 3));
         assert_eq!(w.len(), 3);
         let mut out = Vec::new();
-        assert_eq!(w.peek_earliest(100), Some(130));
-        assert_eq!(w.pop_earliest_into(100, &mut out), Some(130));
+        assert_eq!(w.earliest(100).map(|b| w.time_at(b)), Some(130));
+        assert_eq!(pop_into(&mut w, 100, &mut out), Some(130));
         // Same-time events keep push order (the seq discipline).
         assert_eq!(
             out.iter().map(|e| e.wire).collect::<Vec<_>>(),
             vec![2, 3]
         );
         out.clear();
-        assert_eq!(w.pop_earliest_into(130, &mut out), Some(210));
+        assert_eq!(pop_into(&mut w, 130, &mut out), Some(210));
         assert_eq!(out[0].wire, 1);
         out.clear();
         assert!(w.is_empty());
-        assert_eq!(w.pop_earliest_into(210, &mut out), None);
+        assert_eq!(pop_into(&mut w, 210, &mut out), None);
     }
 
     #[test]
@@ -231,9 +287,9 @@ mod tests {
         let now = 5u64;
         let t = now + (1 << 20) + 12_345;
         w.push(ev(t, 9));
-        assert_eq!(w.peek_earliest(now), Some(t));
+        assert_eq!(w.earliest(now).map(|b| w.time_at(b)), Some(t));
         let mut out = Vec::new();
-        assert_eq!(w.pop_earliest_into(now, &mut out), Some(t));
+        assert_eq!(pop_into(&mut w, now, &mut out), Some(t));
         assert_eq!(out[0].wire, 9);
     }
 
@@ -241,13 +297,17 @@ mod tests {
     fn dense_same_bucket_reuse_after_drain() {
         let mut w = Wheel::with_horizon(100);
         let mut out = Vec::new();
-        // Drain and refill the same bucket repeatedly; occupancy
-        // bits must track exactly.
-        for round in 0u64..5 {
+        // Drain and refill the same bucket repeatedly, alternating a
+        // singleton with a spilled pair; occupancy and spill bits must
+        // track exactly.
+        for round in 0u64..6 {
             let t = 130 + round * 128; // same bucket index every round
-            w.push(ev(t, round as u32));
-            assert_eq!(w.pop_earliest_into(t - 5, &mut out), Some(t));
-            assert_eq!(out.len(), 1);
+            let n = 1 + (round % 2) as usize;
+            for k in 0..n {
+                w.push(ev(t, (round * 10) as u32 + k as u32));
+            }
+            assert_eq!(pop_into(&mut w, t - 5, &mut out), Some(t));
+            assert_eq!(out.len(), n);
             out.clear();
             assert!(w.is_empty());
         }
@@ -261,7 +321,7 @@ mod tests {
         let mut fired = Vec::new();
         w.push(ev(3, 0));
         w.push(ev(700, 1));
-        while let Some(t) = w.pop_earliest_into(now, &mut out) {
+        while let Some(t) = pop_into(&mut w, now, &mut out) {
             assert!(t >= now);
             now = t;
             for e in out.drain(..) {
@@ -276,5 +336,82 @@ mod tests {
             fired,
             vec![(3, 0), (503, 10), (700, 1), (1_200, 11)]
         );
+    }
+
+    /// Pops one bucket and checks it against the reference: the
+    /// earliest pending time, every event at it, in `seq` order.
+    /// Returns `false` once both are empty.
+    fn pop_checked(w: &mut Wheel, reference: &mut BTreeMap<(u64, u64), Ev>, now: &mut u64) -> bool {
+        let mut out = Vec::new();
+        let Some(t) = pop_into(w, *now, &mut out) else {
+            assert!(reference.is_empty(), "wheel empty, reference not");
+            return false;
+        };
+        assert_eq!(
+            reference.keys().next().map(|k| k.0),
+            Some(t),
+            "popped {t} early"
+        );
+        let expect: Vec<Ev> = reference
+            .range((t, 0)..=(t, u64::MAX))
+            .map(|(_, e)| *e)
+            .collect();
+        assert_eq!(out, expect, "bucket {t} contents or order");
+        reference.retain(|&(rt, _), _| rt != t);
+        *now = t;
+        true
+    }
+
+    /// Randomized push/pop against a `(time, seq)`-ordered reference
+    /// map — the reference engine's heap order. The mix forces every
+    /// bucket shape: singletons, spilled same-time runs, wrap-around
+    /// (the clock crosses the horizon many times), and a bucket index
+    /// refilled at the current instant right after it drains, where a
+    /// stale inline slot or occupancy bit would surface.
+    #[test]
+    fn random_push_pop_matches_time_seq_reference() {
+        for seed in 0..16u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut w = Wheel::with_horizon(100); // horizon 128
+            let mask = w.horizon_ps() - 1;
+            let mut reference = BTreeMap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            let (mut spilled, mut refilled) = (0usize, 0usize);
+            for _ in 0..4_000 {
+                if rng.next_u64() % 10 < 4 {
+                    pop_checked(&mut w, &mut reference, &mut now);
+                } else {
+                    let t = match rng.next_u64() % 4 {
+                        // Join a pending bucket (spills it).
+                        0 if !reference.is_empty() => {
+                            spilled += 1;
+                            let k = rng.next_u64() % reference.len() as u64;
+                            reference.keys().nth(k as usize).unwrap().0
+                        }
+                        // The current instant: refills the bucket the
+                        // last pop drained.
+                        1 => {
+                            refilled += 1;
+                            now
+                        }
+                        // Anywhere in the window, the far edge included.
+                        _ => now + rng.next_u64() % (mask + 1),
+                    };
+                    assert!(w.fits(now, t));
+                    let e = ev(t, seq as u32);
+                    w.push(e);
+                    reference.insert((t, seq), e);
+                    seq += 1;
+                }
+                assert_eq!(w.len(), reference.len(), "seed {seed}");
+            }
+            assert!(now > 8 * (mask + 1), "seed {seed}: clock never wrapped");
+            assert!(
+                spilled > 100 && refilled > 100,
+                "seed {seed}: shapes not covered"
+            );
+            while pop_checked(&mut w, &mut reference, &mut now) {}
+            assert!(w.is_empty());
+        }
     }
 }

@@ -4,11 +4,13 @@
 # report, run two shards to completion, kill -9 the third mid-range
 # (and inject a torn temp file next to its checkpoint), resume it, and
 # verify the merged report is byte-identical to the baseline. Also
-# checks both new binaries' CLI contracts (--help exits 0, garbage
-# numerics exit 2).
+# checks the CLI contracts of both sweep binaries and of netlist_bench
+# (--help exits 0, garbage or out-of-range numerics exit 2 before any
+# work starts).
 #
 # Usage: scripts/sweep_smoke.sh [BIN_DIR]
-#   BIN_DIR   directory holding explore/sweep_shard (default target/release)
+#   BIN_DIR   directory holding explore/sweep_shard/netlist_bench
+#             (default target/release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,13 +24,23 @@ fail() {
     exit 1
 }
 
-# CLI contracts: --help exits 0 on both binaries, garbage numerics 2.
+# CLI contracts: --help exits 0 on every binary, garbage numerics 2.
 "$BIN/explore" --help >/dev/null || fail "explore --help must exit 0"
 "$BIN/sweep_shard" --help >/dev/null || fail "sweep_shard --help must exit 0"
+"$BIN/netlist_bench" --help >/dev/null || fail "netlist_bench --help must exit 0"
 rc=0; "$BIN/explore" --trials banana 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "explore must exit 2 on garbage --trials (got $rc)"
 rc=0; "$BIN/sweep_shard" --manifest x --shard -3 --dir y 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "sweep_shard must exit 2 on garbage --shard (got $rc)"
+# netlist_bench must refuse values its workloads cannot run, before the
+# million-gate runs start (the output file must not appear).
+for bad in "--side 0" "--stages 0" "--stages 3" "--rate 2" "--rate NaN"; do
+    rc=0
+    # shellcheck disable=SC2086 # word-split the flag and its value
+    "$BIN/netlist_bench" $bad --out "$OUT/bad_flags.json" 2>/dev/null || rc=$?
+    [ "$rc" -eq 2 ] || fail "netlist_bench must exit 2 on $bad (got $rc)"
+    [ ! -e "$OUT/bad_flags.json" ] || fail "netlist_bench ran a workload on $bad"
+done
 echo "==> CLI contracts hold (--help 0, usage errors 2)"
 
 # The manifest: fast grid, 3 shards, checkpoint every 4 trials.
