@@ -51,10 +51,10 @@ fn main() {
 
     group("handshake_chain");
     let hs = HandshakeChain::new(256, link, 1.0);
-    bench("chain_run/256/clean", || hs.run(16).period);
+    bench("chain_run/256/clean", || hs.run(16, None, None).period);
     for (label, plan) in [("disabled", &disabled), ("enabled", &enabled)] {
         bench(&format!("chain_run_faulty/256/{label}"), || {
-            let run = hs.run_faulty(16, plan, policy);
+            let run = hs.run(16, Some((plan, policy)), None);
             (run.outcome, run.drops)
         });
     }

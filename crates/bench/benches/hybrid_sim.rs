@@ -23,7 +23,7 @@ fn main() {
     }
 
     let chain = HandshakeChain::new(256, link, 1.0);
-    bench("handshake_chain_256_stages_50_tokens", || chain.run(50));
+    bench("handshake_chain_256_stages_50_tokens", || chain.run(50, None, None));
 
     {
         use desim::prelude::*;

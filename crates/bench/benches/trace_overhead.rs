@@ -22,7 +22,7 @@ fn main() {
         let chip = InverterString::fabricate(spec(stages));
         let period = chip.min_pipelined_period(6);
         bench(&format!("e6_waveform_untraced/{stages}"), || {
-            let (sim, taps) = chip.waveform(period * 2, 6, 4);
+            let (sim, taps) = chip.waveform(period * 2, 6, 4, None);
             (sim.now(), taps.len())
         });
     }
@@ -32,7 +32,7 @@ fn main() {
         let chip = InverterString::fabricate(spec(stages));
         let period = chip.min_pipelined_period(6);
         bench(&format!("e6_waveform_traced/{stages}"), || {
-            let (mut sim, taps) = chip.waveform_traced(period * 2, 6, 4, 1 << 16);
+            let (mut sim, taps) = chip.waveform(period * 2, 6, 4, Some(1 << 16));
             let events = sim.take_trace().map_or(0, |b| b.len());
             (sim.now(), taps.len(), events)
         });

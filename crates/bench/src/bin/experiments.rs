@@ -1,6 +1,6 @@
 //! `experiments` — the registry front-end binary.
 //!
-//! One binary that can run any of the `e1`–`e12` experiments:
+//! The one binary that runs any of the `e1`–`e14` experiments:
 //!
 //! ```text
 //! experiments                 list the registered experiments
@@ -9,8 +9,8 @@
 //! experiments e6 --vcd w.vcd  flags are forwarded verbatim
 //! ```
 //!
-//! The per-experiment `eN_*` binaries remain; this one exists so that
-//! scripts (and humans exploring the repo) need to know only one name.
+//! `experiments --help` exits 0; an unknown experiment name or a bad
+//! flag prints usage and exits 2.
 
 fn main() {
     let registry = bench::registry();

@@ -75,13 +75,10 @@ impl Experiment for E1 {
                 let arr = ArrivalTimes::from_rates(tree, &rates);
                 arr.skew(tree, a, b)
             };
-            let (skews, sweep_stats) = if cfg.tracing() {
-                let (v, stats, spans) = sweep.run_timed_traced(samples, case_seed, trial);
+            let (skews, sweep_stats, spans) = sweep.run_timed(0..samples, case_seed, trial);
+            if cfg.tracing() {
                 r.record_sweep_trace(&format!("sweep/case{idx}_{name}"), &spans);
-                (v, stats)
-            } else {
-                sweep.run_timed(samples, case_seed, trial)
-            };
+            }
             r.record_sweep(&format!("case{idx}_{name}"), sweep_stats);
             if let Some(buf) = skew_buf.as_mut() {
                 // Causal attribution of the worst observed trial: re-derive

@@ -96,13 +96,10 @@ impl Experiment for E11 {
                 exec.run(&mut fir, cycles);
                 (fir.outputs() != expected, raced)
             };
-            let (outcomes, sweep_stats) = if cfg.tracing() {
-                let (v, stats, spans) = sweep.run_timed_traced(fabrications, cfg.seed, fab);
+            let (outcomes, sweep_stats, spans) = sweep.run_timed(0..fabrications, cfg.seed, fab);
+            if cfg.tracing() {
                 r.record_sweep_trace(&format!("sweep/fabrications_{frac:.2}"), &spans);
-                (v, stats)
-            } else {
-                sweep.run_timed(fabrications, cfg.seed, fab)
-            };
+            }
             r.record_sweep(&format!("fabrications_{frac:.2}"), sweep_stats);
             let wrong = outcomes.iter().filter(|&&(w, _)| w).count();
             let races = outcomes.iter().filter(|&&(_, x)| x).count();

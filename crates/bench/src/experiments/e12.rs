@@ -210,7 +210,7 @@ impl Experiment for E12 {
             ];
             let hybrid = HybridArray::over_mesh(k, HybridParams::new(4, DELTA, M, EPS, link()));
             let chain = HandshakeChain::new(n, link(), 1.0);
-            let clean_period = chain.run(TOKENS).period;
+            let clean_period = chain.run(TOKENS, None, None).period;
 
             let mut table = Table::new(&[
                 "scheme",
@@ -249,7 +249,7 @@ impl Experiment for E12 {
                         }),
                         _ => sweep.run_isolated(trials, plan_seed, |t, _rng| {
                             let plan = FaultPlan::new(plan_seed, t as u64, rates_cfg);
-                            let run = chain.run_faulty(TOKENS, &plan, pol);
+                            let run = chain.run(TOKENS, Some((&plan, pol)), None);
                             let retention = if run.outcome.is_ok() {
                                 clean_period / run.period
                             } else {
@@ -330,12 +330,9 @@ impl Experiment for E12 {
                 handshake_drop: 0.25,
                 ..FaultRates::none()
             };
-            let traced = HandshakeChain::new(4, link(), 1.0).run_faulty_traced(
-                6,
-                &FaultPlan::new(cfg.seed, 1, drop_rates),
-                pol,
-                &mut hs,
-            );
+            let plan = FaultPlan::new(cfg.seed, 1, drop_rates);
+            let chain = HandshakeChain::new(4, link(), 1.0);
+            let traced = chain.run(6, Some((&plan, pol)), Some(&mut hs));
             assert!(traced.outcome.is_ok() || traced.drops > 0);
             r.trace_mut().add_track("handshake", hs);
         }

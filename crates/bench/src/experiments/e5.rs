@@ -118,7 +118,7 @@ impl Experiment for E5 {
         if cfg.tracing() {
             let mut hs = TraceBuf::new(1024);
             let chain = HandshakeChain::new(4, link, 1.0);
-            let _ = chain.run_traced(6, &mut hs);
+            let _ = chain.run(6, None, Some(&mut hs));
             r.trace_mut().add_track("handshake", hs);
         }
 

@@ -96,11 +96,8 @@ impl Experiment for E6 {
         // period, with taps along the string.
         let (wave_spec, wave_period) = last_chip.expect("lengths non-empty");
         let wave_chip = InverterString::fabricate(wave_spec);
-        let (mut wave_sim, taps) = if cfg.tracing() {
-            wave_chip.waveform_traced(wave_period * 2, 6, 8, 1 << 16)
-        } else {
-            wave_chip.waveform(wave_period * 2, 6, 8)
-        };
+        let trace_capacity = cfg.tracing().then_some(1 << 16);
+        let (mut wave_sim, taps) = wave_chip.waveform(wave_period * 2, 6, 8, trace_capacity);
         wave_sim.record_metrics(r.metrics_mut(), "e6.engine");
         if let Some(path) = &cfg.vcd {
             let named: Vec<(NetId, &str)> =
@@ -146,13 +143,10 @@ impl Experiment for E6 {
                 };
                 InverterString::fabricate(spec).pulse_width_change_ps() as f64
             };
-            let (samples, fab_stats) = if cfg.tracing() {
-                let (v, stats, spans) = sweep.run_timed_traced(fab_chips, cfg.seed, fab);
+            let (samples, fab_stats, spans) = sweep.run_timed(0..fab_chips, cfg.seed, fab);
+            if cfg.tracing() {
                 r.record_sweep_trace(&format!("sweep/discrepancy_{stages}"), &spans);
-                (v, stats)
-            } else {
-                sweep.run_timed(fab_chips, cfg.seed, fab)
-            };
+            }
             r.record_sweep(&format!("discrepancy_{stages}"), fab_stats);
             let (_, std) = mean_std(&samples);
             let ratio = prev_std.map_or_else(|| "-".to_owned(), |p| format!("{:.2}", std / p));

@@ -80,7 +80,7 @@ impl Experiment for E7 {
             use selftimed::prelude::{HandshakeChain, HandshakeLink, Protocol};
             let mut hs = sim_observe::TraceBuf::new(256);
             let link = HandshakeLink::new(0.2, 0.1, Protocol::TwoPhase);
-            let _ = HandshakeChain::new(4, link, 1.0).run_traced(6, &mut hs);
+            let _ = HandshakeChain::new(4, link, 1.0).run(6, None, Some(&mut hs));
             r.trace_mut().add_track("handshake", hs);
         }
 

@@ -5,7 +5,8 @@
 //! stdout; the bodies now build deterministic [`sim_runtime::Report`]s
 //! so that the e2e suite can iterate [`registry`] and the determinism
 //! suite can byte-compare reports across `--threads` settings. The
-//! `eN_*` binaries are one-line [`sim_runtime::run_cli`] wrappers.
+//! `experiments` binary runs any of them by name through
+//! [`sim_runtime::run_cli_args`].
 
 mod e1;
 mod e10;

@@ -410,7 +410,7 @@ pub fn build_cell(point: &GridPoint) -> Result<Cell, String> {
         )))),
         ("selftimed", "chain") => {
             let chain = HandshakeChain::new(n, link(), 1.0);
-            let clean_period = chain.run(TOKENS).period;
+            let clean_period = chain.run(TOKENS, None, None).period;
             Ok(Cell::Selftimed {
                 chain,
                 clean_period,
@@ -510,7 +510,7 @@ pub fn run_trial(
             clean_period,
         } => {
             let plan = FaultPlan::new(point_seed, trial, rates);
-            let run = chain.run_faulty(TOKENS, &plan, policy());
+            let run = chain.run(TOKENS, Some((&plan, policy())), None);
             let retention = if run.outcome.is_ok() {
                 clean_period / run.period
             } else {

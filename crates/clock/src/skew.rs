@@ -482,7 +482,7 @@ pub fn monte_carlo_skew_par(
 ) -> SkewSample {
     assert!(samples > 0, "at least one sample required");
     let pairs = comm.communicating_pairs();
-    let per_sample: Vec<Vec<f64>> = sweep.run(samples, seed, |_i, rng| {
+    let per_sample: Vec<Vec<f64>> = sweep.run(0..samples, seed, |_i, rng| {
         let rates = model.sample_rates(tree, rng);
         let arrivals = ArrivalTimes::from_rates(tree, &rates);
         pairs

@@ -376,47 +376,24 @@ impl InverterString {
     /// cycles with `taps` evenly spaced nets along the string watched,
     /// and returns the finished simulator together with `(net, name)`
     /// pairs ready for [`crate::vcd::export_vcd`] — the machinery
-    /// behind the `e6` binary's `--vcd` flag.
+    /// behind e6's `--vcd` flag.
     ///
     /// The first tap is always the clock input (named `clk_in`), the
     /// last is the far end of the string; intermediate taps are named
     /// `stage_<k>` after their stage index. `taps` is clamped to
     /// `[2, stages + 1]`.
     ///
+    /// With `trace_capacity`, event-lifecycle tracing is enabled on the
+    /// simulator before the clock train starts (a ring of that
+    /// capacity), with the clock input marked as phase-0 `clk_in`;
+    /// retrieve the ring from the returned simulator with
+    /// [`Simulator::take_trace`].
+    ///
     /// # Panics
     ///
     /// Panics if `period < 2` ps or `cycles == 0`.
     #[must_use]
     pub fn waveform(
-        &self,
-        period: SimTime,
-        cycles: usize,
-        taps: usize,
-    ) -> (Simulator, Vec<(NetId, String)>) {
-        self.waveform_impl(period, cycles, taps, None)
-    }
-
-    /// Like [`InverterString::waveform`], but with event-lifecycle
-    /// tracing enabled on the simulator before the clock train starts
-    /// (ring capacity `trace_capacity`), with the clock input marked as
-    /// phase-0 `clk_in`. Retrieve the ring from the returned simulator
-    /// with [`Simulator::take_trace`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`InverterString::waveform`].
-    #[must_use]
-    pub fn waveform_traced(
-        &self,
-        period: SimTime,
-        cycles: usize,
-        taps: usize,
-        trace_capacity: usize,
-    ) -> (Simulator, Vec<(NetId, String)>) {
-        self.waveform_impl(period, cycles, taps, Some(trace_capacity))
-    }
-
-    fn waveform_impl(
         &self,
         period: SimTime,
         cycles: usize,
@@ -651,7 +628,7 @@ mod tests {
     fn waveform_taps_span_the_string() {
         let chip = InverterString::fabricate(quick_spec(32, 0, 0.0, 1));
         let period = chip.min_pipelined_period(3) * 2;
-        let (sim, signals) = chip.waveform(period, 3, 5);
+        let (sim, signals) = chip.waveform(period, 3, 5, None);
         assert_eq!(signals.len(), 5);
         assert_eq!(signals[0].1, "clk_in");
         assert_eq!(signals.last().expect("taps").1, "stage_32");

@@ -23,7 +23,6 @@
 
 use crate::engine::{NetId, Simulator};
 use crate::time::SimTime;
-use sim_observe::{TraceBuf, TraceEvent};
 
 /// A gate-level self-timed pipeline of C-elements.
 #[derive(Debug)]
@@ -78,7 +77,6 @@ impl MullerPipeline {
         // as stage 1 accepted the previous one).
         sim.add_inverter(s[1], s[0], inv_delay, inv_delay);
         sim.watch(s[stages]);
-        sim.watch(s[0]);
         MullerPipeline {
             sim,
             stage_nets: s,
@@ -93,53 +91,6 @@ impl MullerPipeline {
         self.built_stages
     }
 
-    /// Like [`MullerPipeline::run`], but additionally records the
-    /// 2-phase protocol transitions of the first link into a trace
-    /// ring of at most `capacity` events: each source-state (`s0`)
-    /// toggle is a `HandshakeReq`, each stage-1 (`s1`) toggle the
-    /// answering `HandshakeAck`, merged in time order on link
-    /// `muller.stage1`. The power-on kick's artificial first `s0`
-    /// pull-down is skipped — it precedes the protocol.
-    ///
-    /// # Panics
-    ///
-    /// As for [`MullerPipeline::run`].
-    #[must_use]
-    pub fn run_traced(mut self, until: SimTime, capacity: usize) -> (MullerRun, TraceBuf) {
-        let s0 = self.stage_nets[0];
-        let s1 = self.stage_nets[1];
-        self.sim.watch(s1);
-        let run = self.kicked_run(until);
-        let mut events: Vec<(SimTime, bool, bool)> = Vec::new(); // (t, is_req, value)
-        for &(t, v) in self.sim.transitions(s0).iter().skip(1) {
-            events.push((t, true, v));
-        }
-        for &(t, v) in self.sim.transitions(s1) {
-            events.push((t, false, v));
-        }
-        // Stable merge: requests precede their (later) acks; the link
-        // never produces two transitions at the same instant.
-        events.sort_by_key(|&(t, is_req, _)| (t, !is_req));
-        let mut buf = TraceBuf::new(capacity);
-        for (t, is_req, value) in events {
-            let ev = if is_req {
-                TraceEvent::HandshakeReq {
-                    t_ps: t.as_ps(),
-                    link: "muller.stage1".to_owned(),
-                    rising: value,
-                }
-            } else {
-                TraceEvent::HandshakeAck {
-                    t_ps: t.as_ps(),
-                    link: "muller.stage1".to_owned(),
-                    rising: value,
-                }
-            };
-            buf.record(ev);
-        }
-        (run, buf)
-    }
-
     /// Kicks the pipeline and runs it until `until`, measuring token
     /// delivery at the last stage.
     ///
@@ -149,10 +100,6 @@ impl MullerPipeline {
     /// should be live by construction).
     #[must_use]
     pub fn run(mut self, until: SimTime) -> MullerRun {
-        self.kicked_run(until)
-    }
-
-    fn kicked_run(&mut self, until: SimTime) -> MullerRun {
         // Power-on kick. Construction leaves the source net statically
         // at 1 (the source inverter's consistent state), which is not
         // an *event*, so nothing reacts. Pull it low, then raise it
@@ -216,19 +163,6 @@ mod tests {
         let short = MullerPipeline::new(4, ps(100), ps(50)).run(ps(200_000));
         let long = MullerPipeline::new(64, ps(100), ps(50)).run(ps(200_000));
         assert!(long.first_arrival > short.first_arrival * 4);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_obeys_the_protocol() {
-        let plain = MullerPipeline::new(4, ps(100), ps(50)).run(ps(100_000));
-        let (traced, buf) =
-            MullerPipeline::new(4, ps(100), ps(50)).run_traced(ps(100_000), 1 << 12);
-        assert_eq!(plain, traced, "tracing must not perturb the run");
-        assert!(buf.len() > 10, "protocol transitions recorded");
-        let mut trace = sim_observe::Trace::new();
-        trace.add_track("muller", buf);
-        let check = sim_observe::check_trace(&trace);
-        assert!(check.is_ok(), "{:?}", check.violations);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's own contribution hinges on measurement — Section VII
 //! instruments a 2048-inverter string to turn a theory of clock skew
 //! into numbers — and this crate is the workspace's measuring
-//! substrate: every experiment binary serializes a structured,
+//! substrate: every experiment serializes a structured,
 //! schema-stable report through it, and the `bench_regress` gate diffs
 //! those reports against committed baselines.
 //!

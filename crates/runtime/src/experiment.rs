@@ -1,9 +1,9 @@
-//! The experiment harness behind the `e1`–`e12` binaries.
+//! The experiment harness behind the `experiments` binary.
 //!
-//! Each binary used to carry its own copy-pasted `main` scaffolding;
-//! now an experiment is a type implementing [`Experiment`] that builds
-//! a [`Report`], and the binary is one call to [`run_cli_in`]. The
-//! shared CLI surface is:
+//! An experiment is a type implementing [`Experiment`] that builds a
+//! [`Report`]; the [`Registry`] holds them all, and
+//! `experiments <name> [flags]` runs one through [`run_cli_args`].
+//! The shared CLI surface is:
 //!
 //! ```text
 //! --trials N    override the experiment's Monte-Carlo trial count
@@ -198,7 +198,7 @@ impl ExpConfig {
     }
 }
 
-const USAGE: &str = "usage: <experiment> [--trials N] [--seed S] [--threads T] [--fast] \
+const USAGE: &str = "usage: experiments <name> [--trials N] [--seed S] [--threads T] [--fast] \
 [--json PATH] [--vcd PATH] [--trace PATH] [--list]";
 
 thread_local! {
@@ -278,7 +278,7 @@ macro_rules! rline {
 /// pool); every experiment is an immutable description, so the bounds
 /// cost nothing.
 pub trait Experiment: Sync + Send {
-    /// Short id: the registry key and binary stem, e.g. `"e1"`.
+    /// Short id: the registry key, e.g. `"e1"` (`experiments e1`).
     fn name(&self) -> &'static str;
     /// One-line human title.
     fn title(&self) -> &'static str;
@@ -407,8 +407,8 @@ fn listing_line(exp: &dyn Experiment) -> String {
 }
 
 /// Runs `exp` under `cfg` with the prescribed root RNG, returning its
-/// report. The library-facing entry point; the binaries wrap it in
-/// [`run_cli_in`].
+/// report. The library-facing entry point; the `experiments` binary
+/// wraps it in [`run_cli_args`].
 pub fn run_experiment(exp: &dyn Experiment, cfg: &ExpConfig) -> Report {
     exp.run(cfg, &mut cfg.rng())
 }
@@ -530,47 +530,19 @@ fn export_trace(report: &Report, path: &str) -> i32 {
     }
 }
 
-/// Parses `std::env::args`, runs `exp`, and streams banner + report to
-/// stdout. Kept for single-experiment binaries without a registry;
-/// `--list` shows just this experiment.
+/// The CLI driver behind `experiments <name> [flags]`: parses `args`,
+/// runs `name` out of `registry`, and returns the process exit code
+/// instead of exiting, so front ends and tests can call it.
 ///
-/// Exits with status 2 on a CLI error; `--help` prints usage and
-/// exits 0.
-pub fn run_cli(exp: &dyn Experiment) {
-    let code = cli_main(&[exp], exp.name(), std::env::args().skip(1));
-    if code != 0 {
-        std::process::exit(code);
-    }
-}
-
-/// The entire `main` of every `eN` binary: like [`run_cli`], but
-/// `--list` enumerates the whole `registry`, not just this binary's
-/// experiment.
+/// Returns 2 on a CLI error (`--help` prints usage and returns 0),
+/// and 1 when a requested artifact (e.g. the `--json` file) cannot
+/// be written or the `--trace` checker finds a violation. `--list`
+/// enumerates the whole registry.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not registered — a build-time wiring bug in
-/// the binary, not a user error.
-///
-/// Exits with status 2 on a CLI error (`--help` prints usage and
-/// exits 0), status 1 when a requested artifact (e.g. the `--json`
-/// file) cannot be written or the `--trace` checker finds a
-/// violation.
-pub fn run_cli_in(registry: &Registry, name: &str) {
-    let code = run_cli_args(registry, name, std::env::args().skip(1));
-    if code != 0 {
-        std::process::exit(code);
-    }
-}
-
-/// Like [`run_cli_in`], but takes the argument list explicitly and
-/// returns the exit code instead of exiting — the entry point for
-/// front-end binaries that pick the experiment from their own argv
-/// (and for tests).
-///
-/// # Panics
-///
-/// Panics if `name` is not registered.
+/// Panics if `name` is not registered — the caller checks the name
+/// against the registry first.
 pub fn run_cli_args<I: IntoIterator<Item = String>>(
     registry: &Registry,
     name: &str,
@@ -578,7 +550,7 @@ pub fn run_cli_args<I: IntoIterator<Item = String>>(
 ) -> i32 {
     assert!(
         registry.get(name).is_some(),
-        "binary wired to unregistered experiment `{name}`"
+        "unregistered experiment `{name}`"
     );
     let exps: Vec<&dyn Experiment> = registry.iter().collect();
     cli_main(&exps, name, args)
@@ -603,7 +575,7 @@ mod tests {
             let mut r = cfg.report();
             let total: u64 = cfg
                 .sweep()
-                .run(cfg.trials_or(16), cfg.seed, |_i, rng| {
+                .run(0..cfg.trials_or(16), cfg.seed, |_i, rng| {
                     crate::rng::Rng::next_u64(rng) % 100
                 })
                 .into_iter()

@@ -15,12 +15,16 @@
 //! * [`dist`] — Gaussian (Box–Muller) and uniform-interval sampling
 //!   on top of any [`Rng`];
 //! * [`sweep`] — [`ParallelSweep`], a `std::thread::scope` executor
-//!   that fans N independent trials across worker threads with
-//!   per-trial child seeds, so results are **bit-identical regardless
-//!   of thread count** (`SIM_THREADS=1` reproduces `SIM_THREADS=8`);
+//!   that fans a range of independent trials across worker threads
+//!   with per-trial child seeds, so results are **bit-identical
+//!   regardless of thread count** (`SIM_THREADS=1` reproduces
+//!   `SIM_THREADS=8`) and of how the range is sharded. Its whole trial
+//!   API is `run`, `run_timed` (adds wall-clock stats and per-trial
+//!   spans), `run_isolated` (catches panicking trials) and `count`;
 //! * [`experiment`] — the [`Experiment`] trait, [`ExpConfig`]
 //!   (`--trials/--seed/--threads/--fast/--json/--vcd/--trace/--list`),
-//!   and the [`Registry`] the `e1`–`e12` binaries plug into;
+//!   and the [`Registry`] of `e1`–`e14` that the `experiments` binary
+//!   runs;
 //! * [`report`] — [`Report`] (streaming text + structured tables +
 //!   [`sim_observe::Metrics`]) and the versioned JSON report
 //!   ([`json_core`]/[`json_full`]) behind `--json`;
@@ -36,7 +40,7 @@
 //! // for any worker count.
 //! let hits = |threads: usize| -> usize {
 //!     ParallelSweep::new(threads)
-//!         .run(1000, 42, |_trial, rng| {
+//!         .run(0..1000, 42, |_trial, rng| {
 //!             let (x, y) = (rng.gen_f64(), rng.gen_f64());
 //!             usize::from(x * x + y * y <= 1.0)
 //!         })
@@ -58,8 +62,8 @@ pub mod table;
 
 pub use dist::{sample_normal, Gaussian};
 pub use experiment::{
-    run_cli, run_cli_args, run_cli_in, run_experiment, take_artifact_failure,
-    write_artifact, write_with_parents, ExpConfig, Experiment, Registry,
+    run_cli_args, run_experiment, take_artifact_failure, write_artifact, write_with_parents,
+    ExpConfig, Experiment, Registry,
 };
 pub use report::{
     json_core, json_full, Report, RunInfo, TableSection, REPORT_SCHEMA,
@@ -73,8 +77,8 @@ pub use table::Table;
 pub mod prelude {
     pub use crate::dist::{sample_normal, Gaussian};
     pub use crate::experiment::{
-        run_cli, run_cli_args, run_cli_in, run_experiment, take_artifact_failure,
-        write_artifact, ExpConfig, Experiment, Registry,
+        run_cli_args, run_experiment, take_artifact_failure, write_artifact, ExpConfig, Experiment,
+        Registry,
     };
     pub use crate::report::{json_core, json_full, Report, RunInfo};
     pub use crate::rng::{Rng, SimRng, SliceRandom};

@@ -151,7 +151,7 @@ impl Report {
     }
 
     /// Records one sweep's per-trial wall-clock spans
-    /// ([`ParallelSweep::run_timed_traced`](crate::ParallelSweep::run_timed_traced))
+    /// ([`ParallelSweep::run_timed`](crate::ParallelSweep::run_timed))
     /// as wall-time spans on the trace, one track per worker
     /// (`{name}/w{worker}`).
     pub fn record_sweep_trace(&mut self, name: &str, spans: &[TrialSpan]) {

@@ -13,8 +13,8 @@
 
 use crate::rng::SimRng;
 use sim_observe::{duration_ns, Json, LogHistogram};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Name of the environment variable that picks the default worker
@@ -29,13 +29,26 @@ pub const THREADS_ENV: &str = "SIM_THREADS";
 /// use sim_runtime::{ParallelSweep, Rng};
 ///
 /// let sweep = ParallelSweep::new(4);
-/// let sums: Vec<u64> = sweep.run(100, 7, |_i, rng| rng.next_u64() % 10);
+/// let sums: Vec<u64> = sweep.run(0..100, 7, |_i, rng| rng.next_u64() % 10);
 /// // Identical to the single-threaded run.
-/// assert_eq!(sums, ParallelSweep::new(1).run(100, 7, |_i, rng| rng.next_u64() % 10));
+/// assert_eq!(sums, ParallelSweep::new(1).run(0..100, 7, |_i, rng| rng.next_u64() % 10));
+/// // A shard of global trial indices reproduces that slice of the run.
+/// assert_eq!(sweep.run(40..60, 7, |_i, rng| rng.next_u64() % 10), sums[40..60]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelSweep {
     threads: usize,
+}
+
+/// What one worker did: its results and spans (paired, in the order
+/// it claimed trials), busy time and latency histogram. Kept local to
+/// the worker until it finishes, so the trial hot path never touches
+/// shared state beyond the index cursor.
+struct WorkerTally<T> {
+    results: Vec<T>,
+    spans: Vec<TrialSpan>,
+    busy: Duration,
+    hist: LogHistogram,
 }
 
 impl ParallelSweep {
@@ -69,141 +82,43 @@ impl ParallelSweep {
         self.threads
     }
 
-    /// Runs `trials` independent trials of `f` and returns their
-    /// results in trial order.
+    /// Runs the trials with **global** indices in `range` and returns
+    /// their results in index order.
     ///
-    /// Trial `i` receives `(i, &mut SimRng::for_trial(seed, i))`; the
+    /// Trial `g` receives `(g, &mut SimRng::for_trial(seed, g))`; the
     /// trial-to-worker assignment is dynamic (an atomic cursor, so
     /// uneven trial costs balance), but since no trial's RNG depends
     /// on that assignment the output is identical for every thread
-    /// count.
-    pub fn run<T, F>(&self, trials: usize, seed: u64, f: F) -> Vec<T>
+    /// count. Disjoint ranges covering `0..n` therefore produce,
+    /// concatenated in range order, the *byte-identical* result vector
+    /// of the single `0..n` run — in any shard completion order, on
+    /// any machine. That is what lets `sim-sweep` split a sweep across
+    /// processes and merge it deterministically.
+    pub fn run<T, F>(&self, range: Range<usize>, seed: u64, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut SimRng) -> T + Sync,
     {
-        self.run_range(0..trials, seed, f)
+        self.run_timed(range, seed, f).0
     }
 
-    /// Runs the **global** trial indices in `range` — the shard API
-    /// behind `sim-sweep`'s checkpointed mega-sweeps.
+    /// [`ParallelSweep::run`], returning with the results the sweep's
+    /// wall-clock telemetry: [`SweepStats`] (total time, per-worker
+    /// busy time and trial counts, a log-scale histogram of per-trial
+    /// latencies) and one [`TrialSpan`] per trial, sorted by trial
+    /// index — the raw material of a `sim-trace` wall-time track and
+    /// of shard heartbeats.
     ///
-    /// Trial `g` (a global index) always draws from
-    /// `SimRng::for_trial(seed, g)`, exactly as [`ParallelSweep::run`]
-    /// would have within a full `0..trials` run. Disjoint ranges
-    /// covering `0..trials` therefore produce, concatenated in range
-    /// order, the *byte-identical* result vector of the single
-    /// full-range run — for any thread count, on any machine, in any
-    /// shard completion order. That property is what lets a sweep be
-    /// split across processes (or machines) and merged
-    /// deterministically.
-    pub fn run_range<T, F>(&self, range: std::ops::Range<usize>, seed: u64, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut SimRng) -> T + Sync,
-    {
-        let lo = range.start;
-        let n = range.len();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return range
-                .map(|g| f(g, &mut SimRng::for_trial(seed, g as u64)))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let g = lo + i;
-                    let out = f(g, &mut SimRng::for_trial(seed, g as u64));
-                    *slots[i].lock().expect("slot lock poisoned") = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock poisoned")
-                    .expect("every trial index below `trials` was claimed")
-            })
-            .collect()
-    }
-
-    /// Like [`ParallelSweep::run`], but also measures wall-clock
-    /// telemetry: total sweep time, per-worker busy time and trial
-    /// counts, and a log-scale histogram of per-trial latencies.
-    ///
-    /// The **results** are produced exactly as in `run` (same per-trial
-    /// RNG derivation, same trial order), so they stay bit-identical
-    /// for any worker count; only the [`SweepStats`] — which are
-    /// volatile by nature — depend on scheduling. Timing overhead is
-    /// two `Instant::now` calls plus one histogram add per trial,
-    /// accumulated in worker-local state and merged once per worker.
-    pub fn run_timed<T, F>(&self, trials: usize, seed: u64, f: F) -> (Vec<T>, SweepStats)
-    where
-        T: Send,
-        F: Fn(usize, &mut SimRng) -> T + Sync,
-    {
-        let (out, stats, _) = self.run_timed_impl(0..trials, seed, f, false);
-        (out, stats)
-    }
-
-    /// [`ParallelSweep::run_range`] with [`SweepStats`] telemetry — the
-    /// shard heartbeat path. Results are produced exactly as
-    /// `run_range` would (same global-index RNG derivation, same
-    /// order), so shard merging stays byte-identical; the stats only
-    /// describe how fast this chunk ran (trials/sec, worker busy
-    /// time), which is what a heartbeat file reports.
-    pub fn run_range_timed<T, F>(
+    /// The results are exactly those of `run`; only the stats and
+    /// spans, which are volatile by nature, depend on scheduling and
+    /// must stay out of deterministic report sections. The cost is two
+    /// `Instant::now` calls, one histogram add and one span push per
+    /// trial, in worker-local state merged once per worker.
+    pub fn run_timed<T, F>(
         &self,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         seed: u64,
         f: F,
-    ) -> (Vec<T>, SweepStats)
-    where
-        T: Send,
-        F: Fn(usize, &mut SimRng) -> T + Sync,
-    {
-        let (out, stats, _) = self.run_timed_impl(range, seed, f, false);
-        (out, stats)
-    }
-
-    /// Like [`ParallelSweep::run_timed`], but additionally records one
-    /// [`TrialSpan`] per trial — which worker ran it, when it started
-    /// (relative to the sweep), and how long it took. The spans are the
-    /// raw material of the wall-time track in a `sim-trace` export;
-    /// like [`SweepStats`] they are volatile and must stay out of
-    /// deterministic report sections.
-    ///
-    /// Spans are accumulated in worker-local vectors and merged once
-    /// after the sweep (sorted by trial index), so the trial hot path
-    /// still never touches shared state.
-    pub fn run_timed_traced<T, F>(
-        &self,
-        trials: usize,
-        seed: u64,
-        f: F,
-    ) -> (Vec<T>, SweepStats, Vec<TrialSpan>)
-    where
-        T: Send,
-        F: Fn(usize, &mut SimRng) -> T + Sync,
-    {
-        self.run_timed_impl(0..trials, seed, f, true)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run_timed_impl<T, F>(
-        &self,
-        range: std::ops::Range<usize>,
-        seed: u64,
-        f: F,
-        collect_spans: bool,
     ) -> (Vec<T>, SweepStats, Vec<TrialSpan>)
     where
         T: Send,
@@ -213,138 +128,81 @@ impl ParallelSweep {
         let trials = range.len();
         let workers = self.threads.min(trials.max(1));
         let sweep_start = Instant::now();
-        if workers <= 1 {
-            let mut hist = LogHistogram::new();
-            let mut busy = Duration::ZERO;
-            let mut spans = Vec::new();
-            let out: Vec<T> = (0..trials)
-                .map(|i| {
-                    let g = lo + i;
-                    let t0 = Instant::now();
-                    let v = f(g, &mut SimRng::for_trial(seed, g as u64));
-                    let dt = t0.elapsed();
-                    busy += dt;
-                    hist.record(duration_ns(dt));
-                    if collect_spans {
-                        spans.push(TrialSpan {
-                            trial: g,
-                            worker: 0,
-                            start_ns: duration_ns(t0.duration_since(sweep_start)),
-                            dur_ns: duration_ns(dt),
-                        });
-                    }
-                    v
-                })
-                .collect();
-            let stats = SweepStats {
-                trials,
-                workers: 1,
-                wall: sweep_start.elapsed(),
-                worker_trials: vec![trials],
-                worker_busy: vec![busy],
-                trial_ns: hist,
-            };
-            return (out, stats, spans);
-        }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> =
-            (0..trials).map(|_| Mutex::new(None)).collect();
-        struct WorkerLocal {
-            trials: usize,
-            busy: Duration,
-            hist: LogHistogram,
-            spans: Vec<TrialSpan>,
-        }
-        let locals: Vec<Mutex<WorkerLocal>> = (0..workers)
-            .map(|_| {
-                Mutex::new(WorkerLocal {
-                    trials: 0,
-                    busy: Duration::ZERO,
-                    hist: LogHistogram::new(),
-                    spans: Vec::new(),
-                })
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let locals = &locals;
-                let next = &next;
-                let slots = &slots;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut done = 0usize;
-                    let mut busy = Duration::ZERO;
-                    let mut hist = LogHistogram::new();
-                    let mut spans = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= trials {
-                            break;
-                        }
-                        let g = lo + i;
-                        let t0 = Instant::now();
-                        let out = f(g, &mut SimRng::for_trial(seed, g as u64));
-                        let dt = t0.elapsed();
-                        done += 1;
-                        busy += dt;
-                        hist.record(duration_ns(dt));
-                        if collect_spans {
-                            spans.push(TrialSpan {
-                                trial: g,
-                                worker: w,
-                                start_ns: duration_ns(t0.duration_since(sweep_start)),
-                                dur_ns: duration_ns(dt),
-                            });
-                        }
-                        *slots[i].lock().expect("slot lock poisoned") = Some(out);
-                    }
-                    // One merge per worker, after its loop: the trial
-                    // hot path never touches a shared lock.
-                    let mut local = locals[w].lock().expect("local lock poisoned");
-                    local.trials = done;
-                    local.busy = busy;
-                    local.hist = hist;
-                    local.spans = spans;
+        let worker = |w: usize| {
+            let mut tally = WorkerTally {
+                results: Vec::new(),
+                spans: Vec::new(),
+                busy: Duration::ZERO,
+                hist: LogHistogram::new(),
+            };
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= trials {
+                    break tally;
+                }
+                let g = lo + i;
+                let t0 = Instant::now();
+                let out = f(g, &mut SimRng::for_trial(seed, g as u64));
+                let dt = t0.elapsed();
+                tally.results.push(out);
+                tally.busy += dt;
+                tally.hist.record(duration_ns(dt));
+                tally.spans.push(TrialSpan {
+                    trial: g,
+                    worker: w,
+                    start_ns: duration_ns(t0.duration_since(sweep_start)),
+                    dur_ns: duration_ns(dt),
                 });
             }
-        });
-        let out: Vec<T> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock poisoned")
-                    .expect("every trial index below `trials` was claimed")
+        };
+        let tallies: Vec<WorkerTally<T>> = if workers == 1 {
+            vec![worker(0)]
+        } else {
+            let worker = &worker;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || worker(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
             })
-            .collect();
-        let mut worker_trials = Vec::with_capacity(workers);
-        let mut worker_busy = Vec::with_capacity(workers);
-        let mut trial_ns = LogHistogram::new();
-        let mut spans = Vec::new();
-        for local in locals {
-            let local = local.into_inner().expect("local lock poisoned");
-            worker_trials.push(local.trials);
-            worker_busy.push(local.busy);
-            trial_ns.merge(&local.hist);
-            spans.extend(local.spans);
-        }
-        spans.sort_by_key(|s| s.trial);
-        let stats = SweepStats {
+        };
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(trials).collect();
+        let mut stats = SweepStats {
             trials,
             workers,
             wall: sweep_start.elapsed(),
-            worker_trials,
-            worker_busy,
-            trial_ns,
+            worker_trials: Vec::with_capacity(workers),
+            worker_busy: Vec::with_capacity(workers),
+            trial_ns: LogHistogram::new(),
         };
+        let mut spans = Vec::with_capacity(trials);
+        for tally in tallies {
+            stats.worker_trials.push(tally.results.len());
+            stats.worker_busy.push(tally.busy);
+            stats.trial_ns.merge(&tally.hist);
+            for (span, out) in tally.spans.iter().zip(tally.results) {
+                slots[span.trial - lo] = Some(out);
+            }
+            spans.extend(tally.spans);
+        }
+        spans.sort_by_key(|s| s.trial);
+        let out = slots
+            .into_iter()
+            .map(|slot| slot.expect("every trial in the range was claimed"))
+            .collect();
         (out, stats, spans)
     }
 
-    /// Like [`ParallelSweep::run`], but isolates every trial behind
-    /// `catch_unwind`: a panicking trial yields `Err(message)` in its
-    /// slot instead of tearing down the worker (and with it the whole
-    /// sweep). Fault-injection sweeps use this so that one pathological
-    /// trial cannot take out the other N−1 — the sweep always returns
-    /// one classified result per trial.
+    /// Like [`ParallelSweep::run`] over `0..trials`, but isolates every
+    /// trial behind `catch_unwind`: a panicking trial yields
+    /// `Err(message)` in its slot instead of tearing down the worker
+    /// (and with it the whole sweep). Fault-injection sweeps use this
+    /// so that one pathological trial cannot take out the other N−1 —
+    /// the sweep always returns one classified result per trial.
     ///
     /// Trial-to-RNG derivation is identical to `run`, so the `Ok`
     /// values (and which trials panic) stay bit-identical across
@@ -355,19 +213,19 @@ impl ParallelSweep {
         T: Send,
         F: Fn(usize, &mut SimRng) -> T + Sync,
     {
-        self.run(trials, seed, |i, rng| {
+        self.run(0..trials, seed, |i, rng| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, rng)))
                 .map_err(|payload| panic_message(payload.as_ref()))
         })
     }
 
-    /// Runs `trials` trials and counts those for which `pred` returns
-    /// `true` — the common yield/failure-rate reduction.
+    /// Runs trials `0..trials` and counts those for which `pred`
+    /// returns `true` — the common yield/failure-rate reduction.
     pub fn count<F>(&self, trials: usize, seed: u64, pred: F) -> usize
     where
         F: Fn(usize, &mut SimRng) -> bool + Sync,
     {
-        self.run(trials, seed, pred)
+        self.run(0..trials, seed, pred)
             .into_iter()
             .filter(|&hit| hit)
             .count()
@@ -404,12 +262,12 @@ pub fn available_cores() -> usize {
 }
 
 /// One trial's wall-clock execution window within a sweep, from
-/// [`ParallelSweep::run_timed_traced`]. All times are nanoseconds
+/// [`ParallelSweep::run_timed`]. All times are nanoseconds
 /// relative to the start of the sweep. Volatile — scheduling decides
 /// which worker runs which trial and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialSpan {
-    /// Trial index.
+    /// Global trial index.
     pub trial: usize,
     /// Worker that executed the trial.
     pub worker: usize,
@@ -510,23 +368,23 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        let baseline = ParallelSweep::new(1).run(200, 99, trial_sum);
+        let baseline = ParallelSweep::new(1).run(0..200, 99, trial_sum);
         for threads in [2, 3, 4, 8] {
-            let par = ParallelSweep::new(threads).run(200, 99, trial_sum);
+            let par = ParallelSweep::new(threads).run(0..200, 99, trial_sum);
             assert_eq!(baseline, par, "thread count {threads} diverged");
         }
     }
 
     #[test]
     fn range_shards_concatenate_to_the_full_run() {
-        let full = ParallelSweep::new(1).run(100, 17, trial_sum);
+        let full = ParallelSweep::new(1).run(0..100, 17, trial_sum);
         // Uneven contiguous shards, executed out of order and with
         // different thread counts, still reassemble the exact vector.
         let cuts = [0usize, 13, 13, 40, 77, 100];
         let mut shards: Vec<(usize, Vec<u64>)> = Vec::new();
         for (order, w) in [(3usize, 4usize), (0, 1), (2, 2), (4, 3), (1, 5)] {
             let (lo, hi) = (cuts[order], cuts[order + 1]);
-            shards.push((lo, ParallelSweep::new(w).run_range(lo..hi, 17, trial_sum)));
+            shards.push((lo, ParallelSweep::new(w).run(lo..hi, 17, trial_sum)));
         }
         shards.sort_by_key(|(lo, _)| *lo);
         let stitched: Vec<u64> = shards.into_iter().flat_map(|(_, v)| v).collect();
@@ -534,29 +392,29 @@ mod tests {
     }
 
     #[test]
-    fn run_range_passes_global_indices() {
-        let out = ParallelSweep::new(3).run_range(10..20, 0, |g, _rng| g);
+    fn run_passes_global_indices() {
+        let out = ParallelSweep::new(3).run(10..20, 0, |g, _rng| g);
         assert_eq!(out, (10..20).collect::<Vec<_>>());
-        let empty: Vec<usize> = ParallelSweep::new(3).run_range(5..5, 0, |g, _| g);
+        let empty: Vec<usize> = ParallelSweep::new(3).run(5..5, 0, |g, _| g);
         assert!(empty.is_empty());
     }
 
     #[test]
     fn results_are_in_trial_order() {
-        let out = ParallelSweep::new(4).run(64, 0, |i, _rng| i);
+        let out = ParallelSweep::new(4).run(0..64, 0, |i, _rng| i);
         assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_trials_is_empty() {
-        let out: Vec<u64> = ParallelSweep::new(4).run(0, 1, trial_sum);
+        let out: Vec<u64> = ParallelSweep::new(4).run(0..0, 1, trial_sum);
         assert!(out.is_empty());
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = ParallelSweep::new(2).run(32, 1, trial_sum);
-        let b = ParallelSweep::new(2).run(32, 2, trial_sum);
+        let a = ParallelSweep::new(2).run(0..32, 1, trial_sum);
+        let b = ParallelSweep::new(2).run(0..32, 2, trial_sum);
         assert_ne!(a, b);
     }
 
@@ -579,38 +437,33 @@ mod tests {
     }
 
     #[test]
-    fn run_timed_matches_run_results() {
-        for threads in [1, 3] {
+    fn run_timed_matches_run_and_accounts_for_every_trial() {
+        for (range, threads) in [(0..120, 1), (0..120, 3), (30..90, 4), (5..5, 2)] {
+            let case = format!("{range:?} on {threads} threads");
             let sweep = ParallelSweep::new(threads);
-            let plain = sweep.run(120, 7, trial_sum);
-            let (timed, stats) = sweep.run_timed(120, 7, trial_sum);
-            assert_eq!(plain, timed, "threads {threads}");
-            assert_eq!(stats.trials, 120);
-            assert_eq!(stats.workers, threads);
-            assert_eq!(stats.worker_trials.iter().sum::<usize>(), 120);
-            assert_eq!(stats.worker_trials.len(), threads);
-            assert_eq!(stats.worker_busy.len(), threads);
-            assert_eq!(stats.trial_ns.count(), 120);
-        }
-    }
-
-    #[test]
-    fn run_range_timed_matches_run_range_results() {
-        let full = ParallelSweep::new(1).run(90, 23, trial_sum);
-        for threads in [1, 4] {
-            let sweep = ParallelSweep::new(threads);
-            let (out, stats) = sweep.run_range_timed(30..90, 23, trial_sum);
-            assert_eq!(out, full[30..90], "threads {threads}");
-            assert_eq!(stats.trials, 60, "stats count the chunk, not the globals");
-            assert_eq!(stats.worker_trials.iter().sum::<usize>(), 60);
-            assert_eq!(stats.trial_ns.count(), 60);
+            let plain = sweep.run(range.clone(), 7, trial_sum);
+            let (timed, stats, spans) = sweep.run_timed(range.clone(), 7, trial_sum);
+            assert_eq!(plain, timed, "{case}");
+            assert_eq!(stats.trials, range.len(), "stats count the range: {case}");
+            let claimed: usize = stats.worker_trials.iter().sum();
+            assert_eq!(claimed, range.len(), "{case}");
+            assert_eq!(stats.workers, threads.min(range.len().max(1)), "{case}");
+            assert_eq!(stats.worker_trials.len(), stats.workers, "{case}");
+            assert_eq!(stats.worker_busy.len(), stats.workers, "{case}");
+            assert_eq!(stats.trial_ns.count(), range.len() as u64, "{case}");
+            assert_eq!(spans.len(), range.len(), "one span per trial: {case}");
+            for (g, span) in range.clone().zip(&spans) {
+                assert_eq!(span.trial, g, "spans sorted by global trial index: {case}");
+                assert!(span.worker < stats.workers, "{case}");
+            }
         }
     }
 
     #[test]
     fn run_timed_zero_trials() {
-        let (out, stats): (Vec<u64>, _) = ParallelSweep::new(4).run_timed(0, 1, trial_sum);
-        assert!(out.is_empty());
+        let (out, stats, spans): (Vec<u64>, _, _) =
+            ParallelSweep::new(4).run_timed(0..0, 1, trial_sum);
+        assert!(out.is_empty() && spans.is_empty());
         assert_eq!(stats.trials, 0);
         assert_eq!(stats.workers, 1, "no work collapses to one worker");
         assert_eq!(stats.items_per_sec(), 0.0);
@@ -618,7 +471,7 @@ mod tests {
 
     #[test]
     fn sweep_stats_json_shape() {
-        let (_, stats) = ParallelSweep::new(2).run_timed(16, 3, trial_sum);
+        let (_, stats, _) = ParallelSweep::new(2).run_timed(0..16, 3, trial_sum);
         let j = stats.to_json();
         assert_eq!(j.get("trials"), Some(&Json::UInt(16)));
         assert_eq!(j.get("workers"), Some(&Json::UInt(2)));
@@ -626,22 +479,6 @@ mod tests {
         assert!(j.get("trial_ns").and_then(|h| h.get("p99")).is_some());
         let util = stats.utilization();
         assert!((0.0..=1.0).contains(&util), "utilization {util}");
-    }
-
-    #[test]
-    fn run_timed_traced_spans_cover_every_trial() {
-        for threads in [1, 4] {
-            let sweep = ParallelSweep::new(threads);
-            let plain = sweep.run(60, 11, trial_sum);
-            let (traced, stats, spans) = sweep.run_timed_traced(60, 11, trial_sum);
-            assert_eq!(plain, traced, "threads {threads}");
-            assert_eq!(stats.trials, 60);
-            assert_eq!(spans.len(), 60, "one span per trial");
-            for (i, span) in spans.iter().enumerate() {
-                assert_eq!(span.trial, i, "spans sorted by trial index");
-                assert!(span.worker < threads);
-            }
-        }
     }
 
     #[test]
@@ -687,8 +524,8 @@ mod tests {
             (0..reps).map(|_| rng.next_u64() & 0xFF).sum()
         };
         assert_eq!(
-            ParallelSweep::new(1).run(101, 13, cost),
-            ParallelSweep::new(5).run(101, 13, cost)
+            ParallelSweep::new(1).run(0..101, 13, cost),
+            ParallelSweep::new(5).run(0..101, 13, cost)
         );
     }
 }

@@ -10,10 +10,10 @@
 //! [`HandshakeLink`] models one link's transfer cost under two- or
 //! four-phase signalling; [`HandshakeChain`] pushes a token stream
 //! through a chain of self-timed stages and measures latency (grows
-//! with length) versus throughput (does not).
-//! [`HandshakeChain::run_traced`] additionally records every
-//! request/acknowledge transition as `sim-trace` events, which the
-//! offline checker validates against the 4-phase ordering discipline.
+//! with length) versus throughput (does not), optionally over lossy
+//! wires and optionally recording every request/acknowledge
+//! transition as `sim-trace` events, which the offline checker
+//! validates against the 4-phase ordering discipline.
 
 use sim_faults::{FaultPlan, HandshakeFault, RetryPolicy, RunOutcome};
 use sim_observe::{ps_from_units, TraceBuf, TraceEvent};
@@ -110,20 +110,11 @@ pub struct HandshakeChain {
 
 /// Measurements from pushing a token stream through a
 /// [`HandshakeChain`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChainRun {
-    /// Time for the first token to traverse the whole chain.
-    pub latency: f64,
-    /// Steady-state time between successive tokens emerging.
-    pub period: f64,
-}
-
-/// Measurements from a lossy-wire run ([`HandshakeChain::run_faulty`]).
 ///
 /// On [`RunOutcome::Deadlock`] the timing fields are infinite — the
 /// token never emerged.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyChainRun {
+pub struct ChainRun {
     /// How the run terminated: [`RunOutcome::Ok`] if every token made
     /// it through, [`RunOutcome::Deadlock`] if some transfer exhausted
     /// its retries (the lost transition was never resent).
@@ -163,207 +154,142 @@ impl HandshakeChain {
     /// when it has finished its previous one and the upstream transfer
     /// completes. The transfer pays [`HandshakeLink::transfer_time`].
     ///
+    /// With `faults`, the wires are lossy: each transfer attempt may be
+    /// dropped or slowed by the plan (domain-separated from its gate
+    /// and buffer streams). A dropped request or acknowledge costs the
+    /// sender [`RetryPolicy::timeout`] model-time units before it
+    /// re-sends; a transfer that exhausts [`RetryPolicy::max_retries`]
+    /// deadlocks the chain — reported as a structured
+    /// [`RunOutcome::Deadlock`], never a hang. A delayed transition
+    /// stretches that one transfer by its `extra_frac`. Attempts draw
+    /// from per-`(stage, token, attempt)` fault streams, so the outcome
+    /// is identical across thread counts and call orders. A disabled
+    /// plan costs one branch: it runs the clean recurrence.
+    ///
+    /// With `trace`, every protocol transition is recorded: for each
+    /// stage's outgoing link (`chain.link<i>`), the request/acknowledge
+    /// transitions of every transfer at the sim times the recurrence
+    /// implies (1 model time unit = 1 ns of trace time). Two-phase
+    /// links record one `Req`/`Ack` pair per transfer, four-phase
+    /// links the full `Req+ → Ack+ → Req− → Ack−` return-to-zero
+    /// sequence. Each dropped attempt records its doomed request
+    /// followed by a `fault_injected` event on the same link
+    /// (`drop_req`/`drop_ack`), which tells the offline checker the
+    /// link resynchronized before the retry. Size `trace` to hold all
+    /// transitions (at least `tokens × stages × 4`); a ring overflow
+    /// drops the oldest ones. Tracing never changes the returned
+    /// [`ChainRun`].
+    ///
     /// # Panics
     ///
     /// Panics if `tokens < 2`.
     #[must_use]
-    pub fn run(&self, tokens: usize) -> ChainRun {
-        self.run_inner(tokens, None)
-    }
-
-    /// Like [`HandshakeChain::run`], but records every protocol
-    /// transition into `trace`: for each stage's outgoing link
-    /// (`chain.link<i>`), the request/acknowledge transitions of every
-    /// transfer, at the sim times the recurrence implies (1 model time
-    /// unit = 1 ns of trace time). Two-phase links record one
-    /// `Req`/`Ack` pair per transfer, four-phase links the full
-    /// `Req+ → Ack+ → Req− → Ack−` return-to-zero sequence.
-    ///
-    /// Size `trace` to hold all transitions (`tokens × stages × 4`);
-    /// a ring overflow drops the oldest transitions, which can leave a
-    /// transfer's leading request outside the window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens < 2`.
-    #[must_use]
-    pub fn run_traced(&self, tokens: usize, trace: &mut TraceBuf) -> ChainRun {
-        self.run_inner(tokens, Some(trace))
-    }
-
-    fn run_inner(&self, tokens: usize, mut trace: Option<&mut TraceBuf>) -> ChainRun {
+    pub fn run(
+        &self,
+        tokens: usize,
+        faults: Option<(&FaultPlan, RetryPolicy)>,
+        mut trace: Option<&mut TraceBuf>,
+    ) -> ChainRun {
         assert!(tokens >= 2, "need at least two tokens to measure a period");
+        let faults = faults.filter(|(plan, _)| plan.is_enabled());
         let step = self.stage_delay + self.link.transfer_time();
+        let mut run = ChainRun {
+            outcome: RunOutcome::Ok,
+            latency: 0.0,
+            period: 0.0,
+            drops: 0,
+            retries: 0,
+        };
         // completion[i] = completion time of the current token at stage i.
         let mut completion = vec![0.0f64; self.stages];
-        let mut first_out = 0.0;
         let mut prev_out = 0.0;
         let mut period_sum = 0.0;
         for tok in 0..tokens {
             let mut upstream_done = 0.0f64;
             for (i, slot) in completion.iter_mut().enumerate() {
                 let start = upstream_done.max(*slot);
-                *slot = start + step;
-                upstream_done = *slot;
-                if let Some(buf) = trace.as_deref_mut() {
-                    // The stage computes during [start, start+stage_delay],
-                    // then its outgoing transfer occupies the link.
-                    self.record_transfer(buf, i, start + self.stage_delay);
-                }
-            }
-            let out = upstream_done;
-            if tok == 0 {
-                first_out = out;
-            } else {
-                period_sum += out - prev_out;
-            }
-            prev_out = out;
-        }
-        ChainRun {
-            latency: first_out,
-            period: period_sum / (tokens - 1) as f64,
-        }
-    }
-
-    /// Pushes `tokens` through the chain over lossy wires: each
-    /// transfer attempt may be dropped or slowed by the fault plan
-    /// (domain-separated from the plan's gate and buffer streams).
-    ///
-    /// A dropped request or acknowledge costs the sender
-    /// [`RetryPolicy::timeout`] model-time units before it re-sends; a
-    /// transfer that exhausts [`RetryPolicy::max_retries`] deadlocks
-    /// the chain — reported as a structured
-    /// [`RunOutcome::Deadlock`], never a hang. A delayed transition
-    /// stretches that one transfer by its `extra_frac`.
-    ///
-    /// Transfer attempts draw from per-`(stage, token, attempt)` fault
-    /// streams, so the outcome is identical across thread counts and
-    /// call orders.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens < 2`.
-    #[must_use]
-    pub fn run_faulty(
-        &self,
-        tokens: usize,
-        plan: &FaultPlan,
-        policy: RetryPolicy,
-    ) -> FaultyChainRun {
-        self.run_faulty_inner(tokens, plan, policy, None)
-    }
-
-    /// Like [`HandshakeChain::run_faulty`], but records protocol
-    /// transitions and `fault_injected` markers into `trace`. Each
-    /// dropped attempt records its doomed request followed by a
-    /// `fault_injected` event on the same link (`drop_req`/`drop_ack`),
-    /// which tells the offline checker the link resynchronized before
-    /// the retry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens < 2`.
-    #[must_use]
-    pub fn run_faulty_traced(
-        &self,
-        tokens: usize,
-        plan: &FaultPlan,
-        policy: RetryPolicy,
-        trace: &mut TraceBuf,
-    ) -> FaultyChainRun {
-        self.run_faulty_inner(tokens, plan, policy, Some(trace))
-    }
-
-    fn run_faulty_inner(
-        &self,
-        tokens: usize,
-        plan: &FaultPlan,
-        policy: RetryPolicy,
-        mut trace: Option<&mut TraceBuf>,
-    ) -> FaultyChainRun {
-        assert!(tokens >= 2, "need at least two tokens to measure a period");
-        if !plan.is_enabled() && trace.is_none() {
-            // Disabled faults cost one branch: the clean recurrence,
-            // no per-attempt loop, no fault-stream queries.
-            let clean = self.run(tokens);
-            return FaultyChainRun {
-                outcome: RunOutcome::Ok,
-                latency: clean.latency,
-                period: clean.period,
-                drops: 0,
-                retries: 0,
-            };
-        }
-        let attempts_per_transfer = u64::from(policy.max_retries) + 1;
-        let mut completion = vec![0.0f64; self.stages];
-        let (mut drops, mut retries) = (0u64, 0u64);
-        let mut first_out = 0.0;
-        let mut prev_out = 0.0;
-        let mut period_sum = 0.0;
-        for tok in 0..tokens {
-            let mut upstream_done = 0.0f64;
-            for (i, slot) in completion.iter_mut().enumerate() {
-                let start = upstream_done.max(*slot);
-                // The stage computes, then fights the lossy link.
-                let mut t = start + self.stage_delay;
-                let mut done = None;
-                for attempt in 0..attempts_per_transfer {
-                    if attempt > 0 {
-                        retries += 1;
+                // The stage computes during [start, start+stage_delay],
+                // then its outgoing transfer occupies the link.
+                let sent = start + self.stage_delay;
+                let done = match faults {
+                    Some(faults) => {
+                        self.lossy_transfer(faults, (i, tok), sent, &mut run, trace.as_deref_mut())
                     }
-                    let key = (tok as u64) * attempts_per_transfer + attempt;
-                    match plan.handshake_fault(i as u64, key) {
-                        Some(fault @ (HandshakeFault::DropReq | HandshakeFault::DropAck)) => {
-                            drops += 1;
-                            if let Some(buf) = trace.as_deref_mut() {
-                                self.record_dropped_attempt(buf, i, t, fault);
-                            }
-                            t += policy.timeout;
+                    None => {
+                        if let Some(buf) = trace.as_deref_mut() {
+                            self.record_transfer(buf, i, sent);
                         }
-                        Some(HandshakeFault::Delay { extra_frac }) => {
-                            if let Some(buf) = trace.as_deref_mut() {
-                                self.record_transfer(buf, i, t);
-                            }
-                            done = Some(t + self.link.transfer_time() * (1.0 + extra_frac));
-                            break;
-                        }
-                        None => {
-                            if let Some(buf) = trace.as_deref_mut() {
-                                self.record_transfer(buf, i, t);
-                            }
-                            done = Some(t + self.link.transfer_time());
-                            break;
-                        }
+                        // `start + step`, not `sent + transfer_time`:
+                        // the two round differently, and the clean
+                        // baselines pin this association.
+                        Some(start + step)
                     }
-                }
-                let Some(done_t) = done else {
+                };
+                let Some(done) = done else {
                     // Retries exhausted: the transfer is lost for good.
-                    return FaultyChainRun {
+                    return ChainRun {
                         outcome: RunOutcome::Deadlock,
                         latency: f64::INFINITY,
                         period: f64::INFINITY,
-                        drops,
-                        retries,
+                        ..run
                     };
                 };
-                *slot = done_t;
-                upstream_done = done_t;
+                *slot = done;
+                upstream_done = done;
             }
             let out = upstream_done;
             if tok == 0 {
-                first_out = out;
+                run.latency = out;
             } else {
                 period_sum += out - prev_out;
             }
             prev_out = out;
         }
-        FaultyChainRun {
-            outcome: RunOutcome::Ok,
-            latency: first_out,
-            period: period_sum / (tokens - 1) as f64,
-            drops,
-            retries,
+        run.period = period_sum / (tokens - 1) as f64;
+        run
+    }
+
+    /// Transfers token `tok` out of stage `i` over a lossy link, the
+    /// first attempt starting at model time `t`. Returns the transfer's
+    /// completion time, or `None` once the policy's retries run out;
+    /// drops and retries are counted into `run`.
+    fn lossy_transfer(
+        &self,
+        (plan, policy): (&FaultPlan, RetryPolicy),
+        (i, tok): (usize, usize),
+        mut t: f64,
+        run: &mut ChainRun,
+        mut trace: Option<&mut TraceBuf>,
+    ) -> Option<f64> {
+        let attempts_per_transfer = u64::from(policy.max_retries) + 1;
+        for attempt in 0..attempts_per_transfer {
+            if attempt > 0 {
+                run.retries += 1;
+            }
+            let key = (tok as u64) * attempts_per_transfer + attempt;
+            match plan.handshake_fault(i as u64, key) {
+                Some(fault @ (HandshakeFault::DropReq | HandshakeFault::DropAck)) => {
+                    run.drops += 1;
+                    if let Some(buf) = trace.as_deref_mut() {
+                        self.record_dropped_attempt(buf, i, t, fault);
+                    }
+                    t += policy.timeout;
+                }
+                Some(HandshakeFault::Delay { extra_frac }) => {
+                    if let Some(buf) = trace {
+                        self.record_transfer(buf, i, t);
+                    }
+                    return Some(t + self.link.transfer_time() * (1.0 + extra_frac));
+                }
+                None => {
+                    if let Some(buf) = trace {
+                        self.record_transfer(buf, i, t);
+                    }
+                    return Some(t + self.link.transfer_time());
+                }
+            }
         }
+        None
     }
 
     /// Records a dropped transfer attempt on stage `i`'s link: the
@@ -452,8 +378,8 @@ mod tests {
 
     #[test]
     fn latency_grows_with_chain_length() {
-        let short = HandshakeChain::new(4, link(), 1.0).run(10);
-        let long = HandshakeChain::new(64, link(), 1.0).run(10);
+        let short = HandshakeChain::new(4, link(), 1.0).run(10, None, None);
+        let long = HandshakeChain::new(64, link(), 1.0).run(10, None, None);
         assert!(long.latency > short.latency);
         // Latency is stages × (stage + transfer).
         assert!((short.latency - 4.0 * 3.5).abs() < 1e-9);
@@ -461,8 +387,8 @@ mod tests {
 
     #[test]
     fn throughput_independent_of_chain_length() {
-        let short = HandshakeChain::new(4, link(), 1.0).run(50);
-        let long = HandshakeChain::new(256, link(), 1.0).run(50);
+        let short = HandshakeChain::new(4, link(), 1.0).run(50, None, None);
+        let long = HandshakeChain::new(256, link(), 1.0).run(50, None, None);
         assert!(
             (short.period - long.period).abs() < 1e-9,
             "{} vs {}",
@@ -473,26 +399,56 @@ mod tests {
 
     #[test]
     fn period_is_stage_plus_transfer() {
-        let run = HandshakeChain::new(16, link(), 2.0).run(20);
+        let run = HandshakeChain::new(16, link(), 2.0).run(20, None, None);
         assert!((run.period - (2.0 + 2.5)).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "at least two tokens")]
     fn run_needs_tokens() {
-        let _ = HandshakeChain::new(2, link(), 1.0).run(1);
+        let _ = HandshakeChain::new(2, link(), 1.0).run(1, None, None);
     }
 
     #[test]
     fn faulty_run_with_disabled_plan_matches_clean_run() {
         use sim_faults::{FaultPlan, RetryPolicy};
         let chain = HandshakeChain::new(8, link(), 1.0);
-        let clean = chain.run(12);
-        let faulty = chain.run_faulty(12, &FaultPlan::disabled(), RetryPolicy::new(3, 10.0));
+        let clean = chain.run(12, None, None);
+        let disabled = FaultPlan::disabled();
+        let faulty = chain.run(12, Some((&disabled, RetryPolicy::new(3, 10.0))), None);
         assert!(faulty.outcome.is_ok());
         assert_eq!((faulty.drops, faulty.retries), (0, 0));
-        assert!((faulty.latency - clean.latency).abs() < 1e-9);
-        assert!((faulty.period - clean.period).abs() < 1e-9);
+        assert_eq!(faulty, clean, "a disabled plan is bit-identical to no plan");
+    }
+
+    #[test]
+    fn tracing_never_perturbs_a_chain_run() {
+        use sim_faults::{FaultPlan, FaultRates, RetryPolicy};
+        let lossy = FaultRates {
+            handshake_drop: 0.3,
+            handshake_delay: 0.2,
+            ..FaultRates::none()
+        };
+        let plans = [FaultPlan::disabled(), FaultPlan::new(3, 0, lossy)];
+        let policy = RetryPolicy::new(8, 10.0);
+        for plan in &plans {
+            for protocol in [Protocol::TwoPhase, Protocol::FourPhase] {
+                for (w, l, stage_delay) in [(0.1, 0.7, 0.3), (0.3, 0.2, 1.1), (1.0, 0.5, 1.0)] {
+                    let link = HandshakeLink::new(w, l, protocol);
+                    let chain = HandshakeChain::new(3, link, stage_delay);
+                    let case = format!(
+                        "enabled={} {protocol:?} w={w} l={l} stage_delay={stage_delay}",
+                        plan.is_enabled()
+                    );
+                    let faults = Some((plan, policy));
+                    let plain = chain.run(12, faults, None);
+                    let mut buf = TraceBuf::new(1 << 12);
+                    let traced = chain.run(12, faults, Some(&mut buf));
+                    assert_eq!(traced, plain, "{case}");
+                    assert!(!buf.is_empty(), "{case}: the trace recorded the run");
+                }
+            }
+        }
     }
 
     #[test]
@@ -503,15 +459,18 @@ mod tests {
             ..FaultRates::none()
         };
         let chain = HandshakeChain::new(8, link(), 1.0);
-        let clean = chain.run(12);
+        let clean = chain.run(12, None, None);
         let plan = FaultPlan::new(3, 0, rates);
-        let faulty = chain.run_faulty(12, &plan, RetryPolicy::new(8, 10.0));
+        let faulty = chain.run(12, Some((&plan, RetryPolicy::new(8, 10.0))), None);
         assert!(faulty.outcome.is_ok(), "{:?}", faulty.outcome);
         assert!(faulty.drops > 0, "30% drop rate over 96 transfers");
         assert_eq!(faulty.retries, faulty.drops, "every drop was retried");
         assert!(faulty.period > clean.period, "timeouts cost throughput");
         // Determinism: the same plan reproduces the run exactly.
-        assert_eq!(faulty, chain.run_faulty(12, &plan, RetryPolicy::new(8, 10.0)));
+        assert_eq!(
+            faulty,
+            chain.run(12, Some((&plan, RetryPolicy::new(8, 10.0))), None)
+        );
     }
 
     #[test]
@@ -522,7 +481,8 @@ mod tests {
             ..FaultRates::none()
         };
         let chain = HandshakeChain::new(4, link(), 1.0);
-        let run = chain.run_faulty(6, &FaultPlan::new(1, 0, rates), RetryPolicy::new(2, 10.0));
+        let plan = FaultPlan::new(1, 0, rates);
+        let run = chain.run(6, Some((&plan, RetryPolicy::new(2, 10.0))), None);
         assert_eq!(run.outcome, RunOutcome::Deadlock);
         assert!(run.latency.is_infinite() && run.period.is_infinite());
         assert_eq!(run.drops, 3, "initial attempt plus two retries, all lost");
@@ -540,8 +500,9 @@ mod tests {
                 HandshakeChain::new(4, HandshakeLink::new(1.0, 0.5, protocol), 1.0);
             let plan = FaultPlan::new(3, 0, rates);
             let mut buf = TraceBuf::new(1 << 12);
-            let traced = chain.run_faulty_traced(8, &plan, RetryPolicy::new(8, 10.0), &mut buf);
-            assert_eq!(traced, chain.run_faulty(8, &plan, RetryPolicy::new(8, 10.0)));
+            let faults = Some((&plan, RetryPolicy::new(8, 10.0)));
+            let traced = chain.run(8, faults, Some(&mut buf));
+            assert_eq!(traced, chain.run(8, faults, None));
             assert!(traced.drops > 0, "want dropped transitions in the trace");
             let (events, dropped) = buf.into_ordered();
             assert_eq!(dropped, 0);
@@ -562,9 +523,9 @@ mod tests {
         for protocol in [Protocol::TwoPhase, Protocol::FourPhase] {
             let chain =
                 HandshakeChain::new(4, HandshakeLink::new(1.0, 0.5, protocol), 1.0);
-            let plain = chain.run(6);
+            let plain = chain.run(6, None, None);
             let mut buf = TraceBuf::new(4096);
-            let traced = chain.run_traced(6, &mut buf);
+            let traced = chain.run(6, None, Some(&mut buf));
             assert_eq!(plain, traced, "{protocol:?}");
 
             assert_eq!(buf.dropped(), 0);

@@ -172,40 +172,14 @@ impl HybridArray {
     /// Panics if `waves < 4` or `jitter_std < 0`.
     #[must_use]
     pub fn simulate_period(&self, waves: usize, jitter_std: f64, seed: u64) -> f64 {
-        assert!(waves >= 4, "need a few waves to measure steady state");
         assert!(jitter_std >= 0.0, "jitter must be non-negative");
-        let side = self.elements_per_side;
         let base = self.cycle_time();
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut prev = vec![0.0f64; side * side];
-        let mut cur = vec![0.0f64; side * side];
-        let mut completions = Vec::with_capacity(waves);
-        for _ in 0..waves {
-            for r in 0..side {
-                for c in 0..side {
-                    let i = r * side + c;
-                    let mut ready = prev[i];
-                    if r > 0 {
-                        ready = ready.max(prev[i - side]);
-                    }
-                    if r + 1 < side {
-                        ready = ready.max(prev[i + side]);
-                    }
-                    if c > 0 {
-                        ready = ready.max(prev[i - 1]);
-                    }
-                    if c + 1 < side {
-                        ready = ready.max(prev[i + 1]);
-                    }
-                    let tick = (base + sample_normal(&mut rng, 0.0, jitter_std)).max(0.0);
-                    cur[i] = ready + tick;
-                }
-            }
-            completions.push(cur.iter().copied().fold(0.0, f64::max));
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let half = waves / 2;
-        (completions[waves - 1] - completions[half - 1]) / (waves - half) as f64
+        self.wave_period(waves, |_, _, ready| {
+            let tick = (base + sample_normal(&mut rng, 0.0, jitter_std)).max(0.0);
+            Some(ready + tick)
+        })
+        .expect("a jittered run never deadlocks")
     }
 
     /// Wave-accurate simulation over lossy inter-element handshake
@@ -228,10 +202,46 @@ impl HybridArray {
         plan: &FaultPlan,
         policy: RetryPolicy,
     ) -> (RunOutcome, f64) {
-        assert!(waves >= 4, "need a few waves to measure steady state");
-        let side = self.elements_per_side;
         let base = self.cycle_time();
         let attempts_per_wave = u64::from(policy.max_retries) + 1;
+        let period = self.wave_period(waves, |w, i, ready| {
+            // The element's rendezvous with its neighbours for this
+            // wave, over lossy wires.
+            let mut penalty = 0.0;
+            for attempt in 0..attempts_per_wave {
+                let key = (w as u64) * attempts_per_wave + attempt;
+                match plan.handshake_fault(i as u64, key) {
+                    Some(HandshakeFault::DropReq | HandshakeFault::DropAck) => {
+                        penalty += policy.timeout;
+                    }
+                    Some(HandshakeFault::Delay { extra_frac }) => {
+                        penalty += extra_frac * self.params.link.transfer_time();
+                        return Some(ready + base + penalty);
+                    }
+                    None => return Some(ready + base + penalty),
+                }
+            }
+            None
+        });
+        match period {
+            Some(period) => (RunOutcome::Ok, period),
+            None => (RunOutcome::Deadlock, f64::INFINITY),
+        }
+    }
+
+    /// The neighbour-max wave recurrence behind both simulations:
+    /// element `i` may start wave `w` once it and its grid neighbours
+    /// finished wave `w − 1` (at `ready`), and finishes it at
+    /// `finish(w, i, ready)`; elements are visited in row-major order.
+    /// Returns the steady-state period over the second half of the
+    /// waves, or `None` as soon as `finish` reports a deadlock.
+    fn wave_period(
+        &self,
+        waves: usize,
+        mut finish: impl FnMut(usize, usize, f64) -> Option<f64>,
+    ) -> Option<f64> {
+        assert!(waves >= 4, "need a few waves to measure steady state");
+        let side = self.elements_per_side;
         let mut prev = vec![0.0f64; side * side];
         let mut cur = vec![0.0f64; side * side];
         let mut completions = Vec::with_capacity(waves);
@@ -252,39 +262,14 @@ impl HybridArray {
                     if c + 1 < side {
                         ready = ready.max(prev[i + 1]);
                     }
-                    // The element's rendezvous with its neighbours for
-                    // this wave, over lossy wires.
-                    let mut penalty = 0.0;
-                    let mut synced = false;
-                    for attempt in 0..attempts_per_wave {
-                        let key = (w as u64) * attempts_per_wave + attempt;
-                        match plan.handshake_fault(i as u64, key) {
-                            Some(HandshakeFault::DropReq | HandshakeFault::DropAck) => {
-                                penalty += policy.timeout;
-                            }
-                            Some(HandshakeFault::Delay { extra_frac }) => {
-                                penalty += extra_frac * self.params.link.transfer_time();
-                                synced = true;
-                                break;
-                            }
-                            None => {
-                                synced = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !synced {
-                        return (RunOutcome::Deadlock, f64::INFINITY);
-                    }
-                    cur[i] = ready + base + penalty;
+                    cur[i] = finish(w, i, ready)?;
                 }
             }
             completions.push(cur.iter().copied().fold(0.0, f64::max));
             std::mem::swap(&mut prev, &mut cur);
         }
         let half = waves / 2;
-        let period = (completions[waves - 1] - completions[half - 1]) / (waves - half) as f64;
-        (RunOutcome::Ok, period)
+        Some((completions[waves - 1] - completions[half - 1]) / (waves - half) as f64)
     }
 }
 

@@ -44,9 +44,7 @@ pub mod pals;
 pub mod prelude {
     pub use crate::dataflow::{SelfTimedArray, WaveStats};
     pub use crate::gate_element::{ElementPair, PairRun};
-    pub use crate::handshake::{
-        ChainRun, FaultyChainRun, HandshakeChain, HandshakeLink, Protocol,
-    };
+    pub use crate::handshake::{ChainRun, HandshakeChain, HandshakeLink, Protocol};
     pub use crate::hybrid::{HybridArray, HybridParams};
     pub use crate::metastability::MetastabilityModel;
     pub use crate::pals::{PalsMesh, PalsParams};

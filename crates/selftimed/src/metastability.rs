@@ -110,7 +110,7 @@ impl MetastabilityModel {
         const CHUNK: usize = 8192;
         let chunks = events.div_ceil(CHUNK);
         sweep
-            .run(chunks, seed, |i, rng| {
+            .run(0..chunks, seed, |i, rng| {
                 let n = CHUNK.min(events - i * CHUNK);
                 (0..n)
                     .filter(|_| {

@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn from_stats_projects_eta_from_the_observed_rate() {
         let sweep = ParallelSweep::new(2);
-        let (out, stats) = sweep.run_range_timed(0..8, 7, |g, _| g);
+        let (out, stats, _) = sweep.run_timed(0..8, 7, |g, _| g);
         assert_eq!(out.len(), 8);
         let hb = Heartbeat::from_stats("d", 0, 0, 20, 8, 5.0, &stats).with_tick(3);
         assert_eq!(hb.completed, 8);

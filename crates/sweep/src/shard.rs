@@ -140,8 +140,8 @@ where
             chunk = chunk.min(left);
         }
         let chunk_lo = lo as usize + results.len();
-        let (out, stats) =
-            sweep.run_range_timed(chunk_lo..chunk_lo + chunk as usize, manifest.seed, |g, rng| {
+        let (out, stats, _) =
+            sweep.run_timed(chunk_lo..chunk_lo + chunk as usize, manifest.seed, |g, rng| {
                 if opts.throttle_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
                 }
@@ -207,7 +207,7 @@ pub fn run_single<F>(manifest: &Manifest, threads: usize, trial: F) -> Vec<Json>
 where
     F: Fn(usize, &GridPoint, u64, &mut SimRng) -> Json + Sync,
 {
-    ParallelSweep::new(threads).run_range(0..manifest.total_trials(), manifest.seed, |g, rng| {
+    ParallelSweep::new(threads).run(0..manifest.total_trials(), manifest.seed, |g, rng| {
         let (pi, t) = manifest.point_of(g);
         trial(pi, &manifest.points[pi], t, rng)
     })

@@ -4,13 +4,13 @@
 # report, run two shards to completion, kill -9 the third mid-range
 # (and inject a torn temp file next to its checkpoint), resume it, and
 # verify the merged report is byte-identical to the baseline. Also
-# checks the CLI contracts of both sweep binaries and of netlist_bench
-# (--help exits 0, garbage or out-of-range numerics exit 2 before any
-# work starts).
+# checks the CLI contracts of both sweep binaries, of netlist_bench and
+# of the experiments front end (--help exits 0; garbage or out-of-range
+# numerics and unknown names exit 2 before any work starts).
 #
 # Usage: scripts/sweep_smoke.sh [BIN_DIR]
-#   BIN_DIR   directory holding explore/sweep_shard/netlist_bench
-#             (default target/release)
+#   BIN_DIR   directory holding explore/sweep_shard/netlist_bench/
+#             experiments (default target/release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +28,11 @@ fail() {
 "$BIN/explore" --help >/dev/null || fail "explore --help must exit 0"
 "$BIN/sweep_shard" --help >/dev/null || fail "sweep_shard --help must exit 0"
 "$BIN/netlist_bench" --help >/dev/null || fail "netlist_bench --help must exit 0"
+"$BIN/experiments" --help >/dev/null || fail "experiments --help must exit 0"
+rc=0; "$BIN/experiments" e99 >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "experiments must exit 2 on an unknown experiment (got $rc)"
+rc=0; "$BIN/experiments" e6 --trials x >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "experiments must exit 2 on garbage --trials (got $rc)"
 rc=0; "$BIN/explore" --trials banana 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "explore must exit 2 on garbage --trials (got $rc)"
 rc=0; "$BIN/sweep_shard" --manifest x --shard -3 --dir y 2>/dev/null || rc=$?

@@ -218,7 +218,7 @@ fn e13_episode_schedules_identical_across_thread_counts() {
         horizon: 240,
     };
     let schedules = |threads: usize| -> Vec<String> {
-        ParallelSweep::new(threads).run_range(0..16, 7, |trial, _| {
+        ParallelSweep::new(threads).run(0..16, 7, |trial, _| {
             EpisodePlan::new(7, trial as u64, cfg)
                 .schedule(64)
                 .iter()

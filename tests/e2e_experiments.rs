@@ -1,5 +1,5 @@
 //! End-to-end checks of the experiment claims: every registered
-//! experiment binary run through its `--fast` path, plus direct
+//! experiment run through its `--fast` path, plus direct
 //! library-level checks of the Section VII inverter-string trial (E6),
 //! the self-timed advantage analysis (E7), and the hybrid scheme
 //! comparison (E5) — at sizes small enough for the test suite.
@@ -146,8 +146,8 @@ fn hybrid_constant_while_global_schemes_grow() {
 #[test]
 fn handshake_throughput_size_independent() {
     let link = HandshakeLink::new(1.0, 0.5, Protocol::FourPhase);
-    let short = HandshakeChain::new(8, link, 1.0).run(30);
-    let long = HandshakeChain::new(512, link, 1.0).run(30);
+    let short = HandshakeChain::new(8, link, 1.0).run(30, None, None);
+    let long = HandshakeChain::new(512, link, 1.0).run(30, None, None);
     assert!((short.period - long.period).abs() < 1e-9);
     assert!(long.latency > short.latency);
 }
