@@ -684,7 +684,8 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < high < period`.
+    /// Panics unless `0 < high < period`, or with the netlist engine's
+    /// `clock edge {k}: …` diagnostic if an edge time overflows.
     pub fn schedule_clock(
         &mut self,
         net: NetId,
@@ -698,9 +699,15 @@ impl Simulator {
             "need 0 < high < period"
         );
         for k in 0..cycles {
-            let rise = start + period * (k as u64);
+            let rise = period
+                .checked_mul(k as u64)
+                .and_then(|off| start.checked_add(off))
+                .unwrap_or_else(|e| panic!("clock edge {k}: {e}"));
+            let fall = rise
+                .checked_add(high)
+                .unwrap_or_else(|e| panic!("clock edge {k}: {e}"));
             self.schedule_input(net, rise, true);
-            self.schedule_input(net, rise + high, false);
+            self.schedule_input(net, fall, false);
         }
     }
 
@@ -1509,5 +1516,15 @@ mod tests {
         let a = sim.add_net();
         let b = sim.add_net();
         sim.add_buffer(a, b, SimTime::ZERO, ps(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock edge 3: ")]
+    fn clock_overflow_names_the_edge() {
+        let mut sim = Simulator::new();
+        let clk = sim.add_net();
+        // Cycles 0–2 fit (the last fall lands exactly on the horizon);
+        // cycle 3's rise overflows.
+        sim.schedule_clock(clk, ps(u64::MAX - 2_500), ps(1_000), ps(500), 10);
     }
 }

@@ -4,10 +4,15 @@
 //! A [`Netlist`] is the mutable builder: wires are plain `u32`
 //! indices, gates append one `Gate` record each. [`seal`]
 //! freezes it into a [`SealedNetlist`]: a compressed-sparse-row
-//! fanout table (`fanout_offsets` / `fanout`, wire → driven gates),
-//! per-wire inertial windows, and the delay bound the calendar-wheel
-//! scheduler sizes itself from. Nothing here allocates per event —
-//! everything is index math over contiguous arrays.
+//! fanout table (`fanout_offsets` / `rows`, wire → driven gates) and
+//! the delay bound the calendar-wheel scheduler sizes itself from.
+//! Each row entry is self-contained — the driven gate's output wire
+//! and its other input — so the engine settles a change from the row
+//! and wire records alone; a gate's kind and delays travel with its
+//! output wire's engine state. The gate records stay for the cold
+//! paths (engine construction, fault compilation, the reference
+//! mirror). Nothing here allocates per event — everything is index
+//! math over contiguous arrays.
 //!
 //! [`seal`]: Netlist::seal
 
@@ -90,10 +95,11 @@ pub enum GateKind {
     OneShot = 4,
 }
 
-/// One gate, packed into 24 bytes, so an evaluation reads one record
-/// rather than six columns. Delays are picoseconds in `u32` (a single
-/// gate delay beyond ~4 ms would be a spec bug, and the narrow fields
-/// keep a million-gate arena at ~24 MB).
+/// One gate, packed into 24 bytes: the builder's record, read when
+/// the engine is constructed and by the cold paths, never per event.
+/// Delays are picoseconds in `u32` (a single gate delay beyond ~4 ms
+/// would be a spec bug, and the narrow fields keep a million-gate
+/// arena at ~24 MB).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Gate {
     pub kind: GateKind,
@@ -106,6 +112,19 @@ pub(crate) struct Gate {
     /// Fall delay; for one-shots the pulse width.
     pub d_fall: u32,
 }
+
+/// One CSR fanout entry, 8 bytes: a gate fed by the row's wire, named
+/// by its output wire (which carries the gate's kind and delays in
+/// the engine) and its other input ([`NONE`] for one-input kinds).
+/// The row's own wire is the entry's first input; two-input gates are
+/// symmetric (OR, AND), so input order does not matter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fanout {
+    pub out: u32,
+    pub other: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Fanout>() == 8);
 
 /// The mutable netlist builder.
 ///
@@ -264,14 +283,14 @@ impl Netlist {
         self.push_gate(GateKind::OneShot, input, None, output, d, w)
     }
 
-    /// Freezes the arena: builds the CSR fanout table, per-wire
-    /// inertial windows, and the scheduler's delay bound.
+    /// Freezes the arena: builds the CSR fanout rows and the
+    /// scheduler's delay bound.
     #[must_use]
     pub fn seal(self) -> SealedNetlist {
         let n_wires = self.wires as usize;
 
         // CSR fanout: counting pass, prefix sum, fill pass. The fill
-        // iterates gates in id order, so each wire's fanout list keeps
+        // iterates gates in id order, so each wire's row keeps
         // gate-insertion order — the same sink order the legacy engine
         // reacts in, which the differential suite relies on.
         let mut counts = vec![0u32; n_wires + 1];
@@ -289,32 +308,31 @@ impl Netlist {
         }
         let fanout_offsets = counts;
         let mut cursor = fanout_offsets.clone();
-        let mut fanout = vec![0u32; fanout_offsets[n_wires] as usize];
-        for (gi, g) in (0u32..).zip(&self.gates) {
+        let vacant = Fanout {
+            out: NONE,
+            other: NONE,
+        };
+        let mut rows = vec![vacant; fanout_offsets[n_wires] as usize];
+        let mut max_delay: u64 = 1;
+        for g in &self.gates {
             let a = g.in_a as usize;
-            fanout[cursor[a] as usize] = gi;
+            rows[cursor[a] as usize] = Fanout {
+                out: g.out,
+                other: g.in_b,
+            };
             cursor[a] += 1;
             let b = g.in_b;
             if b != NONE {
-                fanout[cursor[b as usize] as usize] = gi;
+                rows[cursor[b as usize] as usize] = Fanout {
+                    out: g.out,
+                    other: g.in_a,
+                };
                 cursor[b as usize] += 1;
             }
-        }
-
-        // Per-wire inertial window: the driving gate's minimum edge
-        // spacing, exactly as the legacy engine assigns it (min of
-        // rise/fall for combinational gates, the pulse width for
-        // one-shots). Externally driven wires stay at zero.
-        let mut min_sep = vec![0u32; n_wires];
-        let mut max_delay: u64 = 1;
-        for g in &self.gates {
-            let out = g.out as usize;
-            let (r, f) = (g.d_rise, g.d_fall);
-            let (sep, reach) = match g.kind {
-                GateKind::OneShot => (f, u64::from(r) + u64::from(f)),
-                _ => (r.min(f), u64::from(r.max(f))),
+            let reach = match g.kind {
+                GateKind::OneShot => u64::from(g.d_rise) + u64::from(g.d_fall),
+                _ => u64::from(g.d_rise.max(g.d_fall)),
             };
-            min_sep[out] = sep;
             max_delay = max_delay.max(reach);
         }
 
@@ -322,8 +340,7 @@ impl Netlist {
             gates: self.gates,
             n_wires: n_wires as u32,
             fanout_offsets,
-            fanout,
-            min_sep,
+            rows,
             max_delay_ps: max_delay,
         }
     }
@@ -356,11 +373,10 @@ impl ChainSink for Netlist {
 pub struct SealedNetlist {
     pub(crate) gates: Vec<Gate>,
     pub(crate) n_wires: u32,
-    /// CSR row offsets: wire `w` drives gates
-    /// `fanout[fanout_offsets[w]..fanout_offsets[w + 1]]`.
+    /// CSR row offsets: wire `w` drives the gates
+    /// `rows[fanout_offsets[w]..fanout_offsets[w + 1]]`.
     pub(crate) fanout_offsets: Vec<u32>,
-    pub(crate) fanout: Vec<u32>,
-    pub(crate) min_sep: Vec<u32>,
+    pub(crate) rows: Vec<Fanout>,
     /// Upper bound, in picoseconds, on how far into the future any
     /// gate schedules (delay-fault scaling excluded) — the calendar
     /// wheel's sizing input.
@@ -395,6 +411,13 @@ impl SealedNetlist {
     pub fn max_delay_ps(&self) -> u64 {
         self.max_delay_ps
     }
+
+    /// Wire `w`'s fanout row, in gate-insertion order.
+    #[cfg(test)]
+    pub(crate) fn row(&self, w: usize) -> &[Fanout] {
+        let (s, e) = (self.fanout_offsets[w], self.fanout_offsets[w + 1]);
+        &self.rows[s as usize..e as usize]
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +426,13 @@ mod tests {
 
     fn ps(v: u64) -> SimTime {
         SimTime::from_ps(v)
+    }
+
+    fn entry(out: WireId, other: Option<WireId>) -> Fanout {
+        Fanout {
+            out: out.0,
+            other: other.map_or(NONE, |w| w.0),
+        }
     }
 
     #[test]
@@ -416,32 +446,34 @@ mod tests {
         let b = nl.add_or2(a, x, z, ps(10), ps(10));
         assert_eq!(b.index(), 2);
         let sealed = nl.seal();
-        let (s, e) = (
-            sealed.fanout_offsets[a.index()] as usize,
-            sealed.fanout_offsets[a.index() + 1] as usize,
+        assert_eq!(
+            sealed.row(a.index()),
+            &[entry(x, None), entry(y, None), entry(z, Some(x))]
         );
-        assert_eq!(&sealed.fanout[s..e], &[0, 1, 2]);
-        // `x` feeds only the OR gate.
-        let (s, e) = (
-            sealed.fanout_offsets[x.index()] as usize,
-            sealed.fanout_offsets[x.index() + 1] as usize,
-        );
-        assert_eq!(&sealed.fanout[s..e], &[2]);
+        // `x` feeds only the OR gate, whose other input is `a`.
+        assert_eq!(sealed.row(x.index()), &[entry(z, Some(a))]);
+        assert_eq!(sealed.row(y.index()), &[]);
+        assert_eq!(sealed.row(z.index()), &[]);
     }
 
     #[test]
-    fn min_sep_and_delay_bound() {
+    fn two_input_gate_sits_in_both_rows_with_the_opposite_input() {
         let mut nl = Netlist::new();
-        let a = nl.add_wire();
-        let b = nl.add_wire();
-        let c = nl.add_wire();
-        nl.add_inverter(a, b, ps(300), ps(100));
-        nl.add_one_shot(b, c, ps(50), ps(800));
+        let (a, b, c) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        let (p, q, r) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_and2(a, b, p, ps(5), ps(6));
+        nl.add_buffer(b, q, ps(5), ps(5));
+        nl.add_or2(c, a, r, ps(7), ps(8));
         let sealed = nl.seal();
-        assert_eq!(sealed.min_sep[b.index()], 100);
-        assert_eq!(sealed.min_sep[c.index()], 800);
-        assert_eq!(sealed.min_sep[a.index()], 0);
-        assert_eq!(sealed.max_delay_ps(), 850);
+        assert_eq!(
+            sealed.row(a.index()),
+            &[entry(p, Some(b)), entry(r, Some(c))]
+        );
+        assert_eq!(sealed.row(b.index()), &[entry(p, Some(a)), entry(q, None)]);
+        assert_eq!(sealed.row(c.index()), &[entry(r, Some(a))]);
+        // Every input slot of every gate appears exactly once.
+        assert_eq!(sealed.rows.len(), 5);
+        assert_eq!(sealed.fanout_offsets.len(), sealed.n_wires() + 1);
     }
 
     #[test]

@@ -7,20 +7,25 @@
 //! two cores. What changes is the machinery underneath:
 //!
 //! * each wire's whole state is one 32-byte `WireState` record in a
-//!   flat `Vec` indexed by the wire id, and each gate one 24-byte
-//!   record in the sealed arena, so an event reads one record per
-//!   wire and per gate instead of one column per field;
+//!   flat `Vec` indexed by the wire id, and that record also carries
+//!   the kind and rise/fall delays of the gate driving the wire; the
+//!   inertial window is derived from them, so an event reads one
+//!   record per touched wire instead of one column per field, and
+//!   never a gate record;
 //! * the pending-event set is a calendar [`Wheel`] (O(1) push/dispatch
 //!   under the bounded-delay model, singleton buckets stored inline)
 //!   plus a small sorted *far list* for the rare event beyond the
 //!   wheel's horizon (pre-scheduled clock edges whole periods away,
 //!   delay-fault scalings past nominal);
-//! * fanout propagation walks the wire's CSR row directly. Gate
-//!   evaluation only *schedules* (a nominal delay of at least 1 ps
-//!   ahead) and never applies, so nothing re-enters settling mid-walk,
-//!   and the distinct-input rule puts each gate in a row at most once:
-//!   the row itself is the exact, duplicate-free settling work list,
-//!   and no work queue is needed.
+//! * fanout propagation walks the wire's CSR row directly. Each
+//!   8-byte row entry names the driven gate's output wire and its
+//!   other input, so evaluating it touches the output's record (kind,
+//!   delays, scheduling state) and at most one more input record.
+//!   Gate evaluation only *schedules* (a nominal delay of at least
+//!   1 ps ahead) and never applies, so nothing re-enters settling
+//!   mid-walk, and the distinct-input rule puts each gate in a row at
+//!   most once: the row itself is the exact, duplicate-free settling
+//!   work list, and no work queue is needed.
 //!
 //! Dispatch order equals the reference engine's `(time, seq)` heap
 //! order: wheel buckets and the far list both preserve push order
@@ -30,10 +35,11 @@
 //! entries.
 //!
 //! Observability follows the workspace's one-branch `Option`
-//! discipline: waveform watches and the [`TraceBuf`] lifecycle hooks
-//! cost a predictable untaken branch each when disabled.
+//! discipline: waveform watches (a flag bit per wire, logs in a small
+//! side table) and the [`TraceBuf`] lifecycle hooks cost a
+//! predictable untaken branch each when disabled.
 
-use crate::arena::{GateKind, SealedNetlist, WireId, NONE};
+use crate::arena::{Fanout, GateKind, SealedNetlist, WireId, NONE};
 use crate::wheel::{Ev, Wheel};
 use desim::engine::{EngineStats, StillActiveError};
 use desim::time::SimTime;
@@ -49,8 +55,8 @@ enum Step {
 }
 
 /// Everything the engine tracks about one wire, packed into 32 bytes:
-/// dispatch, scheduling and the inertial checks all read the same
-/// record.
+/// dispatch, scheduling, the inertial checks and the evaluation of the
+/// wire's driver all read the same record.
 #[derive(Debug, Clone, Copy)]
 struct WireState {
     /// Fire time of the latest accepted schedule — the inertial
@@ -61,15 +67,61 @@ struct WireState {
     /// Generation counter; in-flight events carrying an older one are
     /// dead.
     gen: u32,
-    /// Index into `NetSim::watches`, or `NONE`.
-    watch_slot: u32,
+    /// The driving gate's rise delay (one-shots: propagation delay);
+    /// zero for externally driven wires.
+    d_rise: u32,
+    /// The driving gate's fall delay (one-shots: pulse width); zero
+    /// for externally driven wires.
+    d_fall: u32,
     /// Delay-fault scale, percent of nominal; 100 on the hot path.
     delay_scale: u16,
     value: bool,
-    /// The value the wire settles at once in-flight events land.
-    scheduled: bool,
-    /// Pinned by a stuck-at fault.
-    stuck: bool,
+    /// `SCHEDULED`, `STUCK` and `WATCHED` bits plus the driver's kind
+    /// code above `KIND_SHIFT`.
+    flags: u8,
+}
+
+/// The value the wire settles at once in-flight events land.
+const SCHEDULED: u8 = 1;
+/// Pinned by a stuck-at fault.
+const STUCK: u8 = 1 << 1;
+/// Transitions are logged in `NetSim::watches`.
+const WATCHED: u8 = 1 << 2;
+/// The driver's [`GateKind`] code sits in the flag byte's top bits.
+const KIND_SHIFT: u32 = 3;
+/// Kind code of an externally driven wire.
+const UNDRIVEN: u8 = 7;
+
+impl WireState {
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
+
+    /// The driving gate's kind code (`GateKind as u8`, or `UNDRIVEN`).
+    fn kind(&self) -> u8 {
+        self.flags >> KIND_SHIFT
+    }
+
+    /// The inertial window: the driver's minimum edge spacing, exactly
+    /// as the reference engine assigns it (the pulse width for
+    /// one-shots, the faster of rise and fall for the rest, zero for
+    /// externally driven wires, whose delays are zero).
+    fn inertial_window_ps(&self) -> u64 {
+        let sep = if self.kind() == GateKind::OneShot as u8 {
+            self.d_fall
+        } else {
+            self.d_rise.min(self.d_fall)
+        };
+        u64::from(sep)
+    }
 }
 
 /// A wire before anything has happened to it.
@@ -77,12 +129,15 @@ const FRESH_WIRE: WireState = WireState {
     last_event_ps: 0,
     change_ps: 0,
     gen: 0,
-    watch_slot: NONE,
+    d_rise: 0,
+    d_fall: 0,
     delay_scale: 100,
     value: false,
-    scheduled: false,
-    stuck: false,
+    flags: UNDRIVEN << KIND_SHIFT,
 };
+
+// The settle loop's working set is sized by this record: keep it 32 bytes.
+const _: () = assert!(std::mem::size_of::<WireState>() == 32);
 
 /// The flat-arena event-driven simulator.
 ///
@@ -94,7 +149,8 @@ pub struct NetSim {
     nl: Arc<SealedNetlist>,
     /// Per-wire state, indexed by wire id.
     wires: Vec<WireState>,
-    watches: Vec<Vec<(u64, bool)>>,
+    /// Transition logs of watched wires, sorted by wire id.
+    watches: Vec<(u32, Vec<(u64, bool)>)>,
     // ---- pending events ----
     wheel: Wheel,
     /// Events beyond the wheel horizon, sorted by fire time (stable:
@@ -146,11 +202,16 @@ impl NetSim {
         for g in &nl.gates {
             let a = g.in_a as usize;
             let out = g.out as usize;
+            // The output wire carries its driver: kind and delays.
+            let ws = &mut sim.wires[out];
+            ws.d_rise = g.d_rise;
+            ws.d_fall = g.d_fall;
+            ws.flags = (g.kind as u8) << KIND_SHIFT;
             match g.kind {
                 GateKind::Buffer | GateKind::Inverter => {
                     let v = sim.wires[a].value ^ (g.kind == GateKind::Inverter);
                     sim.wires[out].value = v;
-                    sim.wires[out].scheduled = v;
+                    sim.wires[out].set(SCHEDULED, v);
                 }
                 GateKind::Or2 | GateKind::And2 => {
                     let (va, vb) = (sim.wires[a].value, sim.wires[g.in_b as usize].value);
@@ -245,7 +306,7 @@ impl NetSim {
         self.check_wire(wire);
         let kind = if value { "stuck_at_1" } else { "stuck_at_0" };
         self.force_wire(wire.index(), self.now_ps, value, kind);
-        self.wires[wire.index()].stuck = true;
+        self.wires[wire.index()].set(STUCK, true);
     }
 
     /// Schedules one transient (SEU-style) upset: at `t` the wire's
@@ -293,10 +354,9 @@ impl NetSim {
     /// Starts recording value transitions on `wire`.
     pub fn watch(&mut self, wire: WireId) {
         self.check_wire(wire);
-        if self.wires[wire.index()].watch_slot == NONE {
-            self.wires[wire.index()].watch_slot =
-                u32::try_from(self.watches.len()).expect("watch arena full");
-            self.watches.push(Vec::new());
+        if let Err(pos) = self.watches.binary_search_by_key(&wire.0, |e| e.0) {
+            self.watches.insert(pos, (wire.0, Vec::new()));
+            self.wires[wire.index()].set(WATCHED, true);
         }
     }
 
@@ -304,10 +364,19 @@ impl NetSim {
     /// `(time_ps, new_value)` pairs (empty for unwatched wires).
     #[must_use]
     pub fn transitions_ps(&self, wire: WireId) -> &[(u64, bool)] {
-        match self.wires[wire.index()].watch_slot {
-            NONE => &[],
-            slot => &self.watches[slot as usize],
+        match self.watches.binary_search_by_key(&wire.0, |e| e.0) {
+            Ok(pos) => &self.watches[pos].1,
+            Err(_) => &[],
         }
+    }
+
+    /// Appends a transition to a watched wire's log.
+    fn log_transition(&mut self, w: usize, t_ps: u64, value: bool) {
+        let pos = self
+            .watches
+            .binary_search_by_key(&(w as u32), |e| e.0)
+            .expect("watched wire has a log");
+        self.watches[pos].1.push((t_ps, value));
     }
 
     /// Recorded transitions as `(SimTime, value)` — the reference
@@ -493,7 +562,7 @@ impl NetSim {
     /// line-for-line the reference engine's conflict rules.
     fn schedule_change(&mut self, w: usize, t_ps: u64, value: bool) {
         let ws = &mut self.wires[w];
-        if ws.stuck {
+        if ws.has(STUCK) {
             return;
         }
         let t_ps = if ws.delay_scale == 100 {
@@ -502,10 +571,9 @@ impl NetSim {
             let delta = t_ps.saturating_sub(self.now_ps);
             self.now_ps + (delta * u64::from(ws.delay_scale)) / 100
         };
-        let sep = u64::from(self.nl.min_sep[w]);
         let last = ws.last_event_ps;
-        let too_close = last > 0 && t_ps < last + sep;
-        let conflict = t_ps < last || value == ws.scheduled || too_close;
+        let too_close = last > 0 && t_ps < last + ws.inertial_window_ps();
+        let conflict = t_ps < last || value == ws.has(SCHEDULED) || too_close;
         if conflict {
             // Cancel everything in flight for this wire.
             ws.gen = ws.gen.wrapping_add(1);
@@ -518,12 +586,12 @@ impl NetSim {
             }
             if value == ws.value {
                 // Settles at the current value; nothing to apply.
-                ws.scheduled = value;
+                ws.set(SCHEDULED, value);
                 ws.last_event_ps = t_ps;
                 return;
             }
         }
-        ws.scheduled = value;
+        ws.set(SCHEDULED, value);
         ws.last_event_ps = t_ps;
         let ev = Ev {
             t_ps,
@@ -565,8 +633,8 @@ impl NetSim {
         self.stats.events_processed += 1;
         ws.value = ev.value;
         ws.change_ps = ev.t_ps;
-        if ws.watch_slot != NONE {
-            self.watches[ws.watch_slot as usize].push((ev.t_ps, ev.value));
+        if ws.has(WATCHED) {
+            self.log_transition(w, ev.t_ps, ev.value);
         }
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::EventFired {
@@ -585,7 +653,7 @@ impl NetSim {
                 });
             }
         }
-        self.settle_fanout(w);
+        self.settle_fanout(w, ev.value);
     }
 
     /// Forces a wire outside the normal driver path (pins, upsets):
@@ -605,15 +673,15 @@ impl NetSim {
         }
         let ws = &mut self.wires[w];
         ws.gen = ws.gen.wrapping_add(1); // kill in-flight events
-        ws.scheduled = value;
+        ws.set(SCHEDULED, value);
         ws.last_event_ps = now;
         if ws.value == value {
             return;
         }
         ws.value = value;
         ws.change_ps = now;
-        if ws.watch_slot != NONE {
-            self.watches[ws.watch_slot as usize].push((now, value));
+        if ws.has(WATCHED) {
+            self.log_transition(w, now, value);
         }
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::EventFired {
@@ -622,56 +690,56 @@ impl NetSim {
                 value,
             });
         }
-        self.settle_fanout(w);
+        self.settle_fanout(w, value);
     }
 
-    /// Propagates a wire change through its CSR fanout: the zero-delay
-    /// settling pass of this timestep. Each driven gate is evaluated
-    /// once, in row (gate-insertion) order, and every evaluation bumps
-    /// `settle_iterations`. Walking the row directly is exact — see
+    /// Propagates a change of wire `w` to `in_val` through its CSR
+    /// fanout: the zero-delay settling pass of this timestep. Each
+    /// driven gate is evaluated once, in row (gate-insertion) order,
+    /// and every evaluation bumps `settle_iterations`. Walking the row directly is exact — see
     /// the module docs for why no work queue is needed.
-    fn settle_fanout(&mut self, w: usize) {
+    fn settle_fanout(&mut self, w: usize, in_val: bool) {
         let (s, e) = (
             self.nl.fanout_offsets[w] as usize,
             self.nl.fanout_offsets[w + 1] as usize,
         );
         self.stats.settle_iterations += (e - s) as u64;
         for i in s..e {
-            self.eval_gate(self.nl.fanout[i] as usize);
+            self.eval_gate(in_val, self.nl.rows[i]);
         }
     }
 
-    /// Evaluates one gate against current wire values and schedules
-    /// its output — the reference engine's `react`, arena-indexed.
-    fn eval_gate(&mut self, g: usize) {
-        let gate = self.nl.gates[g];
-        let a = gate.in_a as usize;
-        let out = gate.out as usize;
-        let (rise, fall) = (u64::from(gate.d_rise), u64::from(gate.d_fall));
-        match gate.kind {
-            GateKind::Buffer | GateKind::Inverter => {
-                let out_val = self.wires[a].value ^ (gate.kind == GateKind::Inverter);
+    /// Evaluates one fanout entry — the gate fed by a wire now at
+    /// `in_val` — and schedules its output: the reference engine's
+    /// `react`, arena-indexed. Kind and delays come from the output
+    /// wire's record.
+    fn eval_gate(&mut self, in_val: bool, entry: Fanout) {
+        let out = entry.out as usize;
+        let ws = self.wires[out];
+        let (rise, fall) = (u64::from(ws.d_rise), u64::from(ws.d_fall));
+        let kind = ws.kind();
+        if kind == GateKind::OneShot as u8 {
+            if in_val {
+                // Rising edge: fresh pulse, rise scheduled first.
+                self.schedule_output(out, rise, true);
+                self.schedule_output(out, rise + fall, false);
+            }
+        } else if entry.other == NONE {
+            let out_val = in_val ^ (kind == GateKind::Inverter as u8);
+            let delay = if out_val { rise } else { fall };
+            self.schedule_output(out, delay, out_val);
+        } else {
+            // OR and AND are symmetric, so the row's wire can stand in
+            // for either input.
+            let vb = self.wires[entry.other as usize].value;
+            let out_val = if kind == GateKind::Or2 as u8 {
+                in_val | vb
+            } else {
+                in_val & vb
+            };
+            if ws.has(SCHEDULED) != out_val {
                 let delay = if out_val { rise } else { fall };
                 self.schedule_output(out, delay, out_val);
-            }
-            GateKind::Or2 | GateKind::And2 => {
-                let (va, vb) = (self.wires[a].value, self.wires[gate.in_b as usize].value);
-                let out_val = if gate.kind == GateKind::Or2 {
-                    va | vb
-                } else {
-                    va & vb
-                };
-                if self.wires[out].scheduled != out_val {
-                    let delay = if out_val { rise } else { fall };
-                    self.schedule_output(out, delay, out_val);
-                }
-            }
-            GateKind::OneShot => {
-                if self.wires[a].value {
-                    // Rising edge: fresh pulse, rise scheduled first.
-                    self.schedule_output(out, rise, true);
-                    self.schedule_output(out, rise + fall, false);
-                }
             }
         }
     }
@@ -759,5 +827,64 @@ mod tests {
             vec![buf.0, inv.0, or.0]
         );
         assert!(fall.iter().all(|&(t, fire, _)| t == 500 && fire > t));
+    }
+
+    /// The inertial window is derived from the driver fields the
+    /// output wire carries: the faster edge for combinational gates,
+    /// the pulse width for one-shots, nothing for undriven wires.
+    #[test]
+    fn inertial_window_and_delay_bound() {
+        let mut nl = Netlist::new();
+        let a = nl.add_wire();
+        let b = nl.add_wire();
+        let c = nl.add_wire();
+        let d = nl.add_wire();
+        nl.add_inverter(a, b, ps(300), ps(100));
+        nl.add_one_shot(b, c, ps(50), ps(800));
+        nl.add_buffer(c, d, ps(40), ps(70));
+        let sim = NetSim::from_netlist(nl);
+        let window = |w: WireId| sim.wires[w.index()].inertial_window_ps();
+        assert_eq!(window(b), 100);
+        assert_eq!(window(c), 800);
+        assert_eq!(window(d), 40);
+        assert_eq!(window(a), 0);
+        assert_eq!(sim.wires[a.index()].kind(), UNDRIVEN);
+        assert_eq!(sim.wires[c.index()].kind(), GateKind::OneShot as u8);
+        assert_eq!(sim.netlist().max_delay_ps(), 850);
+    }
+
+    /// Watches live in a side table keyed by wire: several wires, a
+    /// repeated `watch`, and an unwatched wire all read back right,
+    /// and the VCD is unchanged by the layout.
+    #[test]
+    fn watched_wires_keep_separate_logs() {
+        let mut nl = Netlist::new();
+        let a = nl.add_wire();
+        let b = nl.add_wire();
+        let c = nl.add_wire();
+        let d = nl.add_wire();
+        nl.add_inverter(a, b, ps(10), ps(20));
+        nl.add_buffer(b, c, ps(5), ps(5));
+        nl.add_buffer(c, d, ps(5), ps(5));
+        let mut sim = NetSim::from_netlist(nl);
+        sim.watch(c);
+        sim.watch(a);
+        sim.watch(c);
+        sim.schedule_input(a, ps(100), true);
+        sim.schedule_input(a, ps(200), false);
+        sim.run_until(ps(1_000));
+        assert_eq!(sim.transitions_ps(a), &[(100, true), (200, false)]);
+        assert_eq!(sim.transitions_ps(c), &[(125, false), (215, true)]);
+        assert_eq!(sim.transitions_ps(b), &[]);
+        assert_eq!(sim.transitions_ps(d), &[]);
+        assert!(!sim.wires[b.index()].has(WATCHED));
+        let vcd = sim.export_vcd(&[(a, "a"), (c, "c")]);
+        let expected = {
+            let mut w = VcdWriter::new();
+            w.add_signal("a", false, [(100, true), (200, false)]);
+            w.add_signal("c", true, [(125, false), (215, true)]);
+            w.render()
+        };
+        assert_eq!(vcd, expected);
     }
 }

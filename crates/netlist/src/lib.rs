@@ -10,13 +10,14 @@
 //! crate is the large-scale counterpart:
 //!
 //! * [`Netlist`] / [`SealedNetlist`] — arena-allocated gates (one
-//!   packed record each) and wires addressed by `u32` indices, fanout
-//!   as a CSR table ([`arena`]);
+//!   packed record each, read only on cold paths) and wires addressed
+//!   by `u32` indices, fanout as a CSR table of self-contained 8-byte
+//!   `(output, other input)` entries ([`arena`]);
 //! * [`NetSim`] — the event engine: calendar-wheel scheduler
 //!   exploiting the bounded `m ± ε` delay model, singleton buckets
 //!   stored inline (`wheel`), settling by a direct walk of the
-//!   changed wire's CSR row, each wire's state one packed record
-//!   ([`engine`]);
+//!   changed wire's CSR row, each wire's state — including its
+//!   driver's kind and delays — one packed record ([`engine`]);
 //! * [`faults`] — [`sim_faults::FaultPlan`] compiled to packed
 //!   per-gate fault words, applied in one batch pass;
 //! * [`mesh`] — the 2-D wavefront mesh builder (1000×1000 fault

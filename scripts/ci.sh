@@ -34,8 +34,9 @@ run target/release/bench_regress --fast --out target/bench --baselines baselines
 # floor — a return to heap-scheduler complexity fails here even if the
 # counters still match — and the deterministic counter snapshot must
 # match its committed baseline byte-for-byte. The floor is half the
-# slowest of ten release runs on a 2-vCPU Linux VM (5.51M events/sec).
-run target/release/netlist_bench --out target/bench/BENCH_netlist.json --min-eps 2750000
+# slowest of ten release runs on a 2-vCPU Linux VM (6.42M events/sec),
+# rounded down.
+run target/release/netlist_bench --out target/bench/BENCH_netlist.json --min-eps 3200000
 run target/release/bench_regress --compare target/bench/BENCH_netlist.json --baselines baselines
 # Trace smoke: one experiment through --trace end to end, then the
 # standalone checker over the exported Perfetto file.
