@@ -30,6 +30,7 @@
 
 use bench::regress::diff_reports;
 use sim_observe::{parse, SpanTimer};
+use sim_runtime::cli::{self, Args, CliError};
 use sim_runtime::{json_full, run_experiment, ExpConfig, RunInfo};
 use std::path::PathBuf;
 
@@ -45,10 +46,9 @@ struct Opts {
     update: bool,
     wall_tol_pct: Option<f64>,
     compare: Option<PathBuf>,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         cfg: ExpConfig::default(),
         only: None,
@@ -57,55 +57,26 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
         update: false,
         wall_tol_pct: None,
         compare: None,
-        help: false,
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    while let Some(arg) = it.next() {
+    const COUNT: &str = "a non-negative integer";
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
             "--fast" => opts.cfg.fast = true,
-            "--seed" => {
-                opts.cfg.seed = value("--seed", it.next())?
-                    .parse()
-                    .map_err(|_| "--seed needs a non-negative integer".to_owned())?;
-            }
-            "--threads" => {
-                opts.cfg.threads = value("--threads", it.next())?
-                    .parse()
-                    .map_err(|_| "--threads needs a non-negative integer".to_owned())?;
-            }
-            "--trials" => {
-                let t: usize = value("--trials", it.next())?
-                    .parse()
-                    .map_err(|_| "--trials needs a non-negative integer".to_owned())?;
-                opts.cfg.trials = Some(t);
-            }
+            "--seed" => opts.cfg.seed = args.parse("--seed", COUNT)?,
+            "--threads" => opts.cfg.threads = args.parse("--threads", COUNT)?,
+            "--trials" => opts.cfg.trials = Some(args.parse("--trials", COUNT)?),
             "--only" => {
-                let list = value("--only", it.next())?;
-                opts.only =
-                    Some(list.split(',').map(|s| s.trim().to_owned()).collect());
+                let list = args.value("--only")?;
+                opts.only = Some(list.split(',').map(|s| s.trim().to_owned()).collect());
             }
-            "--out" => opts.out = PathBuf::from(value("--out", it.next())?),
-            "--baselines" => {
-                opts.baselines = PathBuf::from(value("--baselines", it.next())?);
-            }
+            "--out" => opts.out = args.value("--out")?.into(),
+            "--baselines" => opts.baselines = args.value("--baselines")?.into(),
             "--update" => opts.update = true,
             "--wall-tol" => {
-                let tol: f64 = value("--wall-tol", it.next())?
-                    .parse()
-                    .map_err(|_| "--wall-tol needs a percentage".to_owned())?;
-                opts.wall_tol_pct = Some(tol);
+                opts.wall_tol_pct = Some(args.finite("--wall-tol", "a non-negative percentage")?);
             }
-            "--compare" => {
-                opts.compare = Some(PathBuf::from(value("--compare", it.next())?));
-            }
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--compare" => opts.compare = Some(args.value("--compare")?.into()),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(opts)
@@ -244,17 +215,8 @@ fn compare_file(path: &std::path::Path, opts: &Opts) -> i32 {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     if let Some(path) = &opts.compare {
         std::process::exit(compare_file(path, &opts));
     }
@@ -303,4 +265,31 @@ fn main() {
         names.len(),
         opts.baselines.display(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, CliError> {
+        parse_opts(Args::new(args.iter().copied()))
+    }
+
+    #[test]
+    fn tolerances_that_cannot_band_are_usage_errors() {
+        for bad in [
+            &["--wall-tol", "NaN"][..],
+            &["--wall-tol", "-1"],
+            &["--wall-tol", "inf"],
+            &["--wall-tol"],
+            &["--trials", "x"],
+            &["--frobnicate"],
+        ] {
+            assert!(matches!(parse(bad), Err(CliError::Usage(_))), "{bad:?}");
+        }
+        let ok = parse(&["--wall-tol", "25", "--only", "e1, e3"]).unwrap();
+        assert_eq!(ok.wall_tol_pct, Some(25.0));
+        assert_eq!(ok.only, Some(vec!["e1".to_owned(), "e3".to_owned()]));
+        assert_eq!(parse(&["--wall-tol", "0"]).unwrap().wall_tol_pct, Some(0.0));
+    }
 }

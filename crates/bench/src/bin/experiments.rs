@@ -12,32 +12,35 @@
 //! `experiments --help` exits 0; an unknown experiment name or a bad
 //! flag prints usage and exits 2.
 
+use sim_runtime::cli::{self, Args, CliError};
+use sim_runtime::Registry;
+
+/// The experiment named first, or `None` for the listing.
+fn pick(args: &mut Args, registry: &Registry) -> Result<Option<String>, CliError> {
+    match args.next_arg()? {
+        None => Ok(None),
+        Some(arg) if arg == "--list" => Ok(None),
+        Some(name) if registry.get(&name).is_some() => Ok(Some(name)),
+        Some(name) => Err(CliError::Usage(format!("unknown experiment `{name}`"))),
+    }
+}
+
 fn main() {
     let registry = bench::registry();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--list" {
-        print!("{}", registry.listing());
-        return;
-    }
-    if args[0] == "--help" || args[0] == "-h" {
-        println!(
-            "usage: experiments [--list] | experiments <name> [experiment flags]\n\
-             \n\
-             registered experiments:\n{}",
-            registry.listing()
-        );
-        return;
-    }
-    let name = args.remove(0);
-    if registry.get(&name).is_none() {
-        eprintln!(
-            "unknown experiment `{name}`; registered experiments:\n{}",
-            registry.listing()
-        );
-        std::process::exit(2);
-    }
-    let code = sim_runtime::run_cli_args(&registry, &name, args);
-    if code != 0 {
-        std::process::exit(code);
-    }
+    let usage = format!(
+        "usage: experiments [--list] | experiments <name> [experiment flags]\n\
+         \n\
+         registered experiments:\n{}",
+        registry.listing()
+    );
+    let mut args = Args::from_env();
+    let code = match cli::resolve(&usage, pick(&mut args, &registry)) {
+        Ok(Some(name)) => sim_runtime::run_cli_args(&registry, &name, args),
+        Ok(None) => {
+            print!("{}", registry.listing());
+            0
+        }
+        Err(code) => code,
+    };
+    std::process::exit(code);
 }

@@ -20,6 +20,7 @@
 
 use bench::{f, grid, Table};
 use sim_observe::Json;
+use sim_runtime::cli::{self, Args, CliError};
 
 const USAGE: &str = "usage: explore [--fast] [--seed S] [--trials N] [--threads T] \
 [--shards N] [--checkpoint-every N] [--json FILE] [--frontier-json FILE] [--emit-manifest FILE]";
@@ -34,10 +35,9 @@ struct Opts {
     json: Option<String>,
     frontier_json: Option<String>,
     emit_manifest: Option<String>,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         fast: false,
         seed: 11,
@@ -48,52 +48,26 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
         json: None,
         frontier_json: None,
         emit_manifest: None,
-        help: false,
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    while let Some(arg) = it.next() {
+    const POSITIVE: &str = "a positive integer";
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
             "--fast" => opts.fast = true,
-            "--seed" => {
-                opts.seed = value("--seed", it.next())?
-                    .parse()
-                    .map_err(|_| "--seed needs a non-negative integer".to_owned())?;
-            }
-            "--trials" => {
-                opts.trials = value("--trials", it.next())?
-                    .parse()
-                    .map_err(|_| "--trials needs a positive integer".to_owned())?;
-            }
-            "--threads" => {
-                opts.threads = value("--threads", it.next())?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer".to_owned())?;
-            }
-            "--shards" => {
-                opts.shards = value("--shards", it.next())?
-                    .parse()
-                    .map_err(|_| "--shards needs a positive integer".to_owned())?;
-            }
+            "--seed" => opts.seed = args.parse("--seed", "a non-negative integer")?,
+            "--trials" => opts.trials = args.parse("--trials", POSITIVE)?,
+            "--threads" => opts.threads = args.parse("--threads", POSITIVE)?,
+            "--shards" => opts.shards = args.parse("--shards", POSITIVE)?,
             "--checkpoint-every" => {
-                opts.checkpoint_every = value("--checkpoint-every", it.next())?
-                    .parse()
-                    .map_err(|_| "--checkpoint-every needs a positive integer".to_owned())?;
+                opts.checkpoint_every = args.parse("--checkpoint-every", POSITIVE)?;
             }
-            "--json" => opts.json = Some(value("--json", it.next())?),
-            "--frontier-json" => opts.frontier_json = Some(value("--frontier-json", it.next())?),
-            "--emit-manifest" => opts.emit_manifest = Some(value("--emit-manifest", it.next())?),
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--json" => opts.json = Some(args.value("--json")?),
+            "--frontier-json" => opts.frontier_json = Some(args.value("--frontier-json")?),
+            "--emit-manifest" => opts.emit_manifest = Some(args.value("--emit-manifest")?),
+            other => return Err(cli::unknown(other)),
         }
     }
     if opts.threads == 0 {
-        return Err("--threads needs a positive integer".to_owned());
+        return Err(CliError::Usage("--threads needs a positive integer".to_owned()));
     }
     Ok(opts)
 }
@@ -184,17 +158,8 @@ fn run(opts: &Opts) -> Result<(), String> {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     if let Err(msg) = run(&opts) {
         eprintln!("explore: error: {msg}");
         std::process::exit(1);

@@ -27,6 +27,7 @@ use desim::prelude::*;
 use netlist::prelude::*;
 use sim_faults::{FaultPlan, FaultRates};
 use sim_observe::{Json, SpanTimer};
+use sim_runtime::cli::{self, Args, CliError};
 
 const USAGE: &str = "usage: netlist_bench [--stages N] [--cycles N] [--side N] [--rate R] \
 [--seed S] [--out FILE] [--min-eps N]";
@@ -39,10 +40,9 @@ struct Opts {
     seed: u64,
     out: std::path::PathBuf,
     min_eps: Option<f64>,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         stages: 1_000_000,
         cycles: 2,
@@ -51,58 +51,29 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
         seed: 1,
         out: std::path::PathBuf::from("target/bench/BENCH_netlist.json"),
         min_eps: None,
-        help: false,
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--stages" => {
-                opts.stages = value("--stages", it.next())?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0 && n % 2 == 0)
-                    .ok_or_else(|| format!("--stages needs a positive even integer\n{USAGE}"))?;
-            }
-            "--cycles" => {
-                opts.cycles = value("--cycles", it.next())?
-                    .parse()
-                    .map_err(|_| "--cycles needs a positive integer".to_owned())?;
-            }
-            "--side" => {
-                opts.side = value("--side", it.next())?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| format!("--side needs a positive integer\n{USAGE}"))?;
-            }
-            "--rate" => {
-                opts.rate = value("--rate", it.next())?
-                    .parse()
-                    .ok()
-                    .filter(|r: &f64| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| format!("--rate needs a probability in [0, 1]\n{USAGE}"))?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed", it.next())?
-                    .parse()
-                    .map_err(|_| "--seed needs a non-negative integer".to_owned())?;
-            }
-            "--out" => opts.out = std::path::PathBuf::from(value("--out", it.next())?),
+            "--stages" => opts.stages = args.parse("--stages", "a positive even integer")?,
+            "--cycles" => opts.cycles = args.parse("--cycles", "a positive integer")?,
+            "--side" => opts.side = args.parse("--side", "a positive integer")?,
+            "--rate" => opts.rate = args.finite("--rate", "a probability in [0, 1]")?,
+            "--seed" => opts.seed = args.parse("--seed", "a non-negative integer")?,
+            "--out" => opts.out = args.value("--out")?.into(),
             "--min-eps" => {
-                let eps: f64 = value("--min-eps", it.next())?
-                    .parse()
-                    .map_err(|_| "--min-eps needs a number".to_owned())?;
-                opts.min_eps = Some(eps);
+                opts.min_eps = Some(args.finite("--min-eps", "a non-negative event rate")?);
             }
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            other => return Err(cli::unknown(other)),
         }
+    }
+    if opts.stages == 0 || !opts.stages.is_multiple_of(2) {
+        return Err(CliError::Usage("--stages needs a positive even integer".to_owned()));
+    }
+    if opts.side == 0 {
+        return Err(CliError::Usage("--side needs a positive integer".to_owned()));
+    }
+    if opts.rate > 1.0 {
+        return Err(CliError::Usage("--rate needs a probability in [0, 1]".to_owned()));
     }
     Ok(opts)
 }
@@ -194,17 +165,8 @@ fn mesh_workload(opts: &Opts) -> (Json, u64) {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
 
     let timer = SpanTimer::start();
     let (string_doc, string_events) = string_workload(&opts);
@@ -270,8 +232,8 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Opts, String> {
-        parse_opts(args.iter().map(|s| (*s).to_owned()))
+    fn parse(args: &[&str]) -> Result<Opts, CliError> {
+        parse_opts(Args::new(args.iter().copied()))
     }
 
     #[test]
@@ -283,6 +245,8 @@ mod tests {
             &["--rate", "2"],
             &["--rate", "-0.1"],
             &["--rate", "NaN"],
+            &["--min-eps", "NaN"],
+            &["--min-eps", "-1"],
             &["--side", "many"],
             &["--frobnicate"],
         ] {

@@ -36,6 +36,7 @@
 
 use bench::grid;
 use sim_observe::{Json, SpanTimer};
+use sim_runtime::cli::{self, Args, CliError};
 use sim_sweep::prelude::*;
 
 const USAGE: &str = "usage: sweep_shard --manifest FILE --shard I --dir D [--threads T] [--stop-after K] [--throttle-ms MS]
@@ -61,10 +62,9 @@ struct Opts {
     probe_ms: u64,
     seed: u64,
     trials: u64,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         threads: 1,
         probe_ms: 150,
@@ -72,85 +72,47 @@ fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
         trials: 8,
         ..Opts::default()
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    while let Some(arg) = it.next() {
+    const COUNT: &str = "a non-negative integer";
+    const POSITIVE: &str = "a positive integer";
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--manifest" => opts.manifest = Some(value("--manifest", it.next())?),
-            "--shard" => {
-                opts.shard = Some(
-                    value("--shard", it.next())?
-                        .parse()
-                        .map_err(|_| "--shard needs a non-negative integer".to_owned())?,
-                );
-            }
-            "--dir" => opts.dir = Some(value("--dir", it.next())?),
+            "--manifest" => opts.manifest = Some(args.value("--manifest")?),
+            "--shard" => opts.shard = Some(args.parse("--shard", COUNT)?),
+            "--dir" => opts.dir = Some(args.value("--dir")?),
             "--single" => opts.single = true,
             "--merge" => opts.merge = true,
             "--status" => opts.status = true,
             "--bench" => opts.bench = true,
-            "--out" => opts.out = Some(value("--out", it.next())?),
-            "--frontier" => opts.frontier = Some(value("--frontier", it.next())?),
-            "--threads" => {
-                opts.threads = value("--threads", it.next())?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer".to_owned())?;
-            }
-            "--stop-after" => {
-                opts.stop_after = Some(
-                    value("--stop-after", it.next())?
-                        .parse()
-                        .map_err(|_| "--stop-after needs a positive integer".to_owned())?,
-                );
-            }
-            "--throttle-ms" => {
-                opts.throttle_ms = value("--throttle-ms", it.next())?
-                    .parse()
-                    .map_err(|_| "--throttle-ms needs a non-negative integer".to_owned())?;
-            }
-            "--probe-ms" => {
-                opts.probe_ms = value("--probe-ms", it.next())?
-                    .parse()
-                    .map_err(|_| "--probe-ms needs a non-negative integer".to_owned())?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed", it.next())?
-                    .parse()
-                    .map_err(|_| "--seed needs a non-negative integer".to_owned())?;
-            }
-            "--trials" => {
-                opts.trials = value("--trials", it.next())?
-                    .parse()
-                    .map_err(|_| "--trials needs a positive integer".to_owned())?;
-            }
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--out" => opts.out = Some(args.value("--out")?),
+            "--frontier" => opts.frontier = Some(args.value("--frontier")?),
+            "--threads" => opts.threads = args.parse("--threads", POSITIVE)?,
+            "--stop-after" => opts.stop_after = Some(args.parse("--stop-after", POSITIVE)?),
+            "--throttle-ms" => opts.throttle_ms = args.parse("--throttle-ms", COUNT)?,
+            "--probe-ms" => opts.probe_ms = args.parse("--probe-ms", COUNT)?,
+            "--seed" => opts.seed = args.parse("--seed", COUNT)?,
+            "--trials" => opts.trials = args.parse("--trials", POSITIVE)?,
+            other => return Err(cli::unknown(other)),
         }
     }
     if opts.threads == 0 {
-        return Err("--threads needs a positive integer".to_owned());
+        return Err(CliError::Usage("--threads needs a positive integer".into()));
     }
     let modes =
         usize::from(opts.shard.is_some()) + usize::from(opts.single) + usize::from(opts.merge)
             + usize::from(opts.status) + usize::from(opts.bench);
     if modes != 1 {
-        return Err(format!(
-            "exactly one of --shard, --single, --merge, --status, --bench is required\n{USAGE}"
+        return Err(CliError::Usage(
+            "exactly one of --shard, --single, --merge, --status, --bench is required".into(),
         ));
     }
     if !opts.bench && opts.manifest.is_none() {
-        return Err(format!("--manifest is required\n{USAGE}"));
+        return Err(CliError::Usage("--manifest is required".into()));
     }
     if (opts.shard.is_some() || opts.merge || opts.status) && opts.dir.is_none() {
-        return Err(format!("--dir is required for this mode\n{USAGE}"));
+        return Err(CliError::Usage("--dir is required for this mode".into()));
     }
     if opts.single && opts.out.is_none() {
-        return Err(format!("--single requires --out\n{USAGE}"));
+        return Err(CliError::Usage("--single requires --out".into()));
     }
     Ok(opts)
 }
@@ -463,17 +425,8 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     let run = if opts.bench {
         bench_mode(&opts)
     } else if opts.single {

@@ -12,18 +12,27 @@
 //! clean, 1 on any violation (each printed with its rule name), 2 on
 //! usage or parse errors.
 
+use sim_runtime::cli::{self, Args, CliError};
+
+const USAGE: &str = "usage: trace_check <trace.json> [more.json ...]";
+
+fn parse_paths(mut args: Args) -> Result<Vec<String>, CliError> {
+    let mut paths = Vec::new();
+    while let Some(arg) = args.next_arg()? {
+        if arg.starts_with('-') {
+            return Err(cli::unknown(&arg));
+        }
+        paths.push(arg);
+    }
+    if paths.is_empty() {
+        return Err(CliError::Usage("no trace file given".to_owned()));
+    }
+    Ok(paths)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Workspace convention: --help is a successful run (usage on
-    // stdout, exit 0); a missing operand is a usage error (exit 2).
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: trace_check <trace.json> [more.json ...]");
-        return;
-    }
-    if args.is_empty() {
-        eprintln!("usage: trace_check <trace.json> [more.json ...]");
-        std::process::exit(2);
-    }
+    let args = cli::resolve(USAGE, parse_paths(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     let mut failed = false;
     for path in &args {
         let raw = match std::fs::read_to_string(path) {

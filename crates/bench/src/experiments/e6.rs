@@ -21,7 +21,7 @@ use crate::{f, Table};
 use desim::prelude::*;
 use netlist::prelude::*;
 use sim_faults::{FaultPlan, FaultRates};
-use sim_runtime::{rline, ExpConfig, Experiment, Report, SimRng};
+use sim_runtime::{mean_std, rline, ExpConfig, Experiment, Report, SimRng};
 
 /// See the module docs.
 #[derive(Debug)]

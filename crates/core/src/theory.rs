@@ -191,7 +191,7 @@ pub fn classify_growth(xs: &[f64], ys: &[f64]) -> GrowthClass {
     );
     let lx: Vec<f64> = xs.iter().map(|v| v.ln()).collect();
     let ly: Vec<f64> = ys.iter().map(|v| v.ln()).collect();
-    let (slope, _) = desim::stats::linear_fit(&lx, &ly);
+    let (slope, _) = sim_runtime::linear_fit(&lx, &ly);
     if slope < 0.2 {
         GrowthClass::Constant
     } else if slope < 0.75 {

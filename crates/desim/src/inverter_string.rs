@@ -22,9 +22,8 @@
 
 use crate::chain::{build_chain, ChainStage};
 use crate::engine::{NetId, Simulator};
-use crate::stats::sample_normal;
 use crate::time::SimTime;
-use sim_runtime::{ParallelSweep, SimRng};
+use sim_runtime::{sample_normal, ParallelSweep, SimRng};
 
 /// Parameters of one simulated inverter-string chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -530,7 +529,7 @@ mod tests {
                         .pulse_width_change_ps() as f64
                 })
                 .collect();
-            let (_, std) = crate::stats::mean_std(&samples);
+            let (_, std) = sim_runtime::mean_std(&samples);
             std
         };
         let (s64, s256) = (shrink_at(64), shrink_at(256));

@@ -12,8 +12,7 @@
 //! * [`time`] — integer picosecond simulation time;
 //! * [`engine`] — nets, gates, registers, and the event loop;
 //! * [`inverter_string`] — the Section VII experiment harness:
-//!   equipotential vs pipelined clocking of a long inverter string;
-//! * [`stats`] — Gaussian sampling and summary statistics.
+//!   equipotential vs pipelined clocking of a long inverter string.
 //!
 //! # Example: skew causes synchronization failure
 //!
@@ -41,7 +40,6 @@ pub mod faults;
 pub mod inverter_string;
 pub mod muller;
 pub mod one_shot_string;
-pub mod stats;
 pub mod stoppable_clock;
 pub mod vcd;
 pub mod time;
@@ -61,7 +59,6 @@ pub mod prelude {
     };
     pub use crate::muller::{MullerPipeline, MullerRun};
     pub use crate::one_shot_string::{OneShotString, OneShotStringSpec};
-    pub use crate::stats::{linear_fit, mean_std, sample_normal};
     pub use crate::time::{SimTime, TimeOverflowError};
     pub use crate::stoppable_clock::{add_stoppable_clock, StoppableClock};
     pub use crate::vcd::{export_vcd, VcdWriter};

@@ -19,9 +19,8 @@
 
 use crate::chain::{build_chain, ChainStage};
 use crate::engine::{NetId, Simulator};
-use crate::stats::sample_normal;
 use crate::time::SimTime;
-use sim_runtime::SimRng;
+use sim_runtime::{sample_normal, SimRng};
 
 /// Parameters of a one-shot-buffered clock string.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -20,10 +20,9 @@
 use crate::arena::{Netlist, SealedNetlist, WireId};
 use crate::engine::NetSim;
 use crate::faults::{gate_fault_words, inject_fault_words, InjectionSummary};
-use desim::stats::sample_normal;
 use desim::time::SimTime;
 use sim_faults::FaultPlan;
-use sim_runtime::SimRng;
+use sim_runtime::{sample_normal, SimRng};
 use std::sync::Arc;
 
 /// Geometry and delay model of a wavefront mesh.

@@ -1,5 +1,6 @@
-//! Non-uniform sampling on top of any [`Rng`]: the Gaussian draws
-//! behind the Section VII discrepancy model and the A8 jitter study.
+//! Non-uniform sampling on top of any [`Rng`] — the Gaussian draws
+//! behind the Section VII discrepancy model and the A8 jitter study —
+//! and the summary statistics experiments read those samples with.
 //!
 //! The paper's analyses assume per-stage discrepancies "normally
 //! distributed with a mean of zero and variance V"; `rand` used to be
@@ -111,17 +112,47 @@ impl Gaussian {
     }
 }
 
+/// Mean and (population) standard deviation of a sample.
+///
+/// Returns `(0.0, 0.0)` for an empty slice.
+#[must_use]
+pub fn mean_std(samples: &[f64]) -> (f64, f64) {
+    if samples.is_empty() {
+        return (0.0, 0.0);
+    }
+    let n = samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / n;
+    let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    (mean, var.sqrt())
+}
+
+/// Least-squares slope and intercept of `y` against `x`.
+///
+/// Used by experiments to classify growth rates (constant vs. linear
+/// vs. √n). Returns `(slope, intercept)`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or have fewer than two
+/// points, or if all `x` are identical.
+#[must_use]
+pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
+    assert_eq!(x.len(), y.len(), "x and y must have equal length");
+    assert!(x.len() >= 2, "need at least two points");
+    let n = x.len() as f64;
+    let mx = x.iter().sum::<f64>() / n;
+    let my = y.iter().sum::<f64>() / n;
+    let sxx: f64 = x.iter().map(|v| (v - mx).powi(2)).sum();
+    assert!(sxx > 0.0, "x values must not all be identical");
+    let sxy: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
+    let slope = sxy / sxx;
+    (slope, my - slope * mx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-
-    fn mean_std(samples: &[f64]) -> (f64, f64) {
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        (mean, var.sqrt())
-    }
 
     #[test]
     fn gaussian_sampler_statistics_over_100k() {
@@ -179,5 +210,28 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_std_rejected() {
         let _ = Gaussian::new(0.0, -1.0);
+    }
+
+    #[test]
+    fn mean_std_of_constants() {
+        let (m, s) = mean_std(&[2.0, 2.0, 2.0]);
+        assert_eq!(m, 2.0);
+        assert_eq!(s, 0.0);
+        assert_eq!(mean_std(&[]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn linear_fit_recovers_line() {
+        let x = [1.0, 2.0, 3.0, 4.0];
+        let y = [3.0, 5.0, 7.0, 9.0];
+        let (slope, intercept) = linear_fit(&x, &y);
+        assert!((slope - 2.0).abs() < 1e-9);
+        assert!((intercept - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal length")]
+    fn linear_fit_checks_lengths() {
+        let _ = linear_fit(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -27,6 +27,7 @@
 //! experiment appends it, and the very same bytes are captured once
 //! for the `--json` view, so the two can never diverge.
 
+use crate::cli::{self, Args, CliError};
 use crate::report::{json_full, Report, RunInfo};
 use crate::rng::SimRng;
 use crate::sweep::ParallelSweep;
@@ -58,8 +59,6 @@ pub struct ExpConfig {
     pub trace: Option<String>,
     /// List registered experiments instead of running (`--list`).
     pub list: bool,
-    /// Print usage and exit successfully (`--help`/`-h`).
-    pub help: bool,
     /// Tee report output to stdout as it is built. Set by the CLI
     /// driver, never from flags: library callers and tests want the
     /// silent default.
@@ -77,7 +76,6 @@ impl Default for ExpConfig {
             vcd: None,
             trace: None,
             list: false,
-            help: false,
             stream: false,
         }
     }
@@ -99,44 +97,30 @@ impl ExpConfig {
     ///
     /// # Errors
     ///
-    /// Returns a usage message on an unknown flag or a malformed
-    /// value. `--help`/`-h` is **not** an error: it sets
-    /// [`ExpConfig::help`] and parsing succeeds, so the CLI driver can
-    /// print usage and exit 0 (the workspace-wide convention: help is
-    /// a successful run, malformed flags exit 2).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    /// [`CliError::Help`] on `--help`/`-h`, and a usage error on an
+    /// unknown flag or a malformed value; [`cli::resolve`] turns them
+    /// into exit codes 0 and 2.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut cfg = ExpConfig::default();
-        let mut it = args.into_iter();
-        let parse = |name: &str, v: Option<String>| -> Result<u64, String> {
-            v.and_then(|s| s.parse::<u64>().ok()).ok_or_else(|| {
-                format!("{name} needs a non-negative integer argument\n{USAGE}")
-            })
-        };
-        let path = |name: &str, v: Option<String>| -> Result<String, String> {
-            v.filter(|s| !s.is_empty())
-                .ok_or_else(|| format!("{name} needs a file path argument\n{USAGE}"))
-        };
-        while let Some(arg) = it.next() {
+        let mut args = Args::new(args);
+        const COUNT: &str = "a non-negative integer";
+        while let Some(arg) = args.next_arg()? {
             match arg.as_str() {
                 "--trials" => {
-                    let t = parse("--trials", it.next())?;
+                    let t = args.parse("--trials", COUNT)?;
                     if t == 0 {
-                        return Err(format!("--trials must be at least 1\n{USAGE}"));
+                        return Err(CliError::Usage("--trials must be at least 1".to_owned()));
                     }
-                    cfg.trials = Some(t as usize);
+                    cfg.trials = Some(t);
                 }
-                "--seed" => cfg.seed = parse("--seed", it.next())?,
-                "--threads" => cfg.threads = parse("--threads", it.next())? as usize,
+                "--seed" => cfg.seed = args.parse("--seed", COUNT)?,
+                "--threads" => cfg.threads = args.parse("--threads", COUNT)?,
                 "--fast" => cfg.fast = true,
-                "--json" => cfg.json = Some(path("--json", it.next())?),
-                "--vcd" => cfg.vcd = Some(path("--vcd", it.next())?),
-                "--trace" => cfg.trace = Some(path("--trace", it.next())?),
+                "--json" => cfg.json = Some(args.value("--json")?),
+                "--vcd" => cfg.vcd = Some(args.value("--vcd")?),
+                "--trace" => cfg.trace = Some(args.value("--trace")?),
                 "--list" => cfg.list = true,
-                "--help" | "-h" => {
-                    cfg.help = true;
-                    return Ok(cfg);
-                }
-                other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+                other => return Err(cli::unknown(other)),
             }
         }
         Ok(cfg)
@@ -441,17 +425,10 @@ fn cli_main<I: IntoIterator<Item = String>>(
     name: &str,
     args: I,
 ) -> i32 {
-    let mut cfg = match ExpConfig::from_args(args) {
+    let mut cfg = match cli::resolve(USAGE, ExpConfig::from_args(args)) {
         Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return 2;
-        }
+        Err(code) => return code,
     };
-    if cfg.help {
-        println!("{USAGE}");
-        return 0;
-    }
     if cfg.list {
         for exp in exps {
             println!("{}", listing_line(*exp));
@@ -632,13 +609,10 @@ mod tests {
     #[test]
     fn help_parses_successfully_and_exits_zero() {
         for flag in ["--help", "-h"] {
-            let cfg = ExpConfig::from_args([flag.to_owned()])
-                .expect("--help is a successful parse");
-            assert!(cfg.help);
+            assert_eq!(ExpConfig::from_args([flag.to_owned()]), Err(CliError::Help));
             let code = cli_main(&[&Dummy as &dyn Experiment], "dummy", [flag.to_owned()]);
             assert_eq!(code, 0, "{flag} must exit 0");
         }
-        assert!(!ExpConfig::default().help);
     }
 
     #[test]
@@ -651,13 +625,15 @@ mod tests {
             vec!["--threads", "-1"],
             vec!["--no-such-flag"],
         ] {
-            let err = ExpConfig::from_args(bad.iter().map(|s| (*s).to_owned()))
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("usage:"), "{bad:?} error lacks usage: {err}");
+            let args = || bad.iter().map(|s| (*s).to_owned());
+            let err = ExpConfig::from_args(args()).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?} is not a usage error: {err:?}");
+            let code = cli_main(&[&Dummy as &dyn Experiment], "dummy", args());
+            assert_eq!(code, 2, "{bad:?} must exit 2");
         }
         let err = ExpConfig::from_args(["--trials".to_owned(), "0".to_owned()])
             .expect_err("zero trials");
-        assert!(err.contains("--trials must be at least 1"));
+        assert_eq!(err, CliError::Usage("--trials must be at least 1".to_owned()));
     }
 
     struct ArtifactExp;

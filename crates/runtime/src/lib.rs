@@ -12,8 +12,8 @@
 //!   SplitMix64-seeded xoshiro256++) behind a small [`Rng`] trait
 //!   whose surface (`gen_f64`, `gen_bool`, `gen_range`, `shuffle`)
 //!   mirrors the `rand` call sites it replaced;
-//! * [`dist`] — Gaussian (Box–Muller) and uniform-interval sampling
-//!   on top of any [`Rng`];
+//! * [`dist`] — Gaussian (Box–Muller) sampling on top of any [`Rng`],
+//!   plus the `mean_std`/`linear_fit` summaries;
 //! * [`sweep`] — [`ParallelSweep`], a `std::thread::scope` executor
 //!   that fans a range of independent trials across worker threads
 //!   with per-trial child seeds, so results are **bit-identical
@@ -29,7 +29,9 @@
 //!   [`sim_observe::Metrics`]) and the versioned JSON report
 //!   ([`json_core`]/[`json_full`]) behind `--json`;
 //! * [`table`] — the fixed-column plain-text [`Table`] writer reports
-//!   capture both textually and structurally.
+//!   capture both textually and structurally;
+//! * [`cli`] — the flag cursor and the `--help`→0 / usage→2 contract
+//!   every binary in the workspace parses its command line with.
 //!
 //! # Examples
 //!
@@ -53,6 +55,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod cli;
 pub mod dist;
 pub mod experiment;
 pub mod report;
@@ -60,7 +63,7 @@ pub mod rng;
 pub mod sweep;
 pub mod table;
 
-pub use dist::{sample_normal, Gaussian};
+pub use dist::{linear_fit, mean_std, sample_normal, Gaussian};
 pub use experiment::{
     run_cli_args, run_experiment, take_artifact_failure, write_artifact, write_with_parents,
     ExpConfig, Experiment, Registry,

@@ -18,8 +18,7 @@
 //! for).
 
 use array_layout::graph::{CellId, CommGraph};
-use desim::stats::mean_std;
-use sim_runtime::{Rng, SimRng};
+use sim_runtime::{mean_std, Rng, SimRng};
 
 /// A self-timed array over an arbitrary communication graph.
 #[derive(Debug, Clone)]

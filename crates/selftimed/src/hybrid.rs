@@ -16,9 +16,8 @@
 //! completed tick `w − 1`).
 
 use crate::handshake::HandshakeLink;
-use desim::stats::sample_normal;
 use sim_faults::{FaultPlan, HandshakeFault, RetryPolicy, RunOutcome};
-use sim_runtime::SimRng;
+use sim_runtime::{sample_normal, SimRng};
 
 /// Parameters of a hybrid-synchronized array.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -19,6 +19,7 @@
 //! as answered — observing load-shedding is the point), 1 on
 //! connection failure or response errors, 2 on usage errors.
 
+use sim_runtime::cli::{self, Args, CliError};
 use sim_serve::loadgen::{self, LoadgenConfig};
 use std::net::{SocketAddr, ToSocketAddrs};
 
@@ -30,67 +31,50 @@ struct Opts {
     addr: String,
     cfg: LoadgenConfig,
     json: Option<String>,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         addr: "127.0.0.1:7071".to_owned(),
         cfg: LoadgenConfig::default(),
         json: None,
-        help: false,
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    fn num<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
-        raw.parse()
-            .map_err(|_| format!("{name} needs a number, got `{raw}`\n{USAGE}"))
-    }
-    while let Some(arg) = it.next() {
+    const COUNT: &str = "a non-negative integer";
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--addr" => opts.addr = value("--addr", it.next())?,
-            "--conns" => opts.cfg.conns = num("--conns", &value("--conns", it.next())?)?,
-            "--requests" => {
-                opts.cfg.requests = num("--requests", &value("--requests", it.next())?)?;
-            }
+            "--addr" => opts.addr = args.value("--addr")?,
+            "--conns" => opts.cfg.conns = args.parse("--conns", COUNT)?,
+            "--requests" => opts.cfg.requests = args.parse("--requests", COUNT)?,
             "--hot-ratio" => {
-                let r: f64 = num("--hot-ratio", &value("--hot-ratio", it.next())?)?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("--hot-ratio must be in [0, 1], got {r}\n{USAGE}"));
+                opts.cfg.hot_ratio = args.finite("--hot-ratio", "a ratio in [0, 1]")?;
+                if opts.cfg.hot_ratio > 1.0 {
+                    return Err(CliError::Usage("--hot-ratio must be in [0, 1]".into()));
                 }
-                opts.cfg.hot_ratio = r;
             }
             "--hot-keys" => {
-                opts.cfg.hot_keys = num("--hot-keys", &value("--hot-keys", it.next())?)?;
+                opts.cfg.hot_keys = args.parse("--hot-keys", COUNT)?;
                 if opts.cfg.hot_keys == 0 {
-                    return Err(format!("--hot-keys must be at least 1\n{USAGE}"));
+                    return Err(CliError::Usage("--hot-keys must be at least 1".into()));
                 }
             }
             "--experiments" => {
-                let list = value("--experiments", it.next())?;
-                opts.cfg.experiments =
-                    list.split(',').map(|s| s.trim().to_owned()).collect();
+                let list = args.value("--experiments")?;
+                opts.cfg.experiments = list.split(',').map(|s| s.trim().to_owned()).collect();
                 if opts.cfg.experiments.iter().any(String::is_empty) {
-                    return Err(format!("--experiments has an empty name\n{USAGE}"));
+                    return Err(CliError::Usage("--experiments has an empty name".into()));
                 }
             }
-            "--seed" => opts.cfg.seed = num("--seed", &value("--seed", it.next())?)?,
+            "--seed" => opts.cfg.seed = args.parse("--seed", COUNT)?,
             "--trials" => {
-                let t: usize = num("--trials", &value("--trials", it.next())?)?;
+                let t: usize = args.parse("--trials", COUNT)?;
                 if t == 0 {
-                    return Err(format!("--trials must be at least 1\n{USAGE}"));
+                    return Err(CliError::Usage("--trials must be at least 1".into()));
                 }
                 opts.cfg.trials = Some(t);
             }
             "--no-fast" => opts.cfg.fast = false,
-            "--json" => opts.json = Some(value("--json", it.next())?),
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--json" => opts.json = Some(args.value("--json")?),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(opts)
@@ -104,17 +88,8 @@ fn resolve(addr: &str) -> Result<SocketAddr, String> {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     let addr = match resolve(&opts.addr) {
         Ok(addr) => addr,
         Err(msg) => {

@@ -21,6 +21,7 @@
 //! 1 on runtime failure (bind error), 2 on usage errors; `--help`
 //! prints usage on stdout and exits 0.
 
+use sim_runtime::cli::{self, Args, CliError};
 use sim_serve::{Engine, EngineConfig, Server};
 use std::io::Read;
 use std::sync::atomic::Ordering;
@@ -37,77 +38,41 @@ struct Opts {
     engine: EngineConfig,
     port_file: Option<String>,
     drain_on_stdin_close: bool,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         addr: "127.0.0.1".to_owned(),
         port: 7071,
         engine: EngineConfig::default(),
         port_file: None,
         drain_on_stdin_close: false,
-        help: false,
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    fn num<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
-        raw.parse()
-            .map_err(|_| format!("{name} needs a non-negative integer, got `{raw}`\n{USAGE}"))
-    }
-    while let Some(arg) = it.next() {
+    const COUNT: &str = "a non-negative integer";
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--addr" => opts.addr = value("--addr", it.next())?,
-            "--port" => opts.port = num("--port", &value("--port", it.next())?)?,
-            "--workers" => {
-                opts.engine.workers = num("--workers", &value("--workers", it.next())?)?;
-            }
-            "--queue" => {
-                opts.engine.queue_cap = num("--queue", &value("--queue", it.next())?)?;
-            }
-            "--cache-bytes" => {
-                opts.engine.cache_bytes =
-                    num("--cache-bytes", &value("--cache-bytes", it.next())?)?;
-            }
-            "--job-threads" => {
-                opts.engine.job_threads =
-                    num("--job-threads", &value("--job-threads", it.next())?)?;
-            }
+            "--addr" => opts.addr = args.value("--addr")?,
+            "--port" => opts.port = args.parse("--port", COUNT)?,
+            "--workers" => opts.engine.workers = args.parse("--workers", COUNT)?,
+            "--queue" => opts.engine.queue_cap = args.parse("--queue", COUNT)?,
+            "--cache-bytes" => opts.engine.cache_bytes = args.parse("--cache-bytes", COUNT)?,
+            "--job-threads" => opts.engine.job_threads = args.parse("--job-threads", COUNT)?,
             "--job-timeout-secs" => {
-                let secs: u64 = num(
-                    "--job-timeout-secs",
-                    &value("--job-timeout-secs", it.next())?,
-                )?;
-                opts.engine.job_timeout =
-                    (secs > 0).then(|| Duration::from_secs(secs));
+                let secs: u64 = args.parse("--job-timeout-secs", COUNT)?;
+                opts.engine.job_timeout = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--port-file" => opts.port_file = Some(value("--port-file", it.next())?),
+            "--port-file" => opts.port_file = Some(args.value("--port-file")?),
             "--drain-on-stdin-close" => opts.drain_on_stdin_close = true,
             "--no-telemetry" => opts.engine.telemetry = false,
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(opts)
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     let engine = Arc::new(Engine::new(Arc::new(bench::registry()), &opts.engine));
     let bind_addr = format!("{}:{}", opts.addr, opts.port);
     let server = match Server::bind(&bind_addr, engine) {

@@ -16,6 +16,7 @@
 //! errors.
 
 use sim_observe::{parse_with_limits, Json, ParseLimits};
+use sim_runtime::cli::{self, Args, CliError};
 use sim_serve::{Backoff, Client};
 use std::net::{SocketAddr, ToSocketAddrs};
 
@@ -35,55 +36,34 @@ struct Opts {
     /// Number of polls; 0 means poll until interrupted.
     count: u64,
     format: Format,
-    help: bool,
 }
 
-fn parse_opts<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
+fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
         addr: "127.0.0.1:7071".to_owned(),
         interval_ms: 1_000,
         count: 0,
         format: Format::Table,
-        help: false,
     };
-    let mut it = args.into_iter();
-    let value = |name: &str, v: Option<String>| -> Result<String, String> {
-        v.ok_or_else(|| format!("{name} needs an argument\n{USAGE}"))
-    };
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
-            "--addr" => opts.addr = value("--addr", it.next())?,
-            "--interval-ms" => {
-                let raw = value("--interval-ms", it.next())?;
-                opts.interval_ms = raw.parse().map_err(|_| {
-                    format!("--interval-ms needs a number, got `{raw}`\n{USAGE}")
-                })?;
-            }
-            "--count" => {
-                let raw = value("--count", it.next())?;
-                opts.count = raw.parse().map_err(|_| {
-                    format!("--count needs a number, got `{raw}`\n{USAGE}")
-                })?;
-            }
+            "--addr" => opts.addr = args.value("--addr")?,
+            "--interval-ms" => opts.interval_ms = args.parse("--interval-ms", "a number")?,
+            "--count" => opts.count = args.parse("--count", "a number")?,
             "--once" => opts.count = 1,
             "--format" => {
-                let raw = value("--format", it.next())?;
-                opts.format = match raw.as_str() {
+                opts.format = match args.value("--format")?.as_str() {
                     "table" => Format::Table,
                     "json" => Format::JsonBody,
                     "prom" | "prometheus" => Format::Prom,
                     other => {
-                        return Err(format!(
-                            "unknown format `{other}` (known: table, json, prom)\n{USAGE}"
-                        ))
+                        return Err(CliError::Usage(format!(
+                            "unknown format `{other}` (known: table, json, prom)"
+                        )))
                     }
                 };
             }
-            "--help" | "-h" => {
-                opts.help = true;
-                return Ok(opts);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(opts)
@@ -190,17 +170,8 @@ fn render_table(doc: &Json, addr: &SocketAddr, poll: u64) -> String {
 }
 
 fn main() {
-    let opts = match parse_opts(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if opts.help {
-        println!("{USAGE}");
-        return;
-    }
+    let opts = cli::resolve(USAGE, parse_opts(Args::from_env()))
+        .unwrap_or_else(|code| std::process::exit(code));
     let addr = match resolve(&opts.addr) {
         Ok(addr) => addr,
         Err(msg) => {
@@ -269,8 +240,8 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Opts, String> {
-        parse_opts(args.iter().map(|s| (*s).to_owned()))
+    fn parse(args: &[&str]) -> Result<Opts, CliError> {
+        parse_opts(Args::new(args.iter().copied()))
     }
 
     #[test]

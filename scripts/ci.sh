@@ -66,8 +66,8 @@ run scripts/serve_smoke.sh target/release
 # Sweep smoke: the checkpointed mega-sweep workflow with a mid-run
 # kill -9 — shard, kill, inject a torn temp file, resume, merge — the
 # merged report must be byte-identical to the uninterrupted
-# single-process baseline; CLI contracts (--help 0, usage 2) on both
-# new binaries ride along.
+# single-process baseline; the CLI contract (--help 0, usage 2) on all
+# nine binaries rides along.
 run scripts/sweep_smoke.sh target/release
 # Sweep micro-bench: digests and merge==single invariant exact, wall
 # clocks structural, vs the committed baseline.

@@ -4,13 +4,13 @@
 # report, run two shards to completion, kill -9 the third mid-range
 # (and inject a torn temp file next to its checkpoint), resume it, and
 # verify the merged report is byte-identical to the baseline. Also
-# checks the CLI contracts of both sweep binaries, of netlist_bench and
-# of the experiments front end (--help exits 0; garbage or out-of-range
-# numerics and unknown names exit 2 before any work starts).
+# checks the CLI contract of all nine workspace binaries (--help exits
+# 0; unknown flags, missing values, garbage or out-of-range numerics
+# and unknown names exit 2 before any work starts).
 #
 # Usage: scripts/sweep_smoke.sh [BIN_DIR]
-#   BIN_DIR   directory holding explore/sweep_shard/netlist_bench/
-#             experiments (default target/release)
+#   BIN_DIR   directory holding the workspace binaries (default
+#             target/release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,11 +24,27 @@ fail() {
     exit 1
 }
 
-# CLI contracts: --help exits 0 on every binary, garbage numerics 2.
-"$BIN/explore" --help >/dev/null || fail "explore --help must exit 0"
-"$BIN/sweep_shard" --help >/dev/null || fail "sweep_shard --help must exit 0"
-"$BIN/netlist_bench" --help >/dev/null || fail "netlist_bench --help must exit 0"
-"$BIN/experiments" --help >/dev/null || fail "experiments --help must exit 0"
+# CLI contracts (sim_runtime::cli) on all nine binaries: --help exits 0
+# with usage on stdout; an unknown flag, and a value flag with nothing
+# after it, exit 2 before any work starts. Each entry is
+# "binary:arguments ending in a value flag" (trace_check takes none).
+for spec in "experiments:e6 --seed" "bench_regress:--out" "explore:--json" \
+    "netlist_bench:--out" "sweep_shard:--manifest" "trace_check:" \
+    "sim_serve:--port" "sim_loadgen:--addr" "sim_top:--addr"; do
+    bin="${spec%%:*}"
+    dangling="${spec#*:}"
+    out=$("$BIN/$bin" --help) || fail "$bin --help must exit 0"
+    [[ "$out" == usage:* ]] || fail "$bin --help must print usage on stdout"
+    rc=0; "$BIN/$bin" --frobnicate >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || fail "$bin must exit 2 on an unknown flag (got $rc)"
+    if [ -n "$dangling" ]; then
+        rc=0
+        # shellcheck disable=SC2086 # word-split the arguments
+        "$BIN/$bin" $dangling >/dev/null 2>&1 || rc=$?
+        [ "$rc" -eq 2 ] || fail "$bin must exit 2 on a trailing $dangling (got $rc)"
+    fi
+done
+"$BIN/experiments" e6 --help >/dev/null || fail "experiments e6 --help must exit 0"
 rc=0; "$BIN/experiments" e99 >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "experiments must exit 2 on an unknown experiment (got $rc)"
 rc=0; "$BIN/experiments" e6 --trials x >/dev/null 2>&1 || rc=$?
@@ -37,9 +53,15 @@ rc=0; "$BIN/explore" --trials banana 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "explore must exit 2 on garbage --trials (got $rc)"
 rc=0; "$BIN/sweep_shard" --manifest x --shard -3 --dir y 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "sweep_shard must exit 2 on garbage --shard (got $rc)"
+# A floor or tolerance that no measurement can cross disarms its gate.
+for bad in "NaN" "-1"; do
+    rc=0; "$BIN/bench_regress" --wall-tol "$bad" >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || fail "bench_regress must exit 2 on --wall-tol $bad (got $rc)"
+done
 # netlist_bench must refuse values its workloads cannot run, before the
 # million-gate runs start (the output file must not appear).
-for bad in "--side 0" "--stages 0" "--stages 3" "--rate 2" "--rate NaN"; do
+for bad in "--side 0" "--stages 0" "--stages 3" "--rate 2" "--rate NaN" \
+    "--min-eps NaN" "--min-eps -1"; do
     rc=0
     # shellcheck disable=SC2086 # word-split the flag and its value
     "$BIN/netlist_bench" $bad --out "$OUT/bad_flags.json" 2>/dev/null || rc=$?
