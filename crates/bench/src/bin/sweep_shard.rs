@@ -31,8 +31,9 @@
 //! `baselines/BENCH_sweep.json`: it runs a small fixed grid
 //! single-process, re-runs it as shards with a forced mid-range stop
 //! and resume, merges, and asserts the merged report is byte-identical
-//! — emitting shard throughput and resume overhead as the volatile
-//! `run` section.
+//! — emitting shard throughput and the cost of each checkpoint as the
+//! volatile `run` section. Its grid holds one point of every cell kind,
+//! so the digests pin the trial kernels of each.
 
 use bench::grid;
 use sim_observe::{Json, SpanTimer};
@@ -304,8 +305,9 @@ fn status_mode(opts: &Opts) -> Result<i32, String> {
     Ok(0)
 }
 
-/// The fixed `--bench` workload: tiny two-scheme grid, sharded with a
-/// forced mid-range stop, resume, merge, byte-compare.
+/// The fixed `--bench` workload: a tiny grid with one point per cell
+/// kind, sharded with a forced mid-range stop, resume, merge,
+/// byte-compare.
 fn bench_mode(opts: &Opts) -> Result<i32, String> {
     let points = vec![
         GridPoint::new("global", "htree", 4, 0.0),
@@ -313,6 +315,8 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
         GridPoint::new("hybrid", "mesh", 4, 0.0),
         GridPoint::new("hybrid", "mesh", 4, 0.05),
         GridPoint::new("selftimed", "chain", 4, 0.05),
+        GridPoint::new("trix", "grid", 4, 0.05),
+        GridPoint::new("pals", "mesh", 4, 0.05),
     ];
     let m = Manifest::new("sweep-bench", opts.seed, opts.trials, 3, 4, points)?;
     let cells = grid::build_cells(&m)?;
@@ -330,6 +334,7 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
     let dir = dir.to_string_lossy().into_owned();
     let mut shard_wall_ms = Vec::new();
     let mut resumed_trials = 0;
+    let mut checkpoints = 0;
     let timer = SpanTimer::start();
     for shard in 0..m.shards {
         // Shard 1 is stopped mid-range and resumed: the resume
@@ -347,6 +352,7 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
                 trial,
             )?;
             assert!(stopped.interrupted, "budget must interrupt the shard");
+            checkpoints += stopped.checkpoints;
         }
         let st = run_shard(
             &m,
@@ -360,6 +366,7 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
             trial,
         )?;
         resumed_trials += st.resumed_at;
+        checkpoints += st.checkpoints;
         shard_wall_ms.push(Json::Float(st.wall_ms));
     }
     let sharded_wall_ms = timer.elapsed_ms();
@@ -373,7 +380,10 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
     }
     let total = m.total_trials() as f64;
     let trials_per_sec = total / (single_wall_ms / 1e3).max(1e-9);
-    let resume_overhead_pct = (sharded_wall_ms / single_wall_ms.max(1e-9) - 1.0) * 100.0;
+    // Sharding re-runs the same trials; what it adds is checkpoint I/O
+    // (plus shard start-up), charged here per checkpoint written.
+    let overhead_ms_per_checkpoint =
+        (sharded_wall_ms - single_wall_ms) / checkpoints.max(1) as f64;
     let frontier = grid::sweep_frontier(&merged_report)?;
 
     let doc = Json::obj(vec![
@@ -408,7 +418,8 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
                 ("shard_wall_ms", Json::Array(shard_wall_ms)),
                 ("resumed_trials", Json::UInt(resumed_trials)),
                 ("trials_per_sec", Json::Float(trials_per_sec)),
-                ("resume_overhead_pct", Json::Float(resume_overhead_pct)),
+                ("checkpoints", Json::UInt(checkpoints)),
+                ("overhead_ms_per_checkpoint", Json::Float(overhead_ms_per_checkpoint)),
             ]),
         ),
     ]);
@@ -419,7 +430,7 @@ fn bench_mode(opts: &Opts) -> Result<i32, String> {
     write_json(&out, &doc)?;
     println!(
         "sweep_shard: bench {total:.0} trials, {trials_per_sec:.0} trials/sec, \
-         resume overhead {resume_overhead_pct:.1}% -> {out}"
+         {overhead_ms_per_checkpoint:.3} ms overhead per checkpoint ({checkpoints}) -> {out}"
     );
     Ok(0)
 }

@@ -17,18 +17,19 @@
 //!   toward a fault-tolerant trimmed midpoint; synchrony is relative
 //!   (internal spread).
 //!
-//! The [`measure_recovery`] harness turns each run's skew signal into
-//! violation spans and recovery latencies; the report sweeps scheme ×
-//! array size × episode rate and asserts the headline contrast: at the
-//! storm rate the rigid network **never** re-establishes the invariant
-//! while TRIX and PALS recover every violation with bounded latency.
+//! The [`sim_faults::measure_recovery`] harness (driven through
+//! [`episode_trial`], which the design-space grid shares) turns each
+//! run's skew signal into violation spans and recovery latencies; the
+//! report sweeps scheme × array size × episode rate and asserts the
+//! headline contrast: at the storm rate the rigid network **never**
+//! re-establishes the invariant while TRIX and PALS recover every
+//! violation with bounded latency.
 
+use crate::episode::{episode_trial, EpisodeScheme};
 use crate::{f, Table};
-use clock_tree::prelude::{RigidGrid, TrixGrid, TrixParams};
-use selftimed::prelude::{PalsMesh, PalsParams};
-use sim_faults::{
-    measure_recovery, Episode, EpisodeConfig, EpisodePlan, RecoveryConfig, RecoveryReport,
-};
+use clock_tree::prelude::TrixParams;
+use selftimed::prelude::PalsParams;
+use sim_faults::{EpisodeConfig, EpisodePlan, RecoveryConfig, RecoveryReport};
 use sim_observe::{LogHistogram, TraceBuf, TraceEvent};
 use sim_runtime::{rline, ExpConfig, Experiment, Report, SimRng};
 
@@ -63,18 +64,21 @@ const EP_RATES: [(f64, &str); 2] = [(0.1, "calm"), (0.6, "storm")];
 /// The scheme axis, in report order.
 const SCHEME_NAMES: [&str; 3] = ["rigid-htree", "trix-grid", "pals-mesh"];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheme {
-    Rigid,
-    Trix,
-    Pals,
-}
-
-const SCHEMES: [Scheme; 3] = [Scheme::Rigid, Scheme::Trix, Scheme::Pals];
-
 /// Free-run drift of a clockless sink in the rigid model — matches
 /// the TRIX/PALS fault physics so displacements are comparable.
 const FAULT_DRIFT: f64 = 0.05;
+
+/// The scheme axis over a k×k array, in [`SCHEME_NAMES`] order.
+fn schemes(k: usize) -> [EpisodeScheme; 3] {
+    [
+        EpisodeScheme::Rigid {
+            nodes: k * k,
+            drift: FAULT_DRIFT,
+        },
+        EpisodeScheme::Trix(TrixParams::new(k, k)),
+        EpisodeScheme::Pals(PalsParams::new(k)),
+    ]
+}
 
 fn episode_config(rate: f64) -> EpisodeConfig {
     EpisodeConfig {
@@ -85,41 +89,8 @@ fn episode_config(rate: f64) -> EpisodeConfig {
     }
 }
 
-/// One trial: build the scheme over a k×k array, drive it through the
-/// trial's episode schedule, and measure recovery. Deterministic in
-/// `(plan_seed, trial)` alone.
-fn recovery_trial(
-    scheme: Scheme,
-    k: usize,
-    rate: f64,
-    plan_seed: u64,
-    trial: u64,
-    trace: Option<&mut TraceBuf>,
-) -> (u64, RecoveryReport) {
-    let n = k * k;
-    let plan = EpisodePlan::new(plan_seed, trial, episode_config(rate));
-    // Precompute the per-site schedule once; the per-tick closure is
-    // then a branch and an interval test.
-    let schedule: Vec<Option<Episode>> = (0..n as u64).map(|s| plan.episode(s)).collect();
-    let episodes = schedule.iter().flatten().count() as u64;
-    let active = |s: u64, t: u64| schedule[s as usize].is_some_and(|e| e.active_at(t));
-    let sim_seed = plan_seed ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let rcfg = RecoveryConfig::new(THRESHOLD, HOLD, TICKS);
-    let report = match scheme {
-        Scheme::Rigid => {
-            let mut g = RigidGrid::new(sim_seed, n, FAULT_DRIFT);
-            measure_recovery(&rcfg, |t| g.step(|s| active(s, t)), trace)
-        }
-        Scheme::Trix => {
-            let mut g = TrixGrid::new(sim_seed, TrixParams::new(k, k));
-            measure_recovery(&rcfg, |t| g.step(|s| active(s, t)), trace)
-        }
-        Scheme::Pals => {
-            let mut m = PalsMesh::new(sim_seed, PalsParams::new(k));
-            measure_recovery(&rcfg, |t| m.step(|s| active(s, t)), trace)
-        }
-    };
-    (episodes, report)
+fn recovery_config() -> RecoveryConfig {
+    RecoveryConfig::new(THRESHOLD, HOLD, TICKS)
 }
 
 /// A cell's aggregate over its trials (in-order fold).
@@ -165,7 +136,7 @@ impl Experiment for E13 {
         "Theorem 6 + PAPERS.md (TRIX, gradient clock sync)"
     }
     fn approx_ms(&self) -> u64 {
-        1_500
+        600
     }
 
     #[allow(clippy::too_many_lines)]
@@ -199,14 +170,16 @@ impl Experiment for E13 {
                 "p99",
                 "in-sync",
             ]);
-            for (si, &scheme) in SCHEMES.iter().enumerate() {
+            for (si, scheme) in schemes(k).iter().enumerate() {
                 let mut per_rate: Vec<CellStats> = Vec::new();
                 for (ri, &(rate, rate_name)) in EP_RATES.iter().enumerate() {
                     // Same plan seed for every scheme: one fault
                     // environment, three reactions.
                     let plan_seed = cfg.seed ^ ((k as u64) << 32) ^ ((ri as u64 + 1) << 8);
                     let results = sweep.run_isolated(trials, plan_seed, |t, _rng| {
-                        recovery_trial(scheme, k, rate, plan_seed, t as u64, None)
+                        let episodes = episode_config(rate);
+                        let recovery = recovery_config();
+                        episode_trial(scheme, episodes, &recovery, plan_seed, t as u64, None)
                     });
                     let mut stats = CellStats::default();
                     for res in &results {
@@ -302,8 +275,14 @@ impl Experiment for E13 {
                 });
             }
             let mut spans = TraceBuf::new(1 << 8);
-            let (_, rep) =
-                recovery_trial(Scheme::Trix, 4, EP_RATES[1].0, plan_seed, 0, Some(&mut spans));
+            let (_, rep) = episode_trial(
+                &EpisodeScheme::Trix(TrixParams::new(4, 4)),
+                episode_config(EP_RATES[1].0),
+                &recovery_config(),
+                plan_seed,
+                0,
+                Some(&mut spans),
+            );
             assert!(rep.all_recovered(), "the traced trial recovers");
             r.trace_mut().add_track("episodes", episodes);
             r.trace_mut().add_track("recovery", spans);

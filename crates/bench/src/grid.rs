@@ -18,12 +18,13 @@
 //! the grid point — so shard merges stay byte-identical to
 //! single-process runs.
 
+use crate::episode::{episode_trial, EpisodeScheme};
 use array_layout::prelude::*;
 use clock_tree::prelude::*;
 use selftimed::prelude::*;
 use sim_faults::{
-    measure_recovery, truncate_panic_reason, Episode, EpisodeConfig, EpisodePlan, FaultPlan,
-    FaultRates, OutcomeTally, RecoveryConfig, RecoveryReport, RetryPolicy, RunOutcome,
+    truncate_panic_reason, EpisodeConfig, FaultPlan, FaultRates, OutcomeTally, RecoveryConfig,
+    RetryPolicy, RunOutcome,
 };
 use sim_observe::Json;
 use sim_runtime::{panic_message, SimRng};
@@ -266,43 +267,24 @@ pub enum Cell {
     Pals(PalsParams),
 }
 
-/// Maps a recovery report onto the grid's outcome vocabulary: a trial
-/// survives iff every skew violation healed, and its "retention" is
-/// the fraction of ticks the invariant held.
-fn recovery_outcome(rep: &RecoveryReport) -> (RunOutcome, f64) {
+/// One self-stabilizing trial at episode rate `rate`, mapped onto the
+/// grid's outcome vocabulary: a trial survives iff every skew
+/// violation healed, and its "retention" is the fraction of ticks the
+/// invariant held.
+fn episode_outcome(
+    scheme: EpisodeScheme,
+    rate: f64,
+    point_seed: u64,
+    trial: u64,
+) -> (RunOutcome, f64) {
+    let recovery = RecoveryConfig::new(EP_THRESHOLD, EP_HOLD, EP_TICKS);
+    let episodes = episode_config(rate);
+    let (_, rep) = episode_trial(&scheme, episodes, &recovery, point_seed, trial, None);
     if rep.all_recovered() {
         (RunOutcome::Ok, rep.in_sync_fraction())
     } else {
         (RunOutcome::TimingViolation, 0.0)
     }
-}
-
-/// One self-stabilizing trial: derive the episode plan from
-/// `(point_seed, trial)`, drive the scheme through it, and classify
-/// the recovery report.
-fn episode_trial(cell: &Cell, rate: f64, point_seed: u64, trial: u64) -> (RunOutcome, f64) {
-    let n = match cell {
-        Cell::Trix(p) => p.rows * p.cols,
-        Cell::Pals(p) => p.k * p.k,
-        _ => unreachable!("episode_trial is only called for trix/pals cells"),
-    };
-    let plan = EpisodePlan::new(point_seed, trial, episode_config(rate));
-    let schedule: Vec<Option<Episode>> = (0..n as u64).map(|s| plan.episode(s)).collect();
-    let active = |s: u64, t: u64| schedule[s as usize].is_some_and(|e| e.active_at(t));
-    let sim_seed = point_seed ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let rcfg = RecoveryConfig::new(EP_THRESHOLD, EP_HOLD, EP_TICKS);
-    let rep = match cell {
-        Cell::Trix(p) => {
-            let mut g = TrixGrid::new(sim_seed, *p);
-            measure_recovery(&rcfg, |t| g.step(|s| active(s, t)), None)
-        }
-        Cell::Pals(p) => {
-            let mut m = PalsMesh::new(sim_seed, *p);
-            measure_recovery(&rcfg, |t| m.step(|s| active(s, t)), None)
-        }
-        _ => unreachable!("episode_trial is only called for trix/pals cells"),
-    };
-    recovery_outcome(&rep)
 }
 
 /// Builds the simulation state for one grid point.
@@ -518,8 +500,11 @@ pub fn run_trial(
             };
             (run.outcome, retention)
         }
-        Cell::Trix(_) | Cell::Pals(_) => {
-            episode_trial(cell, point.fault_rate, point_seed, trial)
+        Cell::Trix(p) => {
+            episode_outcome(EpisodeScheme::Trix(*p), point.fault_rate, point_seed, trial)
+        }
+        Cell::Pals(p) => {
+            episode_outcome(EpisodeScheme::Pals(*p), point.fault_rate, point_seed, trial)
         }
     }));
     match result {

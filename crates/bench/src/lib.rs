@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod episode;
 pub mod experiments;
 pub mod grid;
 pub mod regress;

@@ -1,6 +1,7 @@
 //! Non-uniform sampling on top of any [`Rng`] — the Gaussian draws
 //! behind the Section VII discrepancy model and the A8 jitter study —
-//! and the summary statistics experiments read those samples with.
+//! and the summary and order statistics experiments read those samples
+//! with.
 //!
 //! The paper's analyses assume per-stage discrepancies "normally
 //! distributed with a mean of zero and variance V"; `rand` used to be
@@ -149,6 +150,37 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
     (slope, my - slope * mx)
 }
 
+/// `f64::total_cmp` as plain integer order: `total_order_key(a) <
+/// total_order_key(b)` iff `a.total_cmp(&b)` is `Less`. Order
+/// statistics of small windows (a median, trimmed extremes) can then be
+/// picked with branch-free integer `min`/`max` and mapped back bit for
+/// bit by [`from_total_order_key`].
+///
+/// # Examples
+///
+/// ```
+/// use sim_runtime::{from_total_order_key, total_order_key};
+///
+/// assert!(total_order_key(-0.0) < total_order_key(0.0));
+/// assert!(total_order_key(-1.5) < total_order_key(-0.5));
+/// assert_eq!(from_total_order_key(total_order_key(2.5)), 2.5);
+/// ```
+#[inline]
+#[must_use]
+pub fn total_order_key(x: f64) -> i64 {
+    let k = x.to_bits() as i64;
+    // Negative floats order by descending magnitude: flip all but the
+    // sign bit. The map is its own inverse.
+    k ^ (((k >> 63) as u64) >> 1) as i64
+}
+
+/// The float whose [`total_order_key`] is `key`.
+#[inline]
+#[must_use]
+pub fn from_total_order_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +259,33 @@ mod tests {
         let (slope, intercept) = linear_fit(&x, &y);
         assert!((slope - 2.0).abs() < 1e-9);
         assert!((intercept - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn total_order_key_sorts_like_total_cmp() {
+        let mut rng = SimRng::seed_from_u64(8);
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        let mut draw = || {
+            if rng.gen_bool(0.3) {
+                special[rng.gen_range(0..special.len())]
+            } else {
+                f64::from_bits(rng.next_u64())
+            }
+        };
+        for _ in 0..50_000 {
+            let (a, b) = (draw(), draw());
+            assert_eq!(total_order_key(a).cmp(&total_order_key(b)), a.total_cmp(&b));
+            assert_eq!(from_total_order_key(total_order_key(a)).to_bits(), a.to_bits());
+        }
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! * [`rng`] — a seedable, splittable PRNG ([`SimRng`]:
 //!   SplitMix64-seeded xoshiro256++) behind a small [`Rng`] trait
 //!   whose surface (`gen_f64`, `gen_bool`, `gen_range`, `shuffle`)
-//!   mirrors the `rand` call sites it replaced;
+//!   mirrors the `rand` call sites it replaced, plus the stateless
+//!   keyed hash [`signed_unit`] (and its cached-prefix form
+//!   [`HashPrefix`]) behind per-site and per-link draws;
 //! * [`dist`] — Gaussian (Box–Muller) sampling on top of any [`Rng`],
-//!   plus the `mean_std`/`linear_fit` summaries;
+//!   plus the `mean_std`/`linear_fit` summaries and the
+//!   [`total_order_key`] map that picks order statistics with integer
+//!   `min`/`max`;
 //! * [`sweep`] — [`ParallelSweep`], a `std::thread::scope` executor
 //!   that fans a range of independent trials across worker threads
 //!   with per-trial child seeds, so results are **bit-identical
@@ -63,16 +67,17 @@ pub mod rng;
 pub mod sweep;
 pub mod table;
 
-pub use dist::{linear_fit, mean_std, sample_normal, Gaussian};
+pub use dist::{
+    from_total_order_key, linear_fit, mean_std, sample_normal, total_order_key, Gaussian,
+};
 pub use experiment::{
     run_cli_args, run_experiment, take_artifact_failure, write_artifact, write_with_parents,
     ExpConfig, Experiment, Registry,
 };
 pub use report::{
-    json_core, json_full, Report, RunInfo, TableSection, REPORT_SCHEMA,
-    REPORT_SCHEMA_VERSION,
+    json_core, json_full, Report, RunInfo, TableSection, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
 };
-pub use rng::{Rng, SampleRange, SimRng, SliceRandom, SplitMix64};
+pub use rng::{signed_unit, HashPrefix, Rng, SampleRange, SimRng, SliceRandom, SplitMix64};
 pub use sweep::{panic_message, ParallelSweep, SweepStats, TrialSpan};
 pub use table::Table;
 

@@ -53,6 +53,55 @@ impl SplitMix64 {
     }
 }
 
+/// One link of the keyed-hash chain: fold `word` into `h` and mix it
+/// with one SplitMix64 step.
+fn hash_round(h: u64, word: u64) -> u64 {
+    SplitMix64::new(h ^ word).next_u64()
+}
+
+/// Uniform value in `[-1, 1)` from a keyed hash of three words: three
+/// chained SplitMix64 rounds, the top 53 bits of the last one mapped
+/// onto the interval. A pure function of its input, so per-site and
+/// per-link draws need no generator state.
+///
+/// # Examples
+///
+/// ```
+/// use sim_runtime::{signed_unit, HashPrefix};
+///
+/// let u = signed_unit([1, 2, 3]);
+/// assert!((-1.0..1.0).contains(&u));
+/// assert_eq!(u.to_bits(), HashPrefix::new(1, 2).signed_unit(3).to_bits());
+/// ```
+#[must_use]
+pub fn signed_unit(words: [u64; 3]) -> f64 {
+    HashPrefix::new(words[0], words[1]).signed_unit(words[2])
+}
+
+/// [`signed_unit`] with its first two words folded in ahead of time.
+///
+/// A draw keyed by `(stream, link, tick)` spends two of its three
+/// rounds on words that never change for a link; caching the prefix
+/// leaves one round per draw. `HashPrefix::new(a, b).signed_unit(c)`
+/// is bit-identical to `signed_unit([a, b, c])`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashPrefix(u64);
+
+impl HashPrefix {
+    /// Runs the first two rounds of the chain over `a` then `b`.
+    #[must_use]
+    pub fn new(a: u64, b: u64) -> Self {
+        HashPrefix(hash_round(hash_round(0, a), b))
+    }
+
+    /// Finishes the chain with `c` and maps it onto `[-1, 1)`.
+    #[must_use]
+    pub fn signed_unit(self, c: u64) -> f64 {
+        let h = hash_round(self.0, c);
+        (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    }
+}
+
 /// The workspace's simulation PRNG: xoshiro256++ with SplitMix64
 /// seeding.
 ///
@@ -271,6 +320,38 @@ mod tests {
         assert_eq!(sm.next_u64(), 6457827717110365317);
         assert_eq!(sm.next_u64(), 3203168211198807973);
         assert_eq!(sm.next_u64(), 9817491932198370423);
+    }
+
+    #[test]
+    fn hash_prefix_matches_the_full_chain() {
+        // The three-round chain written out longhand.
+        let chain = |words: [u64; 3]| {
+            let mut h = 0u64;
+            for w in words {
+                h = SplitMix64::new(h ^ w).next_u64();
+            }
+            (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        let mut rng = SimRng::seed_from_u64(2024);
+        for _ in 0..10_000 {
+            let words = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+            let want = chain(words).to_bits();
+            assert_eq!(signed_unit(words).to_bits(), want);
+            let prefix = HashPrefix::new(words[0], words[1]);
+            assert_eq!(prefix.signed_unit(words[2]).to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn signed_unit_covers_half_open_interval() {
+        let (mut lo, mut hi) = (0.0f64, 0.0f64);
+        for i in 0..10_000u64 {
+            let u = signed_unit([3, 5, i]);
+            assert!((-1.0..1.0).contains(&u), "{u} outside [-1, 1)");
+            lo = lo.min(u);
+            hi = hi.max(u);
+        }
+        assert!(lo < -0.99 && hi > 0.99, "fills the interval: [{lo}, {hi}]");
     }
 
     #[test]
