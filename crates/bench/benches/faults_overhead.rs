@@ -1,5 +1,5 @@
 //! Fault-layer overhead guard: with a disabled [`FaultPlan`] every
-//! hook — `inject_net_faults`, `with_buffer_faults`, the lossy
+//! hook — `inject_wire_faults`, `with_buffer_faults`, the lossy
 //! handshake/hybrid runs — must cost one branch on `is_enabled()`
 //! over the fault-free code path: no site hashing, no RNG
 //! construction, no tree clone beyond what the API returns.
@@ -8,17 +8,17 @@
 use array_layout::prelude::*;
 use bench::timing::{bench, group};
 use clock_tree::prelude::*;
-use desim::prelude::*;
+use netlist::prelude::*;
 use selftimed::prelude::*;
 use sim_faults::{FaultPlan, FaultRates, RetryPolicy};
 
-fn chain(n: usize) -> (Simulator, Vec<NetId>) {
-    let mut sim = Simulator::new();
-    let nets: Vec<NetId> = (0..n).map(|_| sim.add_net()).collect();
-    for w in nets.windows(2) {
-        sim.add_inverter(w[0], w[1], SimTime::from_ps(100), SimTime::from_ps(100));
+fn chain(n: usize) -> (NetSim, Vec<WireId>) {
+    let mut nl = Netlist::new();
+    let wires: Vec<WireId> = (0..n).map(|_| nl.add_wire()).collect();
+    for w in wires.windows(2) {
+        nl.add_inverter(w[0], w[1], SimTime::from_ps(100), SimTime::from_ps(100));
     }
-    (sim, nets)
+    (NetSim::from_netlist(nl), wires)
 }
 
 fn main() {
@@ -29,10 +29,10 @@ fn main() {
 
     group("engine_injection");
     for (label, plan) in [("disabled", &disabled), ("enabled", &enabled)] {
-        bench(&format!("inject_net_faults/1024/{label}"), || {
-            let (mut sim, nets) = chain(1024);
-            let injected = inject_net_faults(&mut sim, plan, &nets, SimTime::from_ps(10_000));
-            sim.schedule_input(nets[0], SimTime::from_ps(100), true);
+        bench(&format!("inject_wire_faults/1024/{label}"), || {
+            let (mut sim, wires) = chain(1024);
+            let injected = inject_wire_faults(&mut sim, plan, &wires, SimTime::from_ps(10_000));
+            sim.schedule_input(wires[0], SimTime::from_ps(100), true);
             let halt = sim.run_budgeted(RunBudget::new(SimTime::from_ps(10_000_000), 1 << 20));
             (injected, matches!(halt, Halt::Quiescent { .. }))
         });

@@ -4,7 +4,7 @@
 //! the enabled path's cost should stay within a small multiple.
 
 use bench::timing::{bench, group};
-use desim::prelude::*;
+use netlist::prelude::*;
 
 fn spec(stages: usize) -> InverterStringSpec {
     InverterStringSpec {

@@ -20,10 +20,9 @@
 //! plus a volatile top-level `run` section (wall clock, events/sec)
 //! that is only structurally checked. `--min-eps` makes the binary
 //! itself a throughput smoke: exit 1 if the combined event rate falls
-//! below the floor (catches an accidental return to heap-scheduler
-//! complexity even when the counters still match).
+//! below the floor (catches a scheduler or settle-loop slowdown even
+//! when the counters still match).
 
-use desim::prelude::*;
 use netlist::prelude::*;
 use sim_faults::{FaultPlan, FaultRates};
 use sim_observe::{Json, SpanTimer};
@@ -78,7 +77,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     Ok(opts)
 }
 
-fn stats_json(stats: &desim::engine::EngineStats) -> Json {
+fn stats_json(stats: &EngineStats) -> Json {
     Json::obj(vec![
         ("events_scheduled", Json::UInt(stats.events_scheduled)),
         ("events_processed", Json::UInt(stats.events_processed)),
@@ -100,10 +99,8 @@ fn string_workload(opts: &Opts) -> (Json, u64) {
     let shrink = chip.worst_prefix_shrinkage_ps().unsigned_abs();
     let period = SimTime::from_ps(2 * shrink + 8 * spec.base_delay.as_ps());
     let high = SimTime::from_ps(period.as_ps() / 2);
-    let mut nl = Netlist::new();
-    let nodes = build_chain(&mut nl, &chip.chain_stages());
-    let (clk, far) = (nodes[0], *nodes.last().expect("chain non-empty"));
-    let mut sim = NetSim::from_netlist(nl);
+    let (clk, far) = (WireId::from_index(0), WireId::from_index(opts.stages));
+    let mut sim = NetSim::from_netlist(chip.netlist());
     sim.watch(far);
     sim.schedule_clock(clk, SimTime::from_ps(10), period, high, opts.cycles);
     let limit = SimTime::from_ps(

@@ -23,7 +23,7 @@ use crate::grid::{
 use crate::{f, Table};
 use array_layout::prelude::*;
 use clock_tree::prelude::*;
-use desim::prelude::*;
+use netlist::prelude::*;
 use selftimed::prelude::*;
 use sim_faults::{FaultPlan, FaultRates, RunOutcome};
 use sim_runtime::{rline, ExpConfig, Experiment, Report, SimRng};
@@ -34,6 +34,17 @@ pub struct E12;
 
 fn ps(v: u64) -> SimTime {
     SimTime::from_ps(v)
+}
+
+/// A chain of `n` wires joined by 100 ps inverters, simulated; wire
+/// `k` is the chain's `k`-th, so fault-plan sites are chain positions.
+fn inverter_chain(n: usize) -> (NetSim, Vec<WireId>) {
+    let mut nl = Netlist::new();
+    let wires: Vec<WireId> = (0..n).map(|_| nl.add_wire()).collect();
+    for w in wires.windows(2) {
+        nl.add_inverter(w[0], w[1], ps(100), ps(100));
+    }
+    (NetSim::from_netlist(nl), wires)
 }
 
 fn halt_label(halt: Halt) -> String {
@@ -50,25 +61,20 @@ fn watchdog_demo(r: &mut Report, cfg: &ExpConfig) {
     let mut table = Table::new(&["scenario", "halt", "outcome"]);
 
     // Clean inverter chain: quiesces with the workload done.
-    let mut sim = Simulator::new();
-    let nets: Vec<NetId> = (0..5).map(|_| sim.add_net()).collect();
-    for w in nets.windows(2) {
-        sim.add_inverter(w[0], w[1], ps(100), ps(100));
-    }
-    sim.schedule_input(nets[0], ps(500), true);
+    let (mut sim, wires) = inverter_chain(5);
+    sim.schedule_input(wires[0], ps(500), true);
     let halt = sim.run_budgeted(RunBudget::new(ps(100_000), 10_000));
-    let outcome = classify_run(&sim, halt, sim.value(nets[4]));
+    let outcome = classify_run(&sim, halt, sim.value(wires[4]));
     assert_eq!(outcome, RunOutcome::Ok);
     table.row(&["clean inverter chain", &halt_label(halt), outcome.label()]);
 
     // Stuck rendezvous: the C-element's peer input never rises, the
     // acknowledge never forms — quiescent with the obligation unmet.
-    let mut sim = Simulator::new();
-    let req = sim.add_net();
-    let peer = sim.add_net();
-    let ack = sim.add_net();
-    sim.add_c_element(req, peer, ack, ps(50));
-    sim.pin_net(peer, false);
+    let mut nl = Netlist::new();
+    let (req, peer, ack) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+    nl.add_c_element(req, peer, ack, ps(50));
+    let mut sim = NetSim::from_netlist(nl);
+    sim.pin_wire(peer, false);
     sim.schedule_input(req, ps(100), true);
     let halt = sim.run_budgeted(RunBudget::new(ps(1_000_000), 10_000));
     let outcome = classify_run(&sim, halt, sim.value(ack));
@@ -76,11 +82,10 @@ fn watchdog_demo(r: &mut Report, cfg: &ExpConfig) {
     table.row(&["stuck rendezvous", &halt_label(halt), outcome.label()]);
 
     // Data edge inside the register's setup window.
-    let mut sim = Simulator::new();
-    let d = sim.add_net();
-    let clk = sim.add_net();
-    let q = sim.add_net();
-    sim.add_register(d, clk, q, ps(100), ps(100), ps(20));
+    let mut nl = Netlist::new();
+    let (d, clk, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+    nl.add_register(d, clk, q, ps(100), ps(100), ps(20));
+    let mut sim = NetSim::from_netlist(nl);
     sim.schedule_input(d, ps(470), true);
     sim.schedule_input(clk, ps(500), true);
     let halt = sim.run_budgeted(RunBudget::new(ps(100_000), 10_000));
@@ -90,8 +95,9 @@ fn watchdog_demo(r: &mut Report, cfg: &ExpConfig) {
 
     // Free-running clock: the event budget trips long before its
     // 2,000 edges run out.
-    let mut sim = Simulator::new();
-    let osc = sim.add_net();
+    let mut nl = Netlist::new();
+    let osc = nl.add_wire();
+    let mut sim = NetSim::from_netlist(nl);
     sim.schedule_clock(osc, ps(0), ps(1_000), ps(500), 1_000);
     let halt = sim.run_budgeted(RunBudget::new(ps(u64::MAX / 2), 500));
     let outcome = classify_run(&sim, halt, false);
@@ -100,19 +106,15 @@ fn watchdog_demo(r: &mut Report, cfg: &ExpConfig) {
 
     // Plan-driven injection over a longer chain, traced when asked.
     let plan = FaultPlan::new(cfg.seed, 0, FaultRates::uniform(0.3));
-    let mut sim = Simulator::new();
+    let (mut sim, wires) = inverter_chain(25);
     if cfg.tracing() {
         sim.enable_trace(1 << 12);
     }
-    let nets: Vec<NetId> = (0..25).map(|_| sim.add_net()).collect();
-    for w in nets.windows(2) {
-        sim.add_inverter(w[0], w[1], ps(100), ps(100));
-    }
-    let injected = inject_net_faults(&mut sim, &plan, &nets, ps(50_000));
-    assert!(injected > 0, "a 30% plan over 25 nets injects something");
-    sim.schedule_input(nets[0], ps(500), true);
+    let injected = inject_wire_faults(&mut sim, &plan, &wires, ps(50_000));
+    assert!(injected > 0, "a 30% plan over 25 wires injects something");
+    sim.schedule_input(wires[0], ps(500), true);
     let halt = sim.run_budgeted(RunBudget::new(ps(1_000_000), 100_000));
-    let outcome = classify_run(&sim, halt, sim.value(nets[24]));
+    let outcome = classify_run(&sim, halt, sim.value(wires[24]));
     table.row(&[
         &format!("plan-driven chain ({injected} faults)"),
         &halt_label(halt),

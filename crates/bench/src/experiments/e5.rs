@@ -124,7 +124,7 @@ impl Experiment for E5 {
 
         // Gate-level proof of the Fig. 8 discipline: two elements with
         // stoppable ring-oscillator clocks, synchronized by two gates.
-        use desim::time::SimTime;
+        use netlist::SimTime;
         let mut pair = ElementPair::new(2, SimTime::from_ps(50), SimTime::from_ps(80));
         if cfg.tracing() {
             pair.enable_trace(1 << 15);
@@ -133,14 +133,10 @@ impl Experiment for E5 {
         let (run, mut pair_sim, pair_signals) =
             pair.run_capture(SimTime::from_ps(cfg.size(300_000, 100_000) as u64));
         if let Some(path) = &cfg.vcd {
-            let mut w = desim::vcd::VcdWriter::new();
-            for &(net, name) in &pair_signals {
-                w.add_net(&pair_sim, net, name);
-            }
             // Stderr: stdout must stay byte-identical with and
             // without --vcd. A failure marks the run so the CLI
             // driver exits nonzero.
-            sim_runtime::write_artifact("vcd waveform", path, &w.render());
+            sim_runtime::write_artifact("vcd waveform", path, &pair_sim.export_vcd(&pair_signals));
         }
         if let Some(buf) = pair_sim.take_trace() {
             r.trace_mut().add_track("engine", buf);

@@ -12,13 +12,12 @@
 //!   across fabricated chips scales like √n (the paper's yield
 //!   analysis), not like n. The per-chip fabrications fan out over
 //!   [`sim_runtime::ParallelSweep`];
-//! * the flat netlist core then scales the pipelined clock train to a
+//! * the same engine then scales the pipelined clock train to a
 //!   1,000,000-stage string (~500× the paper's chip) and runs an
 //!   e12-style fault sweep on a 1000×1000 wavefront mesh — the
-//!   million-gate regime the arena engine exists for.
+//!   million-gate regime its flat arena exists for.
 
 use crate::{f, Table};
-use desim::prelude::*;
 use netlist::prelude::*;
 use sim_faults::{FaultPlan, FaultRates};
 use sim_runtime::{mean_std, rline, ExpConfig, Experiment, Report, SimRng};
@@ -100,12 +99,12 @@ impl Experiment for E6 {
         let (mut wave_sim, taps) = wave_chip.waveform(wave_period * 2, 6, 8, trace_capacity);
         wave_sim.record_metrics(r.metrics_mut(), "e6.engine");
         if let Some(path) = &cfg.vcd {
-            let named: Vec<(NetId, &str)> =
-                taps.iter().map(|(n, s)| (*n, s.as_str())).collect();
+            let named: Vec<(WireId, &str)> =
+                taps.iter().map(|(w, s)| (*w, s.as_str())).collect();
             // Stderr: stdout must stay byte-identical with and
             // without --vcd. A failure marks the run so the CLI
             // driver exits nonzero.
-            sim_runtime::write_artifact("vcd waveform", path, &export_vcd(&wave_sim, &named));
+            sim_runtime::write_artifact("vcd waveform", path, &wave_sim.export_vcd(&named));
         }
         if let Some(buf) = wave_sim.take_trace() {
             r.trace_mut().add_track("engine", buf);
@@ -217,11 +216,10 @@ impl Experiment for E6 {
         rline!(r, "=> pulse regeneration stops the accumulation: the one-shot string's rate");
         rline!(r, "   is set by the wired-in pulse width alone, at any length.");
 
-        // --- the flat netlist core: the same experiment at a million gates ------
-        // The legacy engine stays on the 2048-stage chip above; the
-        // arena core runs the pipelined clock train on a string ~500x
-        // the paper's chip. Same fabrication model, same ChainStage
-        // description, different engine.
+        // --- the same experiment at a million gates -----------------------------
+        // The engine that ran the 2048-stage chip above runs the
+        // pipelined clock train on a string ~500x the paper's chip:
+        // same fabrication model, same netlist builder.
         rline!(r);
         let nm_stages: usize = 1_000_000;
         rline!(
@@ -240,10 +238,8 @@ impl Experiment for E6 {
         let nm_period = SimTime::from_ps(2 * shrink + 8 * nm_spec.base_delay.as_ps());
         let nm_high = SimTime::from_ps(nm_period.as_ps() / 2);
         let nm_cycles = if cfg.fast { 2 } else { 4 };
-        let mut nm_nl = Netlist::new();
-        let nodes = build_chain(&mut nm_nl, &nm_chip.chain_stages());
-        let (nm_clk, nm_far) = (nodes[0], *nodes.last().expect("chain non-empty"));
-        let mut nm_sim = NetSim::from_netlist(nm_nl);
+        let (nm_clk, nm_far) = (WireId::from_index(0), WireId::from_index(nm_stages));
+        let mut nm_sim = NetSim::from_netlist(nm_chip.netlist());
         nm_sim.watch(nm_far);
         if cfg.tracing() {
             nm_sim.enable_trace(1 << 10);

@@ -98,7 +98,7 @@ impl Experiment for E8 {
                 })
                 .collect();
             if let Some(path) = &cfg.vcd {
-                let mut w = desim::vcd::VcdWriter::new();
+                let mut w = sim_observe::VcdWriter::new();
                 for (t, name) in &taps {
                     w.add_signal(name, false, [(*t, true), (*t + 500, false)]);
                 }

@@ -1,4 +1,5 @@
-//! The fourteen experiments of EXPERIMENTS.md as [`Experiment`]
+//! The fourteen experiments of EXPERIMENTS.md as
+//! [`Experiment`](sim_runtime::Experiment)
 //! implementations.
 //!
 //! Each experiment used to be a standalone binary printing straight to

@@ -2,7 +2,7 @@
 //!
 //! The benches used to run under criterion; with the workspace now
 //! free of crates.io dependencies they are plain `fn main()` programs
-//! (`[[bench]] harness = false`) that call [`bench`] per case. The
+//! (`[[bench]] harness = false`) that call [`bench()`] per case. The
 //! harness self-calibrates the iteration count to a ~100 ms budget and
 //! prints one `name  time/iter` line — enough to spot regressions by
 //! eye or diff, without statistical machinery.

@@ -11,8 +11,9 @@
 //!   (assumptions A1–A3);
 //! * [`clock_tree`] — clock trees, the difference and summation skew
 //!   models, clock periods (A4–A11);
-//! * [`desim`] — the gate-level simulator behind the Section VII
-//!   inverter-string experiment;
+//! * [`netlist`] — the gate-level simulation engine behind the
+//!   Section VII inverter-string experiment, from the 2048-stage chip
+//!   to a million gates;
 //! * [`systolic`] — lock-step arrays, classic systolic algorithms,
 //!   and skew-fault injection;
 //! * [`selftimed`] — handshake links and the Section VI hybrid
@@ -53,7 +54,7 @@ pub mod theory;
 
 pub use array_layout;
 pub use clock_tree;
-pub use desim;
+pub use netlist;
 pub use selftimed;
 pub use systolic;
 

@@ -2,22 +2,21 @@
 //! fanout table.
 //!
 //! A [`Netlist`] is the mutable builder: wires are plain `u32`
-//! indices, gates append one `Gate` record each. [`seal`]
-//! freezes it into a [`SealedNetlist`]: a compressed-sparse-row
-//! fanout table (`fanout_offsets` / `rows`, wire → driven gates) and
-//! the delay bound the calendar-wheel scheduler sizes itself from.
-//! Each row entry is self-contained — the driven gate's output wire
-//! and its other input — so the engine settles a change from the row
-//! and wire records alone; a gate's kind and delays travel with its
-//! output wire's engine state. The gate records stay for the cold
-//! paths (engine construction, fault compilation, the reference
-//! mirror). Nothing here allocates per event — everything is index
-//! math over contiguous arrays.
+//! indices, gates append one `Gate` record each, and registers add
+//! their setup/hold windows to a side table. [`seal`] freezes it into
+//! a [`SealedNetlist`]: a compressed-sparse-row fanout table
+//! (`fanout_offsets` / `rows`, wire → driven gates) and the delay
+//! bound the calendar-wheel scheduler sizes itself from. Each row
+//! entry is self-contained — the driven gate's output wire and its
+//! other input — so the engine settles a change from the row and wire
+//! records alone; a gate's kind and delays travel with its output
+//! wire's engine state. The gate records stay for the cold paths
+//! (engine construction, fault compilation). Nothing here allocates
+//! per event — everything is index math over contiguous arrays.
 //!
 //! [`seal`]: Netlist::seal
 
-use desim::chain::{ChainSink, ChainStage};
-use desim::time::SimTime;
+use crate::time::SimTime;
 use std::fmt;
 
 /// Sentinel for "no second input".
@@ -73,11 +72,12 @@ impl fmt::Display for GateId {
     }
 }
 
-/// The gate kinds the flat core evaluates.
-///
-/// Deliberately smaller than the legacy engine's component set: the
-/// million-gate hot paths are built from propagation primitives;
-/// registers and C-elements stay on the reference [`desim`] core.
+/// Kind bit of the symmetric two-input gates. Their [`GateKind`] code
+/// is this bit plus the gate's truth table — bit `2a + b` holds the
+/// output for inputs `(a, b)` — so evaluating one is a shift.
+pub(crate) const TWO_INPUT: u8 = 1 << 4;
+
+/// The gate kinds the engine evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum GateKind {
@@ -85,14 +85,56 @@ pub enum GateKind {
     Buffer = 0,
     /// Inverter (`d_rise`/`d_fall` delays).
     Inverter = 1,
-    /// Two-input OR (`d_rise`/`d_fall` delays).
-    Or2 = 2,
-    /// Two-input AND (`d_rise`/`d_fall` delays).
-    And2 = 3,
     /// One-shot pulse buffer: fires a fixed-width pulse on each
     /// rising input edge (`d_rise` = propagation delay, `d_fall` =
     /// pulse width).
-    OneShot = 4,
+    OneShot = 2,
+    /// Muller C-element: the output follows the inputs after `d_rise`
+    /// (= `d_fall`) when they agree and holds when they differ — the
+    /// rendezvous gate of self-timed control.
+    CElement = 3,
+    /// Positive-edge-triggered D register (first input `d`, second
+    /// `clk`; `d_rise` = clock-to-q, `d_fall` = 0): samples `d` on each
+    /// rising clock edge and checks the setup/hold windows kept in the
+    /// netlist's register side table.
+    Register = 4,
+    /// Two-input OR (`d_rise`/`d_fall` delays).
+    Or2 = TWO_INPUT | 0b1110,
+    /// Two-input AND.
+    And2 = TWO_INPUT | 0b1000,
+    /// Two-input NAND.
+    Nand2 = TWO_INPUT | 0b0111,
+    /// Two-input NOR.
+    Nor2 = TWO_INPUT | 0b0001,
+    /// Two-input XOR.
+    Xor2 = TWO_INPUT | 0b0110,
+    /// Two-input XNOR (equivalence).
+    Xnor2 = TWO_INPUT | 0b1001,
+}
+
+impl GateKind {
+    /// Whether this is a symmetric two-input combinational kind
+    /// (OR, AND, NAND, NOR, XOR, XNOR).
+    #[must_use]
+    pub fn is_two_input(self) -> bool {
+        self as u8 & TWO_INPUT != 0
+    }
+
+    /// Output of a two-input kind for inputs `(a, b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) on a kind without a truth table.
+    #[must_use]
+    pub fn eval2(self, a: bool, b: bool) -> bool {
+        debug_assert!(self.is_two_input(), "{self:?} has no truth table");
+        truth(self as u8, a, b)
+    }
+}
+
+/// Bit `2a + b` of a two-input kind code: its output for `(a, b)`.
+pub(crate) fn truth(code: u8, a: bool, b: bool) -> bool {
+    code >> ((u8::from(a) << 1) | u8::from(b)) & 1 != 0
 }
 
 /// One gate, packed into 24 bytes: the builder's record, read when
@@ -116,8 +158,10 @@ pub(crate) struct Gate {
 /// One CSR fanout entry, 8 bytes: a gate fed by the row's wire, named
 /// by its output wire (which carries the gate's kind and delays in
 /// the engine) and its other input ([`NONE`] for one-input kinds).
-/// The row's own wire is the entry's first input; two-input gates are
-/// symmetric (OR, AND), so input order does not matter.
+/// The row's own wire stands in for either input: combinational
+/// two-input gates and C-elements are symmetric, and a register tells
+/// its clock row from its data row by comparing `other` with its data
+/// wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fanout {
     pub out: u32,
@@ -125,6 +169,16 @@ pub(crate) struct Fanout {
 }
 
 const _: () = assert!(std::mem::size_of::<Fanout>() == 8);
+
+/// A register's side-table entry: the timing windows its `Gate`
+/// record has no room for, keyed by its output wire `q`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Register {
+    pub q: u32,
+    pub d: u32,
+    pub setup_ps: u64,
+    pub hold_ps: u64,
+}
 
 /// The mutable netlist builder.
 ///
@@ -136,6 +190,8 @@ pub struct Netlist {
     wires: u32,
     /// Which wires already have a driving gate (one driver per wire).
     driven: Vec<bool>,
+    /// Setup/hold windows of the registers, in gate order.
+    registers: Vec<Register>,
 }
 
 fn delay_ps(t: SimTime, what: &str) -> u32 {
@@ -243,24 +299,68 @@ impl Netlist {
         self.push_gate(GateKind::Inverter, input, None, output, r, f)
     }
 
-    /// Adds a two-input OR gate.
+    /// Adds a symmetric two-input gate of `kind` (OR, AND, NAND, NOR,
+    /// XOR or XNOR).
     ///
     /// # Panics
     ///
-    /// As for [`Netlist::add_buffer`], plus distinct-input checking.
-    pub fn add_or2(&mut self, a: WireId, b: WireId, output: WireId, rise: SimTime, fall: SimTime) -> GateId {
+    /// As for [`Netlist::add_buffer`], plus a kind that is not a
+    /// two-input one and inputs that are not distinct.
+    pub fn add_gate2(
+        &mut self,
+        kind: GateKind,
+        a: WireId,
+        b: WireId,
+        output: WireId,
+        rise: SimTime,
+        fall: SimTime,
+    ) -> GateId {
+        assert!(kind.is_two_input(), "{kind:?} is not a two-input gate kind");
         let (r, f) = (delay_ps(rise, "gate delay"), delay_ps(fall, "gate delay"));
-        self.push_gate(GateKind::Or2, a, Some(b), output, r, f)
+        self.push_gate(kind, a, Some(b), output, r, f)
     }
 
-    /// Adds a two-input AND gate.
+    /// Adds a Muller C-element: when `a` and `b` agree the output
+    /// follows them after `delay`; when they differ it holds.
     ///
     /// # Panics
     ///
-    /// As for [`Netlist::add_or2`].
-    pub fn add_and2(&mut self, a: WireId, b: WireId, output: WireId, rise: SimTime, fall: SimTime) -> GateId {
-        let (r, f) = (delay_ps(rise, "gate delay"), delay_ps(fall, "gate delay"));
-        self.push_gate(GateKind::And2, a, Some(b), output, r, f)
+    /// As for [`Netlist::add_gate2`].
+    pub fn add_c_element(&mut self, a: WireId, b: WireId, output: WireId, delay: SimTime) -> GateId {
+        let d = delay_ps(delay, "C-element delay");
+        self.push_gate(GateKind::CElement, a, Some(b), output, d, d)
+    }
+
+    /// Adds a positive-edge-triggered D register: on each rising edge
+    /// of `clk` it samples `d` and drives `q` after `clk_to_q`. A data
+    /// change closer than `setup` before the edge or `hold` after it
+    /// is recorded as a timing violation (see
+    /// [`NetSim::violations`](crate::NetSim::violations)); the
+    /// register still samples, possibly garbage, as hardware would.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `clk_to_q`, stale wire ids, `d == clk`, or an
+    /// already-driven `q`.
+    pub fn add_register(
+        &mut self,
+        d: WireId,
+        clk: WireId,
+        q: WireId,
+        setup: SimTime,
+        hold: SimTime,
+        clk_to_q: SimTime,
+    ) -> GateId {
+        let c2q = delay_ps(clk_to_q, "clk-to-q delay");
+        // `d_fall` 0: a register output has no inertial window.
+        let id = self.push_gate(GateKind::Register, d, Some(clk), q, c2q, 0);
+        self.registers.push(Register {
+            q: q.0,
+            d: d.0,
+            setup_ps: setup.as_ps(),
+            hold_ps: hold.as_ps(),
+        });
+        id
     }
 
     /// Adds a one-shot pulse buffer (rising-edge triggered, wired-in
@@ -291,8 +391,8 @@ impl Netlist {
 
         // CSR fanout: counting pass, prefix sum, fill pass. The fill
         // iterates gates in id order, so each wire's row keeps
-        // gate-insertion order — the same sink order the legacy engine
-        // reacts in, which the differential suite relies on.
+        // gate-insertion order: a change settles its fanout in the
+        // order the gates were added.
         let mut counts = vec![0u32; n_wires + 1];
         let bump = |w: u32, counts: &mut Vec<u32>| {
             counts[w as usize + 1] += 1;
@@ -336,8 +436,11 @@ impl Netlist {
             max_delay = max_delay.max(reach);
         }
 
+        let mut registers = self.registers;
+        registers.sort_unstable_by_key(|r| r.q);
         SealedNetlist {
             gates: self.gates,
+            registers,
             n_wires: n_wires as u32,
             fanout_offsets,
             rows,
@@ -346,32 +449,12 @@ impl Netlist {
     }
 }
 
-impl ChainSink for Netlist {
-    type Node = WireId;
-
-    fn chain_wire(&mut self) -> WireId {
-        self.add_wire()
-    }
-
-    fn chain_stage(&mut self, stage: ChainStage, input: WireId, output: WireId) {
-        match stage {
-            ChainStage::Inverter { rise, fall } => {
-                self.add_inverter(input, output, rise, fall);
-            }
-            ChainStage::Buffer { rise, fall } => {
-                self.add_buffer(input, output, rise, fall);
-            }
-            ChainStage::OneShot { delay, pulse_width } => {
-                self.add_one_shot(input, output, delay, pulse_width);
-            }
-        }
-    }
-}
-
 /// The frozen, simulation-ready netlist (see [`Netlist::seal`]).
 #[derive(Debug, Clone)]
 pub struct SealedNetlist {
     pub(crate) gates: Vec<Gate>,
+    /// The register side table, sorted by output wire.
+    pub(crate) registers: Vec<Register>,
     pub(crate) n_wires: u32,
     /// CSR row offsets: wire `w` drives the gates
     /// `rows[fanout_offsets[w]..fanout_offsets[w + 1]]`.
@@ -443,7 +526,7 @@ mod tests {
         // Three gates all fed by `a`, added in order.
         nl.add_buffer(a, x, ps(10), ps(10));
         nl.add_inverter(a, y, ps(10), ps(10));
-        let b = nl.add_or2(a, x, z, ps(10), ps(10));
+        let b = nl.add_gate2(GateKind::Or2, a, x, z, ps(10), ps(10));
         assert_eq!(b.index(), 2);
         let sealed = nl.seal();
         assert_eq!(
@@ -461,9 +544,9 @@ mod tests {
         let mut nl = Netlist::new();
         let (a, b, c) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
         let (p, q, r) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
-        nl.add_and2(a, b, p, ps(5), ps(6));
+        nl.add_gate2(GateKind::And2, a, b, p, ps(5), ps(6));
         nl.add_buffer(b, q, ps(5), ps(5));
-        nl.add_or2(c, a, r, ps(7), ps(8));
+        nl.add_gate2(GateKind::Or2, c, a, r, ps(7), ps(8));
         let sealed = nl.seal();
         assert_eq!(
             sealed.row(a.index()),
@@ -496,19 +579,67 @@ mod tests {
     }
 
     #[test]
-    fn chain_sink_builds_identical_topology() {
-        use desim::chain::build_chain;
-        let stages = vec![
-            ChainStage::Inverter {
-                rise: ps(7),
-                fall: ps(9),
-            };
-            3
+    fn truth_tables_match_the_boolean_functions() {
+        // Outputs for inputs (0,0), (0,1), (1,0), (1,1).
+        let cases = [
+            (GateKind::Or2, [false, true, true, true]),
+            (GateKind::And2, [false, false, false, true]),
+            (GateKind::Nand2, [true, true, true, false]),
+            (GateKind::Nor2, [true, false, false, false]),
+            (GateKind::Xor2, [false, true, true, false]),
+            (GateKind::Xnor2, [true, false, false, true]),
         ];
+        for (kind, table) in cases {
+            assert!(kind.is_two_input());
+            for (i, (a, b)) in [(false, false), (false, true), (true, false), (true, true)]
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(kind.eval2(a, b), table[i], "{kind:?}({a}, {b})");
+            }
+        }
+        for kind in [
+            GateKind::Buffer,
+            GateKind::Inverter,
+            GateKind::OneShot,
+            GateKind::CElement,
+            GateKind::Register,
+        ] {
+            assert!(!kind.is_two_input(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn registers_and_c_elements_sit_in_both_input_rows() {
         let mut nl = Netlist::new();
-        let nodes = build_chain(&mut nl, &stages);
-        assert_eq!(nodes.len(), 4);
-        assert_eq!(nl.n_gates(), 3);
-        assert_eq!(nl.n_wires(), 4);
+        let (d, clk, q) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        let (a, b, c) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_register(d, clk, q, ps(60), ps(40), ps(30));
+        nl.add_c_element(a, b, c, ps(25));
+        let sealed = nl.seal();
+        assert_eq!(sealed.row(d.index()), &[entry(q, Some(clk))]);
+        assert_eq!(sealed.row(clk.index()), &[entry(q, Some(d))]);
+        assert_eq!(sealed.row(a.index()), &[entry(c, Some(b))]);
+        assert_eq!(
+            sealed.registers,
+            vec![Register {
+                q: q.0,
+                d: d.0,
+                setup_ps: 60,
+                hold_ps: 40,
+            }]
+        );
+        // A register reaches clk-to-q ahead; its output has no
+        // inertial window (`d_fall` 0).
+        assert_eq!(sealed.gates[0].d_fall, 0);
+        assert_eq!(sealed.max_delay_ps(), 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a two-input gate kind")]
+    fn gate2_rejects_one_input_kinds() {
+        let mut nl = Netlist::new();
+        let (a, b, c) = (nl.add_wire(), nl.add_wire(), nl.add_wire());
+        nl.add_gate2(GateKind::Inverter, a, b, c, ps(1), ps(1));
     }
 }

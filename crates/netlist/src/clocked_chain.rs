@@ -16,8 +16,8 @@
 //! register-detected violations and whether the data pattern came
 //! through intact.
 
-use crate::chain::{build_chain, ChainStage};
-use crate::engine::{NetId, Simulator, ViolationKind};
+use crate::arena::Netlist;
+use crate::engine::{NetSim, ViolationKind};
 use crate::time::SimTime;
 
 /// Configuration of the chain.
@@ -56,25 +56,6 @@ impl ClockedChainSpec {
             clock_with_data: true,
         }
     }
-
-    /// The buffered clock spine as a [`ChainStage`] list: the first
-    /// tap has negligible delay, each subsequent tap adds one
-    /// `skew_step` segment. Shared with the netlist core so both
-    /// engines distribute the clock through an identical spine (the
-    /// differential suite's skew check).
-    #[must_use]
-    pub fn spine_stages(&self) -> Vec<ChainStage> {
-        (0..self.registers)
-            .map(|i| {
-                let d = if i == 0 {
-                    SimTime::from_ps(1)
-                } else {
-                    self.skew_step
-                };
-                ChainStage::Buffer { rise: d, fall: d }
-            })
-            .collect()
-    }
 }
 
 /// Outcome of driving the chain for a number of cycles at one period.
@@ -111,31 +92,40 @@ pub fn run_chain(spec: ClockedChainSpec, period: SimTime, cycles: usize) -> Chai
     assert!(spec.registers >= 2, "need at least two registers");
     assert!(cycles >= 1, "need at least one cycle");
     let r = spec.registers;
-    let mut sim = Simulator::new();
+    let mut nl = Netlist::new();
 
-    // Clock spine: root clock net plus one buffered tap per register,
-    // built from the shared chain description (see `spine_stages`).
-    let spine = build_chain(&mut sim, &spec.spine_stages());
-    let clk_root = spine[0];
-    let mut taps: Vec<NetId> = spine[1..].to_vec();
+    // Clock spine: root clock wire plus one buffered tap per register;
+    // the first tap has negligible delay, each later one adds a
+    // `skew_step` segment.
+    let clk_root = nl.add_wire();
+    let mut taps = Vec::with_capacity(r);
+    let mut prev = clk_root;
+    for i in 0..r {
+        let d = if i == 0 { SimTime::from_ps(1) } else { spec.skew_step };
+        let tap = nl.add_wire();
+        nl.add_buffer(prev, tap, d, d);
+        taps.push(tap);
+        prev = tap;
+    }
     if !spec.clock_with_data {
         taps.reverse();
     }
 
     // Data path: din -> reg0 -> delay -> reg1 -> … -> regN.
-    let din = sim.add_net();
-    let mut d_net = din;
+    let din = nl.add_wire();
+    let mut d_wire = din;
     let mut q_last = din;
     for (i, &tap) in taps.iter().enumerate() {
-        let q = sim.add_net();
-        sim.add_register(d_net, tap, q, spec.setup, spec.hold, spec.clk_to_q);
+        let q = nl.add_wire();
+        nl.add_register(d_wire, tap, q, spec.setup, spec.hold, spec.clk_to_q);
         if i + 1 < r {
-            let delayed = sim.add_net();
-            sim.add_buffer(q, delayed, spec.delta, spec.delta);
-            d_net = delayed;
+            let delayed = nl.add_wire();
+            nl.add_buffer(q, delayed, spec.delta, spec.delta);
+            d_wire = delayed;
         }
         q_last = q;
     }
+    let mut sim = NetSim::from_netlist(nl);
     sim.watch(q_last);
 
     // Drive: clock edges every `period`; data toggles `delta` after
@@ -150,19 +140,18 @@ pub fn run_chain(spec: ClockedChainSpec, period: SimTime, cycles: usize) -> Chai
         // Launch bit i just after clock edge i (source clk-to-q).
         let t = start + period * (i as u64) + spec.clk_to_q;
         sim.schedule_input(din, t, bit);
-        let _ = bit;
     }
     let limit = start + period * (total_cycles as u64 + 4) + spec.delta * (r as u64 + 4);
     sim.run_to_quiescence(limit).expect("chain settles");
 
-    let received: Vec<bool> = sim
-        .transitions(q_last)
-        .iter()
-        .map(|&(_, v)| v)
-        .collect();
     // The alternating pattern means every delivered bit appears as a
     // transition; compare as many as were sent.
-    let received: Vec<bool> = received.into_iter().take(sent.len()).collect();
+    let received: Vec<bool> = sim
+        .transitions_ps(q_last)
+        .iter()
+        .map(|&(_, v)| v)
+        .take(sent.len())
+        .collect();
     let setup_violations = sim
         .violations()
         .iter()

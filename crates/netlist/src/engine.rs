@@ -1,10 +1,21 @@
-//! The flat event engine: [`NetSim`] runs a [`SealedNetlist`].
+//! The event engine: [`NetSim`] runs a [`SealedNetlist`].
 //!
-//! Semantics are a field-for-field mirror of the reference
-//! [`desim::Simulator`] — inertial cancellation, generation-counted
-//! dead events, fault hooks, the same [`EngineStats`] counters — so
-//! the differential suite can demand byte-identical reports from the
-//! two cores. What changes is the machinery underneath:
+//! A circuit is a set of boolean wires connected by gates. Value
+//! changes are events; a gate reacts to changes on its inputs and
+//! schedules changes on its output after its propagation delay. Two
+//! properties matter for the paper's experiments:
+//!
+//! * **Inertial delay.** When a gate schedules an output change that
+//!   conflicts with (precedes or duplicates) changes already in flight
+//!   for that wire, or lands inside the driver's inertial window, the
+//!   pending changes are cancelled — a pulse narrower than the gate
+//!   can pass is swallowed, exactly the failure mode that limits
+//!   pipelined clock rate in Section VII.
+//! * **Setup/hold checking.** Registers record a [`TimingViolation`]
+//!   whenever data changes too close to a sampling clock edge — the
+//!   "synchronization failure" that clock skew causes (Section I).
+//!
+//! The machinery underneath:
 //!
 //! * each wire's whole state is one 32-byte `WireState` record in a
 //!   flat `Vec` indexed by the wire id, and that record also carries
@@ -12,7 +23,7 @@
 //!   inertial window is derived from them, so an event reads one
 //!   record per touched wire instead of one column per field, and
 //!   never a gate record;
-//! * the pending-event set is a calendar [`Wheel`] (O(1) push/dispatch
+//! * the pending-event set is a calendar wheel (O(1) push/dispatch
 //!   under the bounded-delay model, singleton buckets stored inline)
 //!   plus a small sorted *far list* for the rare event beyond the
 //!   wheel's horizon (pre-scheduled clock edges whole periods away,
@@ -20,32 +31,180 @@
 //! * fanout propagation walks the wire's CSR row directly. Each
 //!   8-byte row entry names the driven gate's output wire and its
 //!   other input, so evaluating it touches the output's record (kind,
-//!   delays, scheduling state) and at most one more input record.
+//!   delays, scheduling state) and at most one more input record;
+//!   registers additionally read their side-table entry.
 //!   Gate evaluation only *schedules* (a nominal delay of at least
 //!   1 ps ahead) and never applies, so nothing re-enters settling
 //!   mid-walk, and the distinct-input rule puts each gate in a row at
 //!   most once: the row itself is the exact, duplicate-free settling
 //!   work list, and no work queue is needed.
 //!
-//! Dispatch order equals the reference engine's `(time, seq)` heap
-//! order: wheel buckets and the far list both preserve push order
-//! within a timestamp, upsets strike before events at the same
-//! instant, and far entries (always scheduled from further back in
-//! time, hence with earlier sequence numbers) precede same-time wheel
-//! entries.
+//! Dispatch order is `(time, push order)`: wheel buckets and the far
+//! list both preserve push order within a timestamp, upsets strike
+//! before events at the same instant, and far entries (always
+//! scheduled from further back in time) precede same-time wheel
+//! entries. Integer time plus that order make every run
+//! deterministic.
 //!
 //! Observability follows the workspace's one-branch `Option`
 //! discipline: waveform watches (a flag bit per wire, logs in a small
 //! side table) and the [`TraceBuf`] lifecycle hooks cost a
 //! predictable untaken branch each when disabled.
 
-use crate::arena::{Fanout, GateKind, SealedNetlist, WireId, NONE};
+use crate::arena::{Fanout, GateKind, SealedNetlist, WireId, NONE, TWO_INPUT};
+use crate::time::{SimTime, TimeOp, TimeOverflowError};
 use crate::wheel::{Ev, Wheel};
-use desim::engine::{EngineStats, StillActiveError};
-use desim::time::SimTime;
-use desim::vcd::VcdWriter;
-use sim_observe::{TraceBuf, TraceEvent};
+use sim_observe::{TraceBuf, TraceEvent, VcdWriter};
+use std::fmt;
 use std::sync::Arc;
+
+/// A recorded setup or hold violation at a register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimingViolation {
+    /// When the violation was detected.
+    pub at: SimTime,
+    /// The register's data wire.
+    pub data_wire: WireId,
+    /// Which constraint was violated.
+    pub kind: ViolationKind,
+}
+
+/// The two register timing constraints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViolationKind {
+    /// Data changed within the setup window before a clock edge.
+    Setup,
+    /// Data changed within the hold window after a clock edge.
+    Hold,
+}
+
+/// Error returned by [`NetSim::run_to_quiescence`] when the circuit
+/// is still active at the time limit (e.g. a free-running clock).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StillActiveError {
+    /// The time limit that was reached.
+    pub limit: SimTime,
+}
+
+impl fmt::Display for StillActiveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "circuit still active at time limit {}", self.limit)
+    }
+}
+
+impl std::error::Error for StillActiveError {}
+
+/// Cumulative event-loop counters of one [`NetSim`].
+///
+/// Maintained as plain `u64` fields bumped inline on the event path —
+/// no atomics, no locks, no allocation — so instrumentation costs a
+/// handful of register increments per event. Snapshot with
+/// [`NetSim::stats`]; export into a metric registry with
+/// [`NetSim::record_metrics`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Events pushed into the queue (including ones later cancelled).
+    pub events_scheduled: u64,
+    /// Events popped and applied as real wire changes.
+    pub events_processed: u64,
+    /// Inertial cancellations: conflicting schedules that invalidated
+    /// the in-flight events of a wire (a swallowed pulse bumps this).
+    pub cancellations: u64,
+    /// Events popped but discarded as stale (cancelled generation) or
+    /// redundant (no value change).
+    pub dead_events: u64,
+    /// High-water mark of the pending-event set.
+    pub peak_queue_depth: u64,
+    /// Total settle iterations: gate evaluations performed while
+    /// propagating applied events (the fanout work the event loop did,
+    /// as opposed to the events it merely dispatched).
+    pub settle_iterations: u64,
+    /// Faults forced into the circuit (stuck-at pins, SEU upsets,
+    /// delay scalings).
+    pub faults_injected: u64,
+}
+
+impl EngineStats {
+    /// Writes the counters into `metrics` under
+    /// `{prefix}.events_scheduled`, `{prefix}.events_processed`,
+    /// `{prefix}.cancellations`, `{prefix}.dead_events`,
+    /// `{prefix}.settle_iterations`, and `{prefix}.peak_queue_depth`.
+    /// Adds, so stats from several simulators aggregate under one
+    /// prefix.
+    pub fn record(&self, metrics: &mut sim_observe::Metrics, prefix: &str) {
+        metrics.add(&format!("{prefix}.events_scheduled"), self.events_scheduled);
+        metrics.add(&format!("{prefix}.events_processed"), self.events_processed);
+        metrics.add(&format!("{prefix}.cancellations"), self.cancellations);
+        metrics.add(&format!("{prefix}.dead_events"), self.dead_events);
+        metrics.add(
+            &format!("{prefix}.settle_iterations"),
+            self.settle_iterations,
+        );
+        // Peak depth aggregates as a max, not a sum.
+        let key = format!("{prefix}.peak_queue_depth");
+        let prev = metrics.counter(&key);
+        if self.peak_queue_depth > prev {
+            metrics.add(&key, self.peak_queue_depth - prev);
+        }
+        // Only fault-injected runs carry the fault counter, so nominal
+        // runs keep their metric set (and committed baselines) intact.
+        if self.faults_injected > 0 {
+            metrics.add(&format!("{prefix}.faults_injected"), self.faults_injected);
+        }
+    }
+}
+
+/// Sim-time and event budget of a watchdog-supervised run
+/// ([`NetSim::run_budgeted`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunBudget {
+    /// No event beyond this sim time is processed.
+    pub sim_limit: SimTime,
+    /// Maximum events applied (upsets included) before the watchdog
+    /// halts the run — the livelock guard.
+    pub max_events: u64,
+}
+
+impl RunBudget {
+    /// A budget of `sim_limit` simulated time and `max_events` events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_events` is zero.
+    #[must_use]
+    pub fn new(sim_limit: SimTime, max_events: u64) -> Self {
+        assert!(max_events > 0, "event budget must be positive");
+        RunBudget {
+            sim_limit,
+            max_events,
+        }
+    }
+}
+
+/// How a budgeted run stopped — the watchdog's verdict. Combine with
+/// the caller's completion check via
+/// [`classify_run`](crate::faults::classify_run) to get a
+/// `RunOutcome`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halt {
+    /// Nothing left to do: the circuit quiesced at `at`. Whether that
+    /// is success or deadlock depends on whether the workload
+    /// finished — the engine cannot know, the caller does.
+    Quiescent {
+        /// Time of the last applied event.
+        at: SimTime,
+    },
+    /// Pending work lies beyond the sim-time budget.
+    SimLimit {
+        /// Time the run stopped at.
+        at: SimTime,
+    },
+    /// The event budget ran out — livelock or runaway oscillation.
+    EventLimit {
+        /// Time the run stopped at.
+        at: SimTime,
+    },
+}
 
 /// Outcome of one dispatch step.
 enum Step {
@@ -87,10 +246,11 @@ const SCHEDULED: u8 = 1;
 const STUCK: u8 = 1 << 1;
 /// Transitions are logged in `NetSim::watches`.
 const WATCHED: u8 = 1 << 2;
-/// The driver's [`GateKind`] code sits in the flag byte's top bits.
+/// The driver's [`GateKind`] code sits in the flag byte's top five
+/// bits.
 const KIND_SHIFT: u32 = 3;
-/// Kind code of an externally driven wire.
-const UNDRIVEN: u8 = 7;
+/// Kind code of an externally driven wire (no [`GateKind`] uses it).
+const UNDRIVEN: u8 = 0b01111;
 
 impl WireState {
     fn has(&self, flag: u8) -> bool {
@@ -110,10 +270,10 @@ impl WireState {
         self.flags >> KIND_SHIFT
     }
 
-    /// The inertial window: the driver's minimum edge spacing, exactly
-    /// as the reference engine assigns it (the pulse width for
-    /// one-shots, the faster of rise and fall for the rest, zero for
-    /// externally driven wires, whose delays are zero).
+    /// The inertial window: the driver's minimum edge spacing — the
+    /// pulse width for one-shots, the faster of rise and fall for the
+    /// rest, zero for registers (`d_fall` 0) and for externally
+    /// driven wires, whose delays are zero.
     fn inertial_window_ps(&self) -> u64 {
         let sep = if self.kind() == GateKind::OneShot as u8 {
             self.d_fall
@@ -169,17 +329,26 @@ pub struct NetSim {
     stats: EngineStats,
     trace: Option<Box<TraceBuf>>,
     clock_marks: Vec<(u32, String, u8)>,
+    // ---- registers ----
+    /// Time of each register's latest rising clock edge (hold
+    /// checks), indexed like the arena's register side table.
+    last_clk_rise: Vec<Option<u64>>,
+    /// Setup/hold violations, in detection order.
+    violations: Vec<TimingViolation>,
 }
 
 impl NetSim {
     /// A simulator over the sealed arena.
     ///
-    /// Initial state mirrors the reference engine's build-time rules:
-    /// externally driven wires start low, buffer/inverter outputs are
-    /// set consistently with their input (in gate order, so chains
-    /// alternate with no spurious start-up events), and a two-input
-    /// gate whose inputs disagree with its output resolves through a
-    /// real scheduled event.
+    /// The initial state replays each gate's build-time rule in gate
+    /// order: externally driven wires start low; buffer/inverter
+    /// outputs are set consistently with their input (so chains
+    /// alternate with no spurious start-up events); a two-input gate
+    /// whose output disagrees with its inputs resolves through a real
+    /// scheduled event (so feedback loops such as gated ring
+    /// oscillators start up); a C-element whose inputs agree starts at
+    /// their value. One-shots and registers start low and wait for an
+    /// edge.
     #[must_use]
     pub fn new(nl: Arc<SealedNetlist>) -> NetSim {
         let wheel = Wheel::with_horizon(nl.max_delay_ps());
@@ -196,6 +365,8 @@ impl NetSim {
             stats: EngineStats::default(),
             trace: None,
             clock_marks: Vec::new(),
+            last_clk_rise: vec![None; nl.registers.len()],
+            violations: Vec::new(),
             nl,
         };
         let nl = Arc::clone(&sim.nl);
@@ -213,19 +384,21 @@ impl NetSim {
                     sim.wires[out].value = v;
                     sim.wires[out].set(SCHEDULED, v);
                 }
-                GateKind::Or2 | GateKind::And2 => {
-                    let (va, vb) = (sim.wires[a].value, sim.wires[g.in_b as usize].value);
-                    let v = if g.kind == GateKind::Or2 {
-                        va | vb
-                    } else {
-                        va & vb
-                    };
-                    if sim.wires[out].value != v {
-                        let delay = if v { g.d_rise } else { g.d_fall };
-                        sim.schedule_change(out, u64::from(delay), v);
+                GateKind::CElement => {
+                    let v = sim.wires[a].value;
+                    if v == sim.wires[g.in_b as usize].value {
+                        sim.wires[out].value = v;
+                        sim.wires[out].set(SCHEDULED, v);
                     }
                 }
-                GateKind::OneShot => {}
+                GateKind::OneShot | GateKind::Register => {}
+                kind => {
+                    let v = kind.eval2(sim.wires[a].value, sim.wires[g.in_b as usize].value);
+                    if sim.wires[out].value != v {
+                        let delay = if v { g.d_rise } else { g.d_fall };
+                        sim.schedule_output(out, u64::from(delay), v);
+                    }
+                }
             }
         }
         sim
@@ -247,7 +420,7 @@ impl NetSim {
         assert!((w.index()) < self.nl.n_wires(), "unknown wire {w}");
     }
 
-    // ---- stimulus & fault API (mirrors desim::Simulator) ----
+    // ---- stimulus & fault API ----
 
     /// Schedules an externally driven change of `wire` at absolute
     /// time `t`.
@@ -343,7 +516,7 @@ impl NetSim {
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::FaultInjected {
                 t_ps: self.now_ps,
-                site: wire.to_string(),
+                site: trace_site(wire.index()),
                 kind: format!("delay_scale_{percent}"),
             });
         }
@@ -379,17 +552,6 @@ impl NetSim {
         self.watches[pos].1.push((t_ps, value));
     }
 
-    /// Recorded transitions as `(SimTime, value)` — the reference
-    /// engine's [`desim::Simulator::transitions`] shape, for
-    /// differential comparison.
-    #[must_use]
-    pub fn transitions(&self, wire: WireId) -> Vec<(SimTime, bool)> {
-        self.transitions_ps(wire)
-            .iter()
-            .map(|&(t, v)| (SimTime::from_ps(t), v))
-            .collect()
-    }
-
     /// Enables event-lifecycle tracing into a bounded ring of
     /// `capacity` events (one-branch `Option` hooks when off).
     pub fn enable_trace(&mut self, capacity: usize) {
@@ -415,10 +577,10 @@ impl NetSim {
         self.trace.take().map(|b| *b)
     }
 
-    /// Renders watched wires as a VCD document (1 ps timescale),
-    /// byte-compatible with [`desim::vcd::export_vcd`] for identical
-    /// waveforms: initial value inferred as the complement of the
-    /// first transition, else the wire's current value.
+    /// Renders watched wires as a VCD document (1 ps timescale) under
+    /// the given names. A wire's initial value is inferred as the
+    /// complement of its first transition, else its current value; an
+    /// unwatched wire appears with that value only.
     ///
     /// # Panics
     ///
@@ -451,6 +613,12 @@ impl NetSim {
         self.wires[wire.index()].value
     }
 
+    /// All setup/hold violations recorded so far, in detection order.
+    #[must_use]
+    pub fn violations(&self) -> &[TimingViolation] {
+        &self.violations
+    }
+
     /// Time of the wire's last value change, in picoseconds (0 if it
     /// never changed) — per-wire arrival times without per-wire
     /// transition storage, which is what million-cell wavefront
@@ -472,9 +640,9 @@ impl NetSim {
         self.stats
     }
 
-    /// Exports counters under `{prefix}.*` plus `{prefix}.sim_time_ps`
-    /// — the same keys the reference engine emits, so Report v2
-    /// metrics from either core line up.
+    /// Exports counters under `{prefix}.*` (see
+    /// [`EngineStats::record`]) plus the simulated time as
+    /// `{prefix}.sim_time_ps`.
     pub fn record_metrics(&self, metrics: &mut sim_observe::Metrics, prefix: &str) {
         self.stats.record(metrics, prefix);
         metrics.add(&format!("{prefix}.sim_time_ps"), self.now_ps);
@@ -504,6 +672,26 @@ impl NetSim {
                 Step::Did => {}
                 Step::Empty => return Ok(self.now()),
                 Step::Beyond => return Err(StillActiveError { limit }),
+            }
+        }
+    }
+
+    /// The watchdog-supervised run loop: processes events until the
+    /// circuit quiesces, the sim-time budget is exhausted, or the
+    /// event budget is exhausted — whichever comes first. A
+    /// fault-injected circuit can oscillate forever or stall forever;
+    /// this always terminates with a classified [`Halt`] instead.
+    pub fn run_budgeted(&mut self, budget: RunBudget) -> Halt {
+        let limit = budget.sim_limit.as_ps();
+        let mut applied: u64 = 0;
+        loop {
+            if applied >= budget.max_events {
+                return Halt::EventLimit { at: self.now() };
+            }
+            match self.step_once(limit) {
+                Step::Did => applied += 1,
+                Step::Empty => return Halt::Quiescent { at: self.now() },
+                Step::Beyond => return Halt::SimLimit { at: self.now() },
             }
         }
     }
@@ -544,8 +732,7 @@ impl NetSim {
                     let mut rest = std::mem::take(&mut self.drain);
                     let head = self.wheel.take(b, &mut rest);
                     // Apply sequentially: a cancellation mid-bucket must
-                    // kill later same-time entries, exactly as the
-                    // reference heap would.
+                    // kill later same-time entries.
                     self.apply(head);
                     for ev in rest.drain(..) {
                         self.apply(ev);
@@ -558,8 +745,10 @@ impl NetSim {
         }
     }
 
-    /// Schedules a wire change with inertial-delay semantics —
-    /// line-for-line the reference engine's conflict rules.
+    /// Schedules a wire change with inertial-delay semantics: a change
+    /// that lands before the latest accepted one, repeats the value the
+    /// wire already settles at, or falls inside the driver's inertial
+    /// window cancels everything in flight for the wire.
     fn schedule_change(&mut self, w: usize, t_ps: u64, value: bool) {
         let ws = &mut self.wires[w];
         if ws.has(STUCK) {
@@ -569,10 +758,19 @@ impl NetSim {
             t_ps
         } else {
             let delta = t_ps.saturating_sub(self.now_ps);
-            self.now_ps + (delta * u64::from(ws.delay_scale)) / 100
+            SimTime::from_ps(delta)
+                .checked_mul(u64::from(ws.delay_scale))
+                .and_then(|scaled| {
+                    SimTime::from_ps(self.now_ps).checked_add(SimTime::from_ps(scaled.as_ps() / 100))
+                })
+                .unwrap_or_else(|e| panic!("{e}"))
+                .as_ps()
         };
         let last = ws.last_event_ps;
-        let too_close = last > 0 && t_ps < last + ws.inertial_window_ps();
+        // `t - last < window` rather than `t < last + window`: the sum
+        // could pass the horizon, and for `t < last` the conflict is
+        // flagged either way.
+        let too_close = last > 0 && t_ps.saturating_sub(last) < ws.inertial_window_ps();
         let conflict = t_ps < last || value == ws.has(SCHEDULED) || too_close;
         if conflict {
             // Cancel everything in flight for this wire.
@@ -667,7 +865,7 @@ impl NetSim {
         if let Some(tr) = &mut self.trace {
             tr.record(TraceEvent::FaultInjected {
                 t_ps: now,
-                site: WireId(w as u32).to_string(),
+                site: trace_site(w),
                 kind: kind.to_owned(),
             });
         }
@@ -710,9 +908,8 @@ impl NetSim {
     }
 
     /// Evaluates one fanout entry — the gate fed by a wire now at
-    /// `in_val` — and schedules its output: the reference engine's
-    /// `react`, arena-indexed. Kind and delays come from the output
-    /// wire's record.
+    /// `in_val` — and schedules its output. Kind and delays come from
+    /// the output wire's record.
     fn eval_gate(&mut self, in_val: bool, entry: Fanout) {
         let out = entry.out as usize;
         let ws = self.wires[out];
@@ -728,20 +925,61 @@ impl NetSim {
             let out_val = in_val ^ (kind == GateKind::Inverter as u8);
             let delay = if out_val { rise } else { fall };
             self.schedule_output(out, delay, out_val);
-        } else {
-            // OR and AND are symmetric, so the row's wire can stand in
-            // for either input.
+        } else if kind & TWO_INPUT != 0 {
+            // Symmetric, so the row's wire can stand in for either
+            // input; the kind code is the truth table.
             let vb = self.wires[entry.other as usize].value;
-            let out_val = if kind == GateKind::Or2 as u8 {
-                in_val | vb
-            } else {
-                in_val & vb
-            };
+            let out_val = crate::arena::truth(kind, in_val, vb);
             if ws.has(SCHEDULED) != out_val {
                 let delay = if out_val { rise } else { fall };
                 self.schedule_output(out, delay, out_val);
             }
+        } else if kind == GateKind::CElement as u8 {
+            let vb = self.wires[entry.other as usize].value;
+            if in_val == vb && ws.has(SCHEDULED) != in_val {
+                self.schedule_output(out, rise, in_val);
+            }
+        } else {
+            self.eval_register(in_val, entry, rise);
         }
+    }
+
+    /// A register fed by a wire now at `in_val`: on a rising clock edge
+    /// the setup check, then the sample, driven onto `q` after
+    /// `clk_to_q`; on a data change the hold check against the latest
+    /// edge. A data wire that never changed cannot violate setup.
+    fn eval_register(&mut self, in_val: bool, entry: Fanout, clk_to_q: u64) {
+        let slot = self
+            .nl
+            .registers
+            .binary_search_by_key(&entry.out, |r| r.q)
+            .expect("every register output has a side-table entry");
+        let reg = self.nl.registers[slot];
+        let now = self.now_ps;
+        if entry.other == reg.d {
+            // The row's wire is the clock.
+            if !in_val {
+                return;
+            }
+            let d = self.wires[reg.d as usize];
+            if reg.setup_ps > 0 && d.change_ps > 0 && now.saturating_sub(d.change_ps) < reg.setup_ps {
+                self.violation(ViolationKind::Setup, reg.d);
+            }
+            self.last_clk_rise[slot] = Some(now);
+            self.schedule_output(entry.out as usize, clk_to_q, d.value);
+        } else if let Some(edge) = self.last_clk_rise[slot] {
+            if reg.hold_ps > 0 && now.saturating_sub(edge) < reg.hold_ps {
+                self.violation(ViolationKind::Hold, reg.d);
+            }
+        }
+    }
+
+    fn violation(&mut self, kind: ViolationKind, data: u32) {
+        self.violations.push(TimingViolation {
+            at: self.now(),
+            data_wire: WireId(data),
+            kind,
+        });
     }
 
     /// Schedules a gate output `delay` ps from now. Gate delays are at
@@ -749,13 +987,42 @@ impl NetSim {
     /// schedules into the current instant: whatever it triggers is
     /// applied by a later dispatch, never inside the row walk of
     /// [`NetSim::settle_fanout`], which therefore needs no work queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`TimeOverflowError`] message if the fire time
+    /// passes the `u64` picosecond horizon — one compare per scheduled
+    /// event.
     fn schedule_output(&mut self, out: usize, delay: u64, value: bool) {
         debug_assert!(
             delay >= 1,
             "gate evaluation scheduled at the current instant"
         );
-        self.schedule_change(out, self.now_ps + delay, value);
+        let t_ps = match self.now_ps.checked_add(delay) {
+            Some(t) => t,
+            None => overflow(self.now_ps, delay),
+        };
+        self.schedule_change(out, t_ps, value);
     }
+}
+
+/// The panic of a gate output scheduled past the horizon, kept out of
+/// line so the hot path carries only the compare.
+#[cold]
+#[inline(never)]
+fn overflow(now_ps: u64, delay: u64) -> ! {
+    let err = TimeOverflowError {
+        op: TimeOp::Add,
+        lhs_ps: now_ps,
+        rhs: delay,
+    };
+    panic!("{err}")
+}
+
+/// A wire as the trace names a fault site: `net{index}`, matching the
+/// `net=` field of the trace's event records.
+fn trace_site(w: usize) -> String {
+    format!("net{w}")
 }
 
 #[cfg(test)]
@@ -796,7 +1063,7 @@ mod tests {
         let (shot, or, inv, buf) = (nl.add_wire(), nl.add_wire(), nl.add_wire(), nl.add_wire());
         nl.add_buffer(a, buf, ps(30), ps(30));
         nl.add_inverter(a, inv, ps(20), ps(25));
-        nl.add_or2(other, a, or, ps(10), ps(10)); // `a` as the second input
+        nl.add_gate2(GateKind::Or2, other, a, or, ps(10), ps(10)); // `a` as the second input
         nl.add_one_shot(a, shot, ps(5), ps(40));
         let mut sim = NetSim::from_netlist(nl);
         sim.schedule_input(a, ps(100), true);
@@ -886,5 +1153,480 @@ mod tests {
             w.render()
         };
         assert_eq!(vcd, expected);
+    }
+
+    /// A netlist of `n` wires wired up by `build`, simulated.
+    fn sim_of(n: usize, build: impl FnOnce(&mut Netlist, &[WireId])) -> (NetSim, Vec<WireId>) {
+        let mut nl = Netlist::new();
+        let w: Vec<WireId> = (0..n).map(|_| nl.add_wire()).collect();
+        build(&mut nl, &w);
+        (NetSim::from_netlist(nl), w)
+    }
+
+    /// A small circuit exercising schedules, firings, and inertial
+    /// cancellations: an inverter driven by a pulse narrower than its
+    /// delay plus a free-running clock. `trace` enables event tracing
+    /// *before* any stimulus, so the recorded lifecycle is complete.
+    fn traced_fixture(trace: bool) -> (NetSim, WireId) {
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_inverter(w[1], w[2], ps(100), ps(100));
+        });
+        let (clk, a, b) = (w[0], w[1], w[2]);
+        sim.watch(b);
+        if trace {
+            sim.enable_trace(1 << 12);
+            sim.mark_clock(clk, "clk", 0);
+        }
+        sim.schedule_clock(clk, ps(50), ps(400), ps(200), 4);
+        sim.schedule_input(a, ps(300), true);
+        // Narrow pulse: swallowed by the inverter's inertial window.
+        sim.schedule_input(a, ps(600), false);
+        sim.schedule_input(a, ps(640), true);
+        (sim, b)
+    }
+
+    #[test]
+    fn tracing_does_not_change_behavior() {
+        let (mut plain, b) = traced_fixture(false);
+        plain.run_until(ps(5_000));
+        let (mut traced, _) = traced_fixture(true);
+        assert!(traced.trace_enabled());
+        traced.run_until(ps(5_000));
+        assert_eq!(plain.stats(), traced.stats());
+        assert_eq!(plain.transitions_ps(b), traced.transitions_ps(b));
+        assert_eq!(plain.now(), traced.now());
+    }
+
+    #[test]
+    fn trace_records_the_event_lifecycle() {
+        let (mut sim, _) = traced_fixture(true);
+        sim.run_until(ps(5_000));
+        let stats = sim.stats();
+        let buf = sim.take_trace().expect("tracing was enabled");
+        assert!(!sim.trace_enabled(), "take_trace disables tracing");
+        let (events, dropped) = buf.into_ordered();
+        assert_eq!(dropped, 0);
+        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;
+        assert_eq!(count("event_scheduled"), stats.events_scheduled);
+        assert_eq!(count("event_fired"), stats.events_processed);
+        assert_eq!(count("event_cancelled"), stats.cancellations);
+        // 4 clock cycles, marked: 8 clock edges.
+        assert_eq!(count("clock_edge"), 8);
+        // The engine timeline satisfies the offline checker.
+        let mut trace = sim_observe::Trace::new();
+        let mut buf2 = TraceBuf::new(events.len());
+        for ev in events {
+            buf2.record(ev);
+        }
+        trace.add_track("engine", buf2);
+        let check = sim_observe::check_trace(&trace);
+        assert!(check.is_ok(), "{:?}", check.violations);
+    }
+
+    #[test]
+    fn buffer_propagates_with_asymmetric_delays() {
+        let (mut sim, w) = sim_of(2, |nl, w| {
+            nl.add_buffer(w[0], w[1], ps(100), ps(300));
+        });
+        sim.watch(w[1]);
+        sim.schedule_input(w[0], ps(1000), true);
+        sim.schedule_input(w[0], ps(2000), false);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        assert_eq!(sim.transitions_ps(w[1]), &[(1100, true), (2300, false)]);
+    }
+
+    #[test]
+    fn inverter_chain_parity() {
+        let (mut sim, w) = sim_of(4, |nl, w| {
+            for p in w.windows(2) {
+                nl.add_inverter(p[0], p[1], ps(50), ps(50));
+            }
+        });
+        // Initial state alternates: 0,1,0,1 — consistent, no events.
+        assert_eq!(sim.pending_events(), 0);
+        sim.schedule_input(w[0], ps(100), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        assert!(sim.value(w[0]));
+        assert!(!sim.value(w[1]));
+        assert!(sim.value(w[2]));
+        assert!(!sim.value(w[3]));
+    }
+
+    #[test]
+    fn four_inverters_pass_a_rising_edge_400_ps_later() {
+        let (mut sim, w) = sim_of(5, |nl, w| {
+            for p in w.windows(2) {
+                nl.add_inverter(p[0], p[1], ps(100), ps(100));
+            }
+        });
+        sim.watch(w[4]);
+        sim.schedule_input(w[0], ps(10), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        // Inverted four times: a rising edge again, 400 ps later.
+        assert_eq!(sim.transitions_ps(w[4]), &[(410, true)]);
+    }
+
+    #[test]
+    fn chain_of_mixed_stages_settles_in_order() {
+        // Buffer then one-shot: the pulse rises at 10 + 50 + 30 and
+        // falls one wired-in width later.
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_buffer(w[0], w[1], ps(50), ps(50));
+            nl.add_one_shot(w[1], w[2], ps(30), ps(200));
+        });
+        sim.watch(w[2]);
+        sim.schedule_input(w[0], ps(10), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        assert_eq!(sim.transitions_ps(w[2]), &[(90, true), (290, false)]);
+    }
+
+    /// A buffer with slow rise (400) and fast fall (100), driven by a
+    /// pulse from 1000 to `fall_at`.
+    fn pulse_through_buffer(fall_at: u64) -> NetSim {
+        let (mut sim, w) = sim_of(2, |nl, w| {
+            nl.add_buffer(w[0], w[1], ps(400), ps(100));
+        });
+        sim.watch(w[1]);
+        sim.schedule_input(w[0], ps(1000), true);
+        sim.schedule_input(w[0], ps(fall_at), false);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        sim
+    }
+
+    #[test]
+    fn narrow_pulse_is_swallowed() {
+        // A 200-wide pulse ends (fall arrives at 1200 + 100 = 1300)
+        // before the rise would complete (1000 + 400 = 1400) — the
+        // output never moves.
+        let sim = pulse_through_buffer(1200);
+        let out = WireId(1);
+        assert_eq!(sim.transitions_ps(out), &[]);
+        assert!(!sim.value(out));
+        let s = sim.stats();
+        assert!(s.cancellations >= 1, "swallowed pulse cancels: {s:?}");
+        assert!(s.dead_events >= 1, "cancelled event dies in queue: {s:?}");
+        assert_eq!(s.events_scheduled, s.events_processed + s.dead_events);
+    }
+
+    #[test]
+    fn wide_pulse_passes() {
+        // Rise at 1400, fall at 1600: narrowed from 500 to 200 but
+        // alive — 2 input events + 2 output events, all processed,
+        // nothing cancelled.
+        let sim = pulse_through_buffer(1500);
+        assert_eq!(sim.transitions_ps(WireId(1)), &[(1400, true), (1600, false)]);
+        let s = sim.stats();
+        assert_eq!(s.events_processed, 4);
+        assert_eq!(s.cancellations, 0);
+        assert_eq!(s.events_scheduled, s.events_processed + s.dead_events);
+        assert!(s.peak_queue_depth >= 1);
+    }
+
+    #[test]
+    fn clock_source_produces_edges() {
+        let (mut sim, w) = sim_of(1, |_, _| {});
+        sim.watch(w[0]);
+        sim.schedule_clock(w[0], ps(100), ps(1000), ps(500), 3);
+        sim.run_to_quiescence(ps(100_000)).expect("settles");
+        let edges = sim.transitions_ps(w[0]);
+        assert_eq!(edges.len(), 6);
+        assert_eq!(edges[0], (100, true));
+        assert_eq!(edges[5], (2600, false));
+    }
+
+    /// A register `d, clk -> q` with the given windows, driven by
+    /// `(wire index, time, value)` inputs, run to quiescence.
+    fn register_run(setup: u64, hold: u64, inputs: &[(usize, u64, bool)]) -> NetSim {
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_register(w[0], w[1], w[2], ps(setup), ps(hold), ps(20));
+        });
+        sim.watch(w[2]);
+        for &(k, t, v) in inputs {
+            sim.schedule_input(w[k], ps(t), v);
+        }
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        sim
+    }
+
+    #[test]
+    fn register_samples_on_rising_edge() {
+        let sim = register_run(
+            50,
+            50,
+            &[(0, 100, true), (1, 500, true), (1, 700, false), (0, 800, false), (1, 1500, true)],
+        );
+        assert_eq!(sim.transitions_ps(WireId(2)), &[(520, true), (1520, false)]);
+        assert!(sim.violations().is_empty());
+    }
+
+    #[test]
+    fn setup_violation_detected() {
+        // Data changes 30 ps before the edge: setup (100) violated.
+        let sim = register_run(100, 100, &[(0, 470, true), (1, 500, true)]);
+        assert_eq!(
+            sim.violations(),
+            &[TimingViolation {
+                at: ps(500),
+                data_wire: WireId(0),
+                kind: ViolationKind::Setup,
+            }]
+        );
+    }
+
+    #[test]
+    fn hold_violation_detected() {
+        // Data changes 40 ps after the edge: hold (100) violated.
+        let sim = register_run(100, 100, &[(1, 500, true), (0, 540, true)]);
+        assert_eq!(sim.violations().len(), 1);
+        assert_eq!(sim.violations()[0].kind, ViolationKind::Hold);
+        assert_eq!(sim.violations()[0].at, ps(540));
+    }
+
+    #[test]
+    fn clean_timing_no_violations() {
+        let sim = register_run(
+            100,
+            100,
+            &[(0, 200, true), (1, 500, true), (1, 900, false), (0, 1100, false)],
+        );
+        assert!(sim.violations().is_empty());
+    }
+
+    #[test]
+    fn run_to_quiescence_reports_still_active() {
+        let (mut sim, w) = sim_of(1, |_, _| {});
+        sim.schedule_clock(w[0], ps(0), ps(1000), ps(500), 1000);
+        let err = sim.run_to_quiescence(ps(5_000)).unwrap_err();
+        assert_eq!(err.limit, ps(5_000));
+    }
+
+    #[test]
+    fn run_until_stops_at_time() {
+        let (mut sim, w) = sim_of(2, |nl, w| {
+            nl.add_buffer(w[0], w[1], ps(100), ps(100));
+        });
+        sim.schedule_input(w[0], ps(1000), true);
+        sim.run_until(ps(1050));
+        assert!(!sim.value(w[1]));
+        assert_eq!(sim.now(), ps(1050));
+        sim.run_until(ps(1100));
+        assert!(sim.value(w[1]));
+    }
+
+    #[test]
+    fn determinism_same_inputs_same_trace() {
+        let build = || {
+            let (mut sim, w) = sim_of(10, |nl, w| {
+                for p in w.windows(2) {
+                    nl.add_buffer(p[0], p[1], ps(73), ps(91));
+                }
+            });
+            sim.watch(w[9]);
+            sim.schedule_clock(w[0], ps(0), ps(400), ps(200), 20);
+            sim.run_to_quiescence(ps(1_000_000)).expect("settles");
+            sim.transitions_ps(w[9]).to_vec()
+        };
+        assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn c_element_follows_agreement_and_holds_disagreement() {
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_c_element(w[0], w[1], w[2], ps(100));
+        });
+        let (a, b, q) = (w[0], w[1], w[2]);
+        sim.watch(q);
+        // a rises alone: hold.
+        sim.schedule_input(a, ps(1000), true);
+        // b joins: q rises 100 later.
+        sim.schedule_input(b, ps(2000), true);
+        // a falls alone: hold.
+        sim.schedule_input(a, ps(3000), false);
+        // b falls: q falls.
+        sim.schedule_input(b, ps(4000), false);
+        sim.run_to_quiescence(ps(100_000)).expect("settles");
+        assert_eq!(sim.transitions_ps(q), &[(2100, true), (4100, false)]);
+    }
+
+    #[test]
+    fn c_element_initial_state_follows_agreeing_inputs() {
+        // Inputs low, then high, at construction: the output starts at
+        // their value, with no event.
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_c_element(w[0], w[1], w[2], ps(50));
+        });
+        assert!(!sim.value(w[2]));
+        sim.run_to_quiescence(ps(1_000)).expect("settles");
+        assert_eq!(sim.pending_events(), 0);
+        let (sim, w) = sim_of(5, |nl, w| {
+            nl.add_inverter(w[0], w[1], ps(10), ps(10));
+            nl.add_inverter(w[0], w[2], ps(10), ps(10));
+            nl.add_c_element(w[1], w[2], w[3], ps(50));
+            nl.add_c_element(w[0], w[1], w[4], ps(50));
+        });
+        assert!(sim.value(w[3]), "agreeing high inputs");
+        assert!(!sim.value(w[4]), "disagreeing inputs hold the low start");
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn c_element_rendezvous_of_two_chains() {
+        // Two buffer chains of different lengths meet at a C-element:
+        // the output waits for the slower chain — the rendezvous that
+        // self-timed synchronization is built from.
+        let (mut sim, w) = sim_of(12, |nl, w| {
+            let mut fast = w[0];
+            for &n in &w[1..3] {
+                nl.add_buffer(fast, n, ps(100), ps(100));
+                fast = n;
+            }
+            let mut slow = w[0];
+            for &n in &w[3..11] {
+                nl.add_buffer(slow, n, ps(100), ps(100));
+                slow = n;
+            }
+            nl.add_c_element(fast, slow, w[11], ps(10));
+        });
+        sim.watch(w[11]);
+        sim.schedule_input(w[0], ps(1000), true);
+        sim.run_to_quiescence(ps(100_000)).expect("settles");
+        // Slow chain arrives at 1000 + 800; C fires 10 later.
+        assert_eq!(sim.transitions_ps(w[11]), &[(1810, true)]);
+    }
+
+    #[test]
+    fn two_input_gates_resolve_their_start_state_through_events() {
+        // Low inputs: NAND, NOR and XNOR outputs must rise — through
+        // scheduled events, so the rise propagates downstream.
+        let (mut sim, w) = sim_of(7, |nl, w| {
+            nl.add_gate2(GateKind::Nand2, w[0], w[1], w[2], ps(30), ps(20));
+            nl.add_gate2(GateKind::Nor2, w[0], w[1], w[3], ps(40), ps(20));
+            nl.add_gate2(GateKind::Xnor2, w[0], w[1], w[4], ps(50), ps(20));
+            nl.add_gate2(GateKind::Xor2, w[0], w[1], w[5], ps(60), ps(20));
+            nl.add_buffer(w[2], w[6], ps(5), ps(5));
+        });
+        assert_eq!(sim.pending_events(), 3);
+        sim.watch(w[6]);
+        sim.run_to_quiescence(ps(1_000)).expect("settles");
+        assert_eq!(
+            (2..6).map(|k| sim.value(w[k])).collect::<Vec<_>>(),
+            vec![true, true, true, false]
+        );
+        assert_eq!(sim.transitions_ps(w[6]), &[(35, true)]);
+    }
+
+    #[test]
+    fn budgeted_run_stops_at_each_limit() {
+        let (mut sim, w) = sim_of(1, |_, _| {});
+        sim.schedule_clock(w[0], ps(0), ps(1_000), ps(500), 10);
+        assert_eq!(
+            sim.run_budgeted(RunBudget::new(ps(100_000), 5)),
+            Halt::EventLimit { at: ps(2_000) }
+        );
+        assert_eq!(
+            sim.run_budgeted(RunBudget::new(ps(4_200), 1_000)),
+            Halt::SimLimit { at: ps(4_000) }
+        );
+        assert_eq!(
+            sim.run_budgeted(RunBudget::new(ps(100_000), 1_000)),
+            Halt::Quiescent { at: ps(9_500) }
+        );
+    }
+
+    #[test]
+    fn record_metrics_exports_counters() {
+        let (mut sim, w) = sim_of(2, |nl, w| {
+            nl.add_buffer(w[0], w[1], ps(100), ps(100));
+        });
+        sim.schedule_input(w[0], ps(1000), true);
+        sim.run_to_quiescence(ps(10_000)).expect("settles");
+        let mut m = sim_observe::Metrics::new();
+        sim.record_metrics(&mut m, "engine");
+        assert_eq!(m.counter("engine.events_processed"), 2);
+        assert_eq!(m.counter("engine.sim_time_ps"), 1100);
+        // Peak depth merges as a max across simulators.
+        let peak = m.counter("engine.peak_queue_depth");
+        sim.stats().record(&mut m, "engine");
+        assert_eq!(m.counter("engine.peak_queue_depth"), peak);
+    }
+
+    #[test]
+    fn vcd_export_dumps_watched_and_unwatched_wires() {
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_inverter(w[0], w[1], ps(20), ps(20));
+        });
+        sim.watch(w[0]);
+        sim.watch(w[1]);
+        sim.schedule_input(w[0], ps(100), true);
+        sim.schedule_input(w[0], ps(200), false);
+        sim.run_until(ps(1_000));
+        let vcd = sim.export_vcd(&[(w[0], "req"), (w[1], "req_n"), (w[2], "idle")]);
+        assert!(vcd.starts_with("$timescale 1ps $end"));
+        assert!(vcd.contains("$var wire 1 ! req $end"));
+        assert!(vcd.contains("$var wire 1 \" req_n $end"));
+        // Initial dump: req starts 0, req_n 1 (inverter of a low
+        // input), the never-watched wire at its current value.
+        assert!(vcd.contains("$dumpvars\n0!\n1\"\n0#\n$end"));
+        // Events at 100, 120, 200, 220.
+        for t in [100, 120, 200, 220] {
+            assert!(vcd.contains(&format!("#{t}\n")), "missing #{t}:\n{vcd}");
+        }
+    }
+
+    #[test]
+    fn recorded_and_synthetic_signals_share_one_vcd() {
+        // A simulated wire next to an analytic waveform with no
+        // simulator behind it, in one writer.
+        let (mut sim, w) = sim_of(1, |_, _| {});
+        sim.watch(w[0]);
+        sim.schedule_input(w[0], ps(50), true);
+        sim.run_until(ps(100));
+        let mut writer = VcdWriter::new();
+        writer.add_signal("real", false, sim.transitions_ps(w[0]).iter().copied());
+        writer.add_signal("model", false, [(10, true), (90, false)]);
+        let vcd = writer.render();
+        for needle in ["$var wire 1 ! real $end", "$var wire 1 \" model $end", "#10", "#50", "#90"] {
+            assert!(vcd.contains(needle), "missing {needle}:\n{vcd}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate VCD signal name")]
+    fn vcd_export_rejects_duplicate_names() {
+        let (sim, w) = sim_of(2, |_, _| {});
+        let _ = sim.export_vcd(&[(w[0], "x"), (w[1], "x")]);
+    }
+
+    #[test]
+    #[should_panic(expected = "clock edge 3: ")]
+    fn clock_overflow_names_the_edge() {
+        let (mut sim, w) = sim_of(1, |_, _| {});
+        // Cycles 0–2 fit (the last fall lands exactly on the horizon);
+        // cycle 3's rise overflows.
+        sim.schedule_clock(w[0], ps(u64::MAX - 2_500), ps(1_000), ps(500), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn gate_output_past_the_horizon_panics() {
+        // An input edge 10 ps before the horizon into two 100 ps
+        // inverters: the first output would fire past `u64::MAX`.
+        let (mut sim, w) = sim_of(3, |nl, w| {
+            nl.add_inverter(w[0], w[1], ps(100), ps(100));
+            nl.add_inverter(w[1], w[2], ps(100), ps(100));
+        });
+        sim.schedule_input(w[0], ps(u64::MAX - 10), true);
+        let _ = sim.run_to_quiescence(ps(u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn scaled_delay_past_the_horizon_panics() {
+        let (mut sim, w) = sim_of(2, |nl, w| {
+            nl.add_buffer(w[0], w[1], ps(100), ps(100));
+        });
+        sim.scale_wire_delay(w[1], 10_000);
+        sim.schedule_input(w[0], ps(u64::MAX - 5_000), true);
+        let _ = sim.run_to_quiescence(ps(u64::MAX));
     }
 }

@@ -11,7 +11,7 @@
 //!   pulse *shrinks* per stage due to the rise/fall discrepancy (the
 //!   paper measured ≈ 500 ns — 68× faster).
 //!
-//! This module reproduces the experiment on the [`Simulator`]: each
+//! This module reproduces the experiment on the [`NetSim`]: each
 //! inverter gets a rise and fall delay composed of a base delay, a
 //! deterministic design *bias* (the paper's circuit favoured falling
 //! edges), and a Gaussian per-stage discrepancy (the paper's √n yield
@@ -20,10 +20,11 @@
 //! end" — narrower pulses are swallowed by the simulator's inertial
 //! delay exactly as the physical string swallows them.
 
-use crate::chain::{build_chain, ChainStage};
-use crate::engine::{NetId, Simulator};
+use crate::arena::{Netlist, SealedNetlist, WireId};
+use crate::engine::NetSim;
 use crate::time::SimTime;
 use sim_runtime::{sample_normal, ParallelSweep, SimRng};
+use std::sync::Arc;
 
 /// Parameters of one simulated inverter-string chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,15 +261,30 @@ impl InverterString {
             .collect()
     }
 
-    /// The chip as a [`ChainStage`] list — the single source of truth
-    /// both the legacy [`Simulator`] and the flat netlist core build
-    /// their circuits from (see [`crate::chain`]).
+    /// The chip as a netlist: wire 0 is the clock input and wire `k`
+    /// the output of inverter `k`, so the far end is wire `stages`.
     #[must_use]
-    pub fn chain_stages(&self) -> Vec<ChainStage> {
-        self.delays
-            .iter()
-            .map(|&(rise, fall)| ChainStage::Inverter { rise, fall })
-            .collect()
+    pub fn netlist(&self) -> Netlist {
+        let mut nl = Netlist::new();
+        let mut prev = nl.add_wire();
+        for &(rise, fall) in &self.delays {
+            let out = nl.add_wire();
+            nl.add_inverter(prev, out, rise, fall);
+            prev = out;
+        }
+        nl
+    }
+
+    /// The far end of the string in [`InverterString::netlist`].
+    fn far_end(&self) -> WireId {
+        WireId::from_index(self.delays.len())
+    }
+
+    /// A simulator over `sealed` with the far end watched.
+    fn sim(&self, sealed: &Arc<SealedNetlist>) -> NetSim {
+        let mut sim = NetSim::new(Arc::clone(sealed));
+        sim.watch(self.far_end());
+        sim
     }
 
     /// Sum of all per-stage delays, both edges — the analytic
@@ -286,14 +302,6 @@ impl InverterString {
         SimTime::from_ps(ps)
     }
 
-    fn build(&self) -> (Simulator, NetId, NetId) {
-        let mut sim = Simulator::new();
-        let nodes = build_chain(&mut sim, &self.chain_stages());
-        let (input, far) = (nodes[0], *nodes.last().expect("non-empty chain"));
-        sim.watch(far);
-        (sim, input, far)
-    }
-
     /// Measures the equipotential cycle: drive one rising edge, wait
     /// for the far end to settle, drive the falling edge, wait again;
     /// the cycle is the sum of both settle times (the "equipotential
@@ -305,7 +313,8 @@ impl InverterString {
     /// feed-forward chain).
     #[must_use]
     pub fn equipotential_cycle(&self) -> SimTime {
-        let (mut sim, input, output) = self.build();
+        let mut sim = self.sim(&Arc::new(self.netlist().seal()));
+        let (input, output) = (CLOCK_INPUT, self.far_end());
         let limit = self.spec.base_delay * (4 * self.spec.stages as u64 + 16);
         let t0 = SimTime::from_ps(10);
         sim.schedule_input(input, t0, true);
@@ -327,15 +336,22 @@ impl InverterString {
     /// Panics if `period < 2` ps or `cycles == 0`.
     #[must_use]
     pub fn pipelined_clock_survives(&self, period: SimTime, cycles: usize) -> bool {
+        self.survives_on(&Arc::new(self.netlist().seal()), period, cycles)
+    }
+
+    /// [`InverterString::pipelined_clock_survives`] on an already
+    /// sealed [`InverterString::netlist`], so a period search seals
+    /// once.
+    fn survives_on(&self, sealed: &Arc<SealedNetlist>, period: SimTime, cycles: usize) -> bool {
         assert!(period.as_ps() >= 2, "period too small");
         assert!(cycles > 0, "need at least one cycle");
-        let (mut sim, input, output) = self.build();
+        let mut sim = self.sim(sealed);
         let high = SimTime::from_ps(period.as_ps() / 2);
-        sim.schedule_clock(input, SimTime::from_ps(10), period, high, cycles);
+        sim.schedule_clock(CLOCK_INPUT, SimTime::from_ps(10), period, high, cycles);
         let limit = period * (cycles as u64 + 4)
             + self.spec.base_delay * (4 * self.spec.stages as u64 + 16);
         sim.run_to_quiescence(limit).expect("chain settles");
-        sim.transitions(output).len() == 2 * cycles
+        sim.transitions_ps(self.far_end()).len() == 2 * cycles
     }
 
     /// Finds, by binary search, the minimum period at which a
@@ -349,9 +365,11 @@ impl InverterString {
     pub fn min_pipelined_period(&self, cycles: usize) -> SimTime {
         // Upper bound: a generous multiple of the analytic shrinkage
         // plus a couple of stage delays always survives.
+        let sealed = Arc::new(self.netlist().seal());
+        let survives = |period| self.survives_on(&sealed, period, cycles);
         let analytic = 2 * self.worst_prefix_shrinkage_ps().unsigned_abs();
         let mut hi = SimTime::from_ps((analytic + 8 * self.spec.base_delay.as_ps()).max(16));
-        while !self.pipelined_clock_survives(hi, cycles) {
+        while !survives(hi) {
             hi = hi * 2;
             assert!(
                 hi.as_ps() < u64::MAX / 4,
@@ -362,7 +380,7 @@ impl InverterString {
         // Invariant: hi survives, lo does not (or is the floor).
         while hi.as_ps() - lo.as_ps() > 1 {
             let mid = SimTime::from_ps((lo.as_ps() + hi.as_ps()) / 2);
-            if self.pipelined_clock_survives(mid, cycles) {
+            if survives(mid) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -372,10 +390,10 @@ impl InverterString {
     }
 
     /// Runs a pipelined clock of the given `period` for `cycles`
-    /// cycles with `taps` evenly spaced nets along the string watched,
-    /// and returns the finished simulator together with `(net, name)`
-    /// pairs ready for [`crate::vcd::export_vcd`] — the machinery
-    /// behind e6's `--vcd` flag.
+    /// cycles with `taps` evenly spaced wires along the string watched,
+    /// and returns the finished simulator together with `(wire, name)`
+    /// pairs ready for [`NetSim::export_vcd`] — the machinery behind
+    /// e6's `--vcd` flag.
     ///
     /// The first tap is always the clock input (named `clk_in`), the
     /// last is the far end of the string; intermediate taps are named
@@ -386,7 +404,7 @@ impl InverterString {
     /// simulator before the clock train starts (a ring of that
     /// capacity), with the clock input marked as phase-0 `clk_in`;
     /// retrieve the ring from the returned simulator with
-    /// [`Simulator::take_trace`].
+    /// [`NetSim::take_trace`].
     ///
     /// # Panics
     ///
@@ -398,23 +416,24 @@ impl InverterString {
         cycles: usize,
         taps: usize,
         trace_capacity: Option<usize>,
-    ) -> (Simulator, Vec<(NetId, String)>) {
+    ) -> (NetSim, Vec<(WireId, String)>) {
         assert!(period.as_ps() >= 2, "period too small");
         assert!(cycles > 0, "need at least one cycle");
-        let mut sim = Simulator::new();
-        let nets = build_chain(&mut sim, &self.chain_stages());
-        let input = nets[0];
-        let taps = taps.clamp(2, nets.len());
+        let mut sim = NetSim::from_netlist(self.netlist());
+        let input = CLOCK_INPUT;
+        let wires = self.delays.len() + 1;
+        let taps = taps.clamp(2, wires);
         let mut signals = Vec::with_capacity(taps);
         for k in 0..taps {
-            let idx = k * (nets.len() - 1) / (taps - 1);
+            let idx = k * (wires - 1) / (taps - 1);
             let name = if idx == 0 {
                 "clk_in".to_owned()
             } else {
                 format!("stage_{idx}")
             };
-            sim.watch(nets[idx]);
-            signals.push((nets[idx], name));
+            let wire = WireId::from_index(idx);
+            sim.watch(wire);
+            signals.push((wire, name));
         }
         if let Some(capacity) = trace_capacity {
             sim.enable_trace(capacity);
@@ -439,8 +458,11 @@ impl InverterString {
     }
 }
 
-fn last_transition(sim: &Simulator, net: NetId) -> Option<SimTime> {
-    sim.transitions(net).last().map(|&(t, _)| t)
+/// The string's clock input in [`InverterString::netlist`].
+const CLOCK_INPUT: WireId = WireId(0);
+
+fn last_transition(sim: &NetSim, wire: WireId) -> Option<SimTime> {
+    sim.transitions_ps(wire).last().map(|&(t, _)| SimTime::from_ps(t))
 }
 
 #[cfg(test)]
@@ -632,13 +654,13 @@ mod tests {
         assert_eq!(signals[0].1, "clk_in");
         assert_eq!(signals.last().expect("taps").1, "stage_32");
         // Every tap carries the full clock train: 2 transitions/cycle.
-        for (net, name) in &signals {
-            assert_eq!(sim.transitions(*net).len(), 6, "tap {name}");
+        for (wire, name) in &signals {
+            assert_eq!(sim.transitions_ps(*wire).len(), 6, "tap {name}");
         }
         // And the result feeds straight into the VCD exporter.
-        let named: Vec<(NetId, &str)> =
-            signals.iter().map(|(n, s)| (*n, s.as_str())).collect();
-        let vcd = crate::vcd::export_vcd(&sim, &named);
+        let named: Vec<(WireId, &str)> =
+            signals.iter().map(|(w, s)| (*w, s.as_str())).collect();
+        let vcd = sim.export_vcd(&named);
         assert!(vcd.contains("$var wire 1 ! clk_in $end"));
         assert!(sim.stats().events_processed > 0);
     }

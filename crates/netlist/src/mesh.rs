@@ -17,10 +17,10 @@
 //! [`WaveOutcome`] reads arrival times from the engine's per-wire
 //! last-change column instead of watching a million wires.
 
-use crate::arena::{Netlist, SealedNetlist, WireId};
-use crate::engine::NetSim;
+use crate::arena::{GateKind, Netlist, SealedNetlist, WireId};
+use crate::engine::{EngineStats, NetSim};
 use crate::faults::{gate_fault_words, inject_fault_words, InjectionSummary};
-use desim::time::SimTime;
+use crate::time::SimTime;
 use sim_faults::FaultPlan;
 use sim_runtime::{sample_normal, SimRng};
 use std::sync::Arc;
@@ -98,7 +98,7 @@ impl MeshSpec {
                     _ => {
                         let north = cells[(r - 1) * self.cols + c];
                         let west = cells[r * self.cols + c - 1];
-                        nl.add_or2(north, west, out, rise, fall);
+                        nl.add_gate2(GateKind::Or2, north, west, out, rise, fall);
                     }
                 }
             }
@@ -137,7 +137,7 @@ pub struct WaveOutcome {
     /// What the fault plan injected.
     pub faults: InjectionSummary,
     /// Engine counters for the run.
-    pub stats: desim::engine::EngineStats,
+    pub stats: EngineStats,
 }
 
 impl WaveOutcome {

@@ -21,14 +21,15 @@
 //! while latency grows linearly — measured here on an actual gate
 //! netlist rather than an abstract recurrence.
 
-use crate::engine::{NetId, Simulator};
+use crate::arena::{Netlist, WireId};
+use crate::engine::NetSim;
 use crate::time::SimTime;
 
 /// A gate-level self-timed pipeline of C-elements.
 #[derive(Debug)]
 pub struct MullerPipeline {
-    sim: Simulator,
-    stage_nets: Vec<NetId>,
+    sim: NetSim,
+    stage_wires: Vec<WireId>,
     built_stages: usize,
     source_inv_delay: SimTime,
 }
@@ -58,28 +59,25 @@ impl MullerPipeline {
             c_delay > SimTime::ZERO && inv_delay > SimTime::ZERO,
             "gate delays must be positive"
         );
-        let mut sim = Simulator::new();
+        let mut nl = Netlist::new();
         // s[0] is the source state; s[i] the output of C_i.
-        let s: Vec<NetId> = (0..=stages).map(|_| sim.add_net()).collect();
-        // Ack nets: nb[i] = NOT s[i+1] for i in 1..stages; the last
+        let s: Vec<WireId> = (0..=stages).map(|_| nl.add_wire()).collect();
+        // Ack wires: nb[i] = NOT s[i+1] for i in 1..stages; the last
         // stage's ack comes from an inverter on its own output (an
         // always-willing consumer with one inverter of consume time).
         for i in 1..=stages {
-            let ack = sim.add_net();
-            if i < stages {
-                sim.add_inverter(s[i + 1], ack, inv_delay, inv_delay);
-            } else {
-                sim.add_inverter(s[stages], ack, inv_delay, inv_delay);
-            }
-            sim.add_c_element(s[i - 1], ack, s[i], c_delay);
+            let ack = nl.add_wire();
+            nl.add_inverter(s[(i + 1).min(stages)], ack, inv_delay, inv_delay);
+            nl.add_c_element(s[i - 1], ack, s[i], c_delay);
         }
         // Self-oscillating source: s0 = NOT s1 (token injected as soon
         // as stage 1 accepted the previous one).
-        sim.add_inverter(s[1], s[0], inv_delay, inv_delay);
+        nl.add_inverter(s[1], s[0], inv_delay, inv_delay);
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(s[stages]);
         MullerPipeline {
             sim,
-            stage_nets: s,
+            stage_wires: s,
             built_stages: stages,
             source_inv_delay: inv_delay,
         }
@@ -100,19 +98,19 @@ impl MullerPipeline {
     /// should be live by construction).
     #[must_use]
     pub fn run(mut self, until: SimTime) -> MullerRun {
-        // Power-on kick. Construction leaves the source net statically
+        // Power-on kick. Construction leaves the source wire statically
         // at 1 (the source inverter's consistent state), which is not
         // an *event*, so nothing reacts. Pull it low, then raise it
         // again after the source inverter's inertial window: the
         // rising transition is the first token, and the inverter loop
         // sustains the stream afterwards.
-        let s0 = self.stage_nets[0];
+        let s0 = self.stage_wires[0];
         let gap = self.source_inv_delay * 2 + SimTime::from_ps(2);
         self.sim.schedule_input(s0, SimTime::from_ps(1), false);
         self.sim.schedule_input(s0, SimTime::from_ps(1) + gap, true);
         self.sim.run_until(until);
-        let out = *self.stage_nets.last().expect("non-empty");
-        let transitions = self.sim.transitions(out);
+        let out = *self.stage_wires.last().expect("non-empty");
+        let transitions = self.sim.transitions_ps(out);
         assert!(
             transitions.len() >= 2,
             "pipeline stalled: only {} transitions at the sink",
@@ -120,13 +118,10 @@ impl MullerPipeline {
         );
         let first_arrival = transitions[0].0;
         let last = transitions[transitions.len() - 1].0;
-        let period = SimTime::from_ps(
-            (last.as_ps() - first_arrival.as_ps()) / (transitions.len() as u64 - 1),
-        );
         MullerRun {
             tokens_delivered: transitions.len(),
-            period,
-            first_arrival,
+            period: SimTime::from_ps((last - first_arrival) / (transitions.len() as u64 - 1)),
+            first_arrival: SimTime::from_ps(first_arrival),
         }
     }
 }

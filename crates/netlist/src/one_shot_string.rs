@@ -7,7 +7,8 @@
 //! generate its own falling edges with a one-shot pulse generator",
 //! with the pulse width "wired into the circuit".
 //!
-//! This module builds that clock string from [`OneShot`] buffers and
+//! This module builds that clock string from one-shot buffers
+//! ([`GateKind::OneShot`]) and
 //! shows the payoff: because every stage regenerates a fresh
 //! fixed-width pulse, *nothing accumulates* — the minimum workable
 //! period is set by the one-shot's own recovery (≈ 2× the pulse
@@ -15,12 +16,13 @@
 //! delay variation. The cost the paper names — the wired-in pulse
 //! width — is the `pulse_width` parameter.
 //!
-//! [`OneShot`]: crate::engine::Simulator::add_one_shot
+//! [`GateKind::OneShot`]: crate::GateKind::OneShot
 
-use crate::chain::{build_chain, ChainStage};
-use crate::engine::{NetId, Simulator};
+use crate::arena::{Netlist, SealedNetlist, WireId};
+use crate::engine::NetSim;
 use crate::time::SimTime;
 use sim_runtime::{sample_normal, SimRng};
+use std::sync::Arc;
 
 /// Parameters of a one-shot-buffered clock string.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,25 +82,27 @@ impl OneShotString {
         self.delays.len()
     }
 
-    /// The string as a [`ChainStage`] list, shared with the netlist
-    /// core (see [`crate::chain`]).
+    /// The string as a netlist: wire 0 is the clock input and wire
+    /// `k` the output of stage `k`, so the far end is wire `stages`.
     #[must_use]
-    pub fn chain_stages(&self) -> Vec<ChainStage> {
-        self.delays
-            .iter()
-            .map(|&delay| ChainStage::OneShot {
-                delay,
-                pulse_width: self.pulse_width,
-            })
-            .collect()
+    pub fn netlist(&self) -> Netlist {
+        let mut nl = Netlist::new();
+        let mut prev = nl.add_wire();
+        for &delay in &self.delays {
+            let out = nl.add_wire();
+            nl.add_one_shot(prev, out, delay, self.pulse_width);
+            prev = out;
+        }
+        nl
     }
 
-    fn build(&self) -> (Simulator, NetId, NetId) {
-        let mut sim = Simulator::new();
-        let nodes = build_chain(&mut sim, &self.chain_stages());
-        let (input, far) = (nodes[0], *nodes.last().expect("non-empty chain"));
+    /// A simulator over `sealed` with the far end watched, plus the
+    /// input and far-end wires.
+    fn sim(&self, sealed: &Arc<SealedNetlist>) -> (NetSim, WireId, WireId) {
+        let far = WireId::from_index(self.delays.len());
+        let mut sim = NetSim::new(Arc::clone(sealed));
         sim.watch(far);
-        (sim, input, far)
+        (sim, WireId::from_index(0), far)
     }
 
     /// Returns `true` when a clock train of `cycles` rising edges at
@@ -109,9 +113,15 @@ impl OneShotString {
     /// Panics if `period` is too small to drive or `cycles == 0`.
     #[must_use]
     pub fn clock_survives(&self, period: SimTime, cycles: usize) -> bool {
+        self.survives_on(&Arc::new(self.netlist().seal()), period, cycles)
+    }
+
+    /// [`OneShotString::clock_survives`] on an already sealed
+    /// [`OneShotString::netlist`], so a period search seals once.
+    fn survives_on(&self, sealed: &Arc<SealedNetlist>, period: SimTime, cycles: usize) -> bool {
         assert!(period.as_ps() >= 4, "period too small");
         assert!(cycles > 0, "need at least one cycle");
-        let (mut sim, input, output) = self.build();
+        let (mut sim, input, output) = self.sim(sealed);
         let high = SimTime::from_ps(period.as_ps() / 2);
         sim.schedule_clock(input, SimTime::from_ps(10), period, high, cycles);
         let total_delay: u64 = self.delays.iter().map(|d| d.as_ps()).sum();
@@ -119,21 +129,23 @@ impl OneShotString {
             10 + period.as_ps() * (cycles as u64 + 4) + 4 * total_delay + 1_000,
         );
         sim.run_to_quiescence(limit).expect("feed-forward settles");
-        sim.transitions(output).len() == 2 * cycles
+        sim.transitions_ps(output).len() == 2 * cycles
     }
 
     /// Binary-searches the minimum workable period.
     #[must_use]
     pub fn min_period(&self, cycles: usize) -> SimTime {
+        let sealed = Arc::new(self.netlist().seal());
+        let survives = |period| self.survives_on(&sealed, period, cycles);
         let mut hi = self.pulse_width * 8;
-        while !self.clock_survives(hi, cycles) {
+        while !survives(hi) {
             hi = hi * 2;
             assert!(hi.as_ps() < u64::MAX / 4, "no workable period found");
         }
         let mut lo = SimTime::from_ps(4);
         while hi.as_ps() - lo.as_ps() > 1 {
             let mid = SimTime::from_ps((lo.as_ps() + hi.as_ps()) / 2);
-            if self.clock_survives(mid, cycles) {
+            if survives(mid) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -188,15 +200,15 @@ mod tests {
     #[test]
     fn pulses_regenerate_at_fixed_width() {
         let s = OneShotString::fabricate(spec(8, 80.0, 3));
-        let (mut sim, input, output) = s.build();
+        let (mut sim, input, output) = s.sim(&Arc::new(s.netlist().seal()));
         sim.schedule_clock(input, SimTime::from_ps(10), SimTime::from_ps(2_000), SimTime::from_ps(1_000), 3);
         sim.run_to_quiescence(SimTime::from_ps(1_000_000)).expect("settles");
-        let trans = sim.transitions(output);
+        let trans = sim.transitions_ps(output);
         assert_eq!(trans.len(), 6);
         // Every output pulse is exactly the wired-in width.
         for pair in trans.chunks(2) {
             let width = pair[1].0 - pair[0].0;
-            assert_eq!(width, SimTime::from_ps(400), "{trans:?}");
+            assert_eq!(width, 400, "{trans:?}");
         }
     }
 

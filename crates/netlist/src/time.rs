@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// # Examples
 ///
 /// ```
-/// use desim::time::SimTime;
+/// use netlist::time::SimTime;
 ///
 /// let t = SimTime::from_ns(2) + SimTime::from_ps(500);
 /// assert_eq!(t.as_ps(), 2500);
@@ -101,8 +101,9 @@ impl SimTime {
             .checked_add(rhs.0)
             .map(SimTime)
             .ok_or(TimeOverflowError {
+                op: TimeOp::Add,
                 lhs_ps: self.0,
-                rhs_ps: rhs.0,
+                rhs: rhs.0,
             })
     }
 
@@ -111,14 +112,15 @@ impl SimTime {
     /// # Errors
     ///
     /// Returns [`TimeOverflowError`] when the product exceeds
-    /// `u64::MAX` picoseconds (`rhs_ps` reports the scalar).
+    /// `u64::MAX` picoseconds.
     pub fn checked_mul(self, rhs: u64) -> Result<SimTime, TimeOverflowError> {
         self.0
             .checked_mul(rhs)
             .map(SimTime)
             .ok_or(TimeOverflowError {
+                op: TimeOp::Mul,
                 lhs_ps: self.0,
-                rhs_ps: rhs,
+                rhs,
             })
     }
 
@@ -129,28 +131,41 @@ impl SimTime {
     }
 }
 
+/// The arithmetic operation a [`TimeOverflowError`] came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimeOp {
+    /// `time + duration`.
+    Add,
+    /// `duration × scalar`.
+    Mul,
+}
+
 /// Structured error for a tick addition or multiplication that would
 /// exceed the representable simulation horizon (~213 days at 1 ps
 /// resolution). Produced by [`SimTime::checked_add`] and
-/// [`SimTime::checked_mul`]; the panicking operator impls render it as
-/// their panic message, so an overflow on a multi-million-event run
-/// diagnoses itself instead of wrapping around.
+/// [`SimTime::checked_mul`]; the panicking operator impls and the
+/// engine's scheduling paths render it as their panic message, so an
+/// overflow on a multi-million-event run diagnoses itself instead of
+/// wrapping around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeOverflowError {
+    /// Which operation overflowed.
+    pub op: TimeOp,
     /// Left operand, in picoseconds.
     pub lhs_ps: u64,
     /// Right operand: picoseconds for an addition, the scalar for a
     /// multiplication.
-    pub rhs_ps: u64,
+    pub rhs: u64,
 }
 
 impl fmt::Display for TimeOverflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "SimTime overflow: {} ps + {} exceeds the u64 picosecond horizon",
-            self.lhs_ps, self.rhs_ps
-        )
+        let (lhs, rhs) = (self.lhs_ps, self.rhs);
+        match self.op {
+            TimeOp::Add => write!(f, "SimTime overflow in addition: {lhs} ps + {rhs} ps")?,
+            TimeOp::Mul => write!(f, "SimTime overflow in multiplication: {lhs} ps × {rhs}")?,
+        }
+        f.write_str(" exceeds the u64 picosecond horizon")
     }
 }
 
@@ -257,8 +272,12 @@ mod tests {
             .checked_add(SimTime::from_ps(100))
             .expect_err("must overflow");
         assert_eq!(err.lhs_ps, u64::MAX - 10);
-        assert_eq!(err.rhs_ps, 100);
-        assert!(format!("{err}").contains("SimTime overflow"));
+        assert_eq!(err.rhs, 100);
+        assert_eq!(
+            err.to_string(),
+            "SimTime overflow in addition: 18446744073709551605 ps + 100 ps \
+             exceeds the u64 picosecond horizon"
+        );
     }
 
     #[test]
@@ -270,7 +289,13 @@ mod tests {
         let err = SimTime::from_ps(u64::MAX / 2)
             .checked_mul(3)
             .expect_err("must overflow");
-        assert_eq!(err.rhs_ps, 3);
+        assert_eq!(err.op, TimeOp::Mul);
+        assert_eq!(err.rhs, 3);
+        assert_eq!(
+            err.to_string(),
+            "SimTime overflow in multiplication: 9223372036854775807 ps × 3 \
+             exceeds the u64 picosecond horizon"
+        );
     }
 
     #[test]

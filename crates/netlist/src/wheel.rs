@@ -1,8 +1,8 @@
 //! Bucketed calendar-wheel event scheduler.
 //!
-//! The reference engine's binary heap pays `O(log n)` per event plus
-//! allocator churn; at millions of events that is the hot path. The
-//! wheel exploits the bounded `m ± ε` delay model instead: every gate
+//! A binary heap pays `O(log n)` per event plus allocator churn; at
+//! millions of events that is the hot path. The wheel exploits the
+//! bounded `m ± ε` delay model instead: every gate
 //! schedules at most `max_delay` picoseconds ahead, so with a
 //! power-of-two horizon `W > max_delay` all pending events live in
 //! the window `[now, now + W)` and the bucket index `t & (W − 1)` is
@@ -38,7 +38,7 @@
 /// One scheduled value change. `gen` is checked against the wire's
 /// generation counter at dispatch; stale events are dead on arrival
 /// (the wheel never removes cancelled entries — cancellation is a
-/// counter bump, exactly as in the reference engine).
+/// counter bump).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Ev {
     pub t_ps: u64,
@@ -363,7 +363,7 @@ mod tests {
     }
 
     /// Randomized push/pop against a `(time, seq)`-ordered reference
-    /// map — the reference engine's heap order. The mix forces every
+    /// map — a binary heap's order. The mix forces every
     /// bucket shape: singletons, spilled same-time runs, wrap-around
     /// (the clock crosses the horizon many times), and a bucket index
     /// refilled at the current instant right after it drains, where a

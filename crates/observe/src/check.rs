@@ -1,11 +1,11 @@
-//! Offline trace validation: turns a [`Trace`](crate::trace::Trace)
+//! Offline trace validation: turns a [`Trace`]
 //! into a correctness tool.
 //!
 //! The checker replays each track and verifies the model invariants
 //! the paper's schemes rest on:
 //!
-//! * **`monotone-time`** — the `desim` event queue delivers events in
-//!   non-decreasing sim time, so every recorded engine, clock,
+//! * **`monotone-time`** — the netlist engine's scheduler delivers
+//!   events in non-decreasing sim time, so every recorded engine, clock,
 //!   handshake, and span timestamp within a lane must be monotone
 //!   (skew samples are static analyses and exempt).
 //! * **`causality`** — a scheduled change can only fire at or after

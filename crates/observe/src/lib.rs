@@ -24,6 +24,8 @@
 //!   [`SloPolicy`]/[`SloTracker`] budget accounting, and the
 //!   [`Exposition`] Prometheus-text formatter the serve `metrics` op
 //!   renders through.
+//! * [`vcd`] — [`VcdWriter`], value-change dumps for waveform viewers,
+//!   fed by simulated wires and analytic models alike.
 //! * [`trace`] + [`check`] — `sim-trace`: typed per-event tracing into
 //!   bounded ring buffers ([`TraceBuf`] → [`Trace`]), exported as
 //!   Chrome/Perfetto trace-event JSON or a deterministic text form,
@@ -33,7 +35,7 @@
 //!
 //! Hot-path discipline: nothing here belongs *inside* an event loop.
 //! Hot code keeps plain local `u64` counters (see
-//! `desim::engine::EngineStats`) and flushes them into a [`Metrics`]
+//! `netlist::EngineStats`) and flushes them into a [`Metrics`]
 //! once, after the loop.
 //!
 //! # Examples
@@ -61,6 +63,7 @@ pub mod metrics;
 pub mod timer;
 pub mod timeseries;
 pub mod trace;
+pub mod vcd;
 
 pub use check::{check_trace, CheckReport, Violation};
 pub use hist::LogHistogram;
@@ -71,6 +74,7 @@ pub use timeseries::{Exposition, Sample, SloPolicy, SloTracker, TimeSeries, Wind
 pub use trace::{
     ps_from_units, PathStep, Trace, TraceBuf, TraceEvent, WallSpan, DEFAULT_TRACE_CAPACITY,
 };
+pub use vcd::VcdWriter;
 
 /// One-stop imports for instrumented code.
 pub mod prelude {
@@ -83,4 +87,5 @@ pub mod prelude {
         Exposition, SloPolicy, SloTracker, TimeSeries, WindowedHistogram,
     };
     pub use crate::trace::{ps_from_units, PathStep, Trace, TraceBuf, TraceEvent, WallSpan};
+    pub use crate::vcd::VcdWriter;
 }

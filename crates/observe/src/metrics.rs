@@ -2,7 +2,7 @@
 //! log-scale histograms.
 //!
 //! The registry is the *aggregation* point, not the hot path: code on
-//! a hot loop (the desim event loop, a sweep worker) increments plain
+//! a hot loop (the netlist event loop, a sweep worker) increments plain
 //! local `u64` fields and flushes them here once, after the loop.
 //! Snapshots serialize with sorted keys, so two registries built from
 //! the same events produce byte-identical JSON regardless of insertion

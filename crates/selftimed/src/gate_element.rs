@@ -18,16 +18,15 @@
 //! entirely by local gate delays — the hybrid scheme's constant cycle,
 //! with zero setup/hold violations by construction.
 
-use desim::engine::{GateFn, NetId, Simulator};
-use desim::stoppable_clock::{add_stoppable_clock, StoppableClock};
-use desim::time::SimTime;
+use netlist::stoppable_clock::{add_stoppable_clock, StoppableClock};
+use netlist::{GateKind, NetSim, Netlist, SimTime, WireId};
 
 /// The two-element gate-level hybrid network.
 #[derive(Debug)]
 pub struct ElementPair {
-    sim: Simulator,
-    phase_a: NetId,
-    phase_b: NetId,
+    sim: NetSim,
+    phase_a: WireId,
+    phase_b: WireId,
     clock_a: StoppableClock,
     clock_b: StoppableClock,
 }
@@ -58,23 +57,24 @@ impl ElementPair {
     /// [`add_stoppable_clock`]).
     #[must_use]
     pub fn new(half_stages: usize, inv_delay: SimTime, nand_delay: SimTime) -> Self {
-        let mut sim = Simulator::new();
-        let clock_a = add_stoppable_clock(&mut sim, half_stages, inv_delay, nand_delay);
-        let clock_b = add_stoppable_clock(&mut sim, half_stages, inv_delay, nand_delay);
+        let mut nl = Netlist::new();
+        let clock_a = add_stoppable_clock(&mut nl, half_stages, inv_delay, nand_delay);
+        let clock_b = add_stoppable_clock(&mut nl, half_stages, inv_delay, nand_delay);
         // Phase registers: Q toggles every local clock tick
         // (D = NOT Q).
-        let (phase_a, phase_b) = (sim.add_net(), sim.add_net());
-        let (da, db) = (sim.add_net(), sim.add_net());
+        let (phase_a, phase_b) = (nl.add_wire(), nl.add_wire());
+        let (da, db) = (nl.add_wire(), nl.add_wire());
         let reg_delay = SimTime::from_ps(30);
         let window = SimTime::from_ps(40);
-        sim.add_register(da, clock_a.clk, phase_a, window, window, reg_delay);
-        sim.add_register(db, clock_b.clk, phase_b, window, window, reg_delay);
-        sim.add_inverter(phase_a, da, SimTime::from_ps(20), SimTime::from_ps(20));
-        sim.add_inverter(phase_b, db, SimTime::from_ps(20), SimTime::from_ps(20));
+        nl.add_register(da, clock_a.clk, phase_a, window, window, reg_delay);
+        nl.add_register(db, clock_b.clk, phase_b, window, window, reg_delay);
+        nl.add_inverter(phase_a, da, SimTime::from_ps(20), SimTime::from_ps(20));
+        nl.add_inverter(phase_b, db, SimTime::from_ps(20), SimTime::from_ps(20));
         // The synchronization network.
         let gd = SimTime::from_ps(25);
-        sim.add_gate2(GateFn::Xnor, phase_a, phase_b, clock_a.enable, gd, gd);
-        sim.add_gate2(GateFn::Xor, phase_a, phase_b, clock_b.enable, gd, gd);
+        nl.add_gate2(GateKind::Xnor2, phase_a, phase_b, clock_a.enable, gd, gd);
+        nl.add_gate2(GateKind::Xor2, phase_a, phase_b, clock_b.enable, gd, gd);
+        let mut sim = NetSim::from_netlist(nl);
         sim.watch(phase_a);
         sim.watch(phase_b);
         // Also watched for waveform capture (`run_capture`): the local
@@ -99,7 +99,7 @@ impl ElementPair {
     }
 
     /// Enables event-lifecycle tracing on the underlying simulator
-    /// (see [`Simulator::enable_trace`]) and marks both local clocks,
+    /// (see [`NetSim::enable_trace`]) and marks both local clocks,
     /// so a traced run records `ClockEdge` events for `clk_a`/`clk_b`.
     /// Call before [`ElementPair::run_capture`]; retrieve the ring
     /// from the returned simulator with `take_trace`.
@@ -133,7 +133,7 @@ impl ElementPair {
     pub fn run_capture(
         mut self,
         until: SimTime,
-    ) -> (PairRun, Simulator, Vec<(NetId, &'static str)>) {
+    ) -> (PairRun, NetSim, Vec<(WireId, &'static str)>) {
         self.sim.run_until(until);
         let signals = vec![
             (self.clock_a.clk, "clk_a"),
@@ -143,18 +143,14 @@ impl ElementPair {
             (self.phase_a, "phase_a"),
             (self.phase_b, "phase_b"),
         ];
-        let a: Vec<SimTime> = self
-            .sim
-            .transitions(self.phase_a)
-            .iter()
-            .map(|&(t, _)| t)
-            .collect();
-        let b: Vec<SimTime> = self
-            .sim
-            .transitions(self.phase_b)
-            .iter()
-            .map(|&(t, _)| t)
-            .collect();
+        let ticks = |wire| -> Vec<SimTime> {
+            self.sim
+                .transitions_ps(wire)
+                .iter()
+                .map(|&(t, _)| SimTime::from_ps(t))
+                .collect()
+        };
+        let (a, b) = (ticks(self.phase_a), ticks(self.phase_b));
         assert!(a.len() >= 2, "element pair deadlocked: A ticks {}", a.len());
         let period_ps =
             (a.last().expect("non-empty").as_ps() - a[0].as_ps()) / (a.len() as u64 - 1);
@@ -225,9 +221,9 @@ mod tests {
         let (run, mut sim, signals) = pair.run_capture(ps(200_000));
         assert_eq!(run, run_pair(), "capture must not perturb the run");
         assert_eq!(signals.len(), 6);
-        for &(net, name) in &signals {
+        for &(wire, name) in &signals {
             assert!(
-                !sim.transitions(net).is_empty(),
+                !sim.transitions_ps(wire).is_empty(),
                 "signal {name} never toggled"
             );
         }

@@ -8,7 +8,7 @@
 //! 2. **Single-flight coalescing.** On a miss, concurrent requests for
 //!    the same canonical form share one computation: the first caller
 //!    submits a job and everyone (submitter included) waits on the
-//!    same [`InFlight`] cell. A thundering herd of identical cold
+//!    same in-flight cell. A thundering herd of identical cold
 //!    requests costs one experiment run, not N.
 //! 3. **Bounded execution.** The job goes to the [`crate::pool::Pool`]
 //!    via `try_submit`; a full pool surfaces as [`ServeError::Busy`]

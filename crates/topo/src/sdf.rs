@@ -4,7 +4,7 @@
 //! netlist: per-cell `IOPATH` delays and per-net `INTERCONNECT` delays,
 //! each a `min:typ:max` triple. This module parses the small subset we
 //! need and maps the delays onto edges of a generated
-//! [`QuadrantTopology`](crate::quadrant::QuadrantTopology) by
+//! [`QuadrantTopology`] by
 //! hierarchical instance path, producing per-corner edge delays that
 //! feed straight into `clock_tree::skew::ArrivalTimes::from_rates`.
 //!

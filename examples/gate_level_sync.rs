@@ -24,17 +24,19 @@ fn main() {
     println!("  -> throughput independent of length; first arrival {} vs {}", short.first_arrival, long.first_arrival);
 
     // --- 2. stoppable clock: the hybrid element's local oscillator --
-    let mut sim = Simulator::new();
-    let clock = add_stoppable_clock(&mut sim, 2, SimTime::from_ps(50), SimTime::from_ps(80));
+    let mut nl = Netlist::new();
+    let clock = add_stoppable_clock(&mut nl, 2, SimTime::from_ps(50), SimTime::from_ps(80));
+    let mut sim = NetSim::from_netlist(nl);
+    sim.watch(clock.clk);
     sim.schedule_input(clock.enable, SimTime::from_ps(500), true);
     sim.schedule_input(clock.enable, SimTime::from_ps(5_000), false);
     sim.schedule_input(clock.enable, SimTime::from_ps(8_000), true);
     sim.run_until(SimTime::from_ps(12_000));
-    let ticks = sim.transitions(clock.clk).len();
+    let ticks = sim.transitions_ps(clock.clk).len();
     println!("\nstoppable clock: {ticks} edges over an enable/park/resume cycle (period {})", clock.period);
 
     if std::env::args().any(|a| a == "dump") {
-        let vcd = desim::vcd::export_vcd(&sim, &[(clock.enable, "enable"), (clock.clk, "clk")]);
+        let vcd = sim.export_vcd(&[(clock.enable, "enable"), (clock.clk, "clk")]);
         std::fs::write("waves.vcd", &vcd).expect("write waves.vcd");
         println!("  wrote waves.vcd ({} bytes)", vcd.len());
     }

@@ -25,13 +25,16 @@ run() {
 run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: every intra-doc link resolves and no doc names a private
+# item, so a deleted or renamed item cannot leave dangling links.
+RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline
 # Metric regression gate: every experiment's JSON report vs the
 # committed baselines (deterministic sections exact, run section
 # structural — wall-clock banding is opt-in via --wall-tol).
 run target/release/bench_regress --fast --out target/bench --baselines baselines
 # Netlist-core throughput smoke: the million-gate workloads (1M-stage
 # pipelined string + 1000x1000 mesh waves) must hold an events/sec
-# floor — a return to heap-scheduler complexity fails here even if the
+# floor — a scheduler or settle-loop slowdown fails here even if the
 # counters still match — and the deterministic counter snapshot must
 # match its committed baseline byte-for-byte. The floor is half the
 # slowest of ten release runs on a 2-vCPU Linux VM (6.42M events/sec),
@@ -42,6 +45,10 @@ run target/release/bench_regress --compare target/bench/BENCH_netlist.json --bas
 # standalone checker over the exported Perfetto file.
 run target/release/experiments e6 --fast --trace target/bench/e6_trace.json
 run target/release/trace_check target/bench/e6_trace.json
+# Gate-level smoke: e5's Fig. 8 element pair — registers, XOR/XNOR,
+# NAND-gated ring clocks and marked clock edges — through the checker.
+run target/release/experiments e5 --fast --trace target/bench/e5_trace.json
+run target/release/trace_check target/bench/e5_trace.json
 # Fault-injection smoke: e12's Monte-Carlo degradation sweep with its
 # in-report asserts, plus its fault-event trace back through the
 # checker (fault_injected markers must keep handshake lanes legal).

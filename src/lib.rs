@@ -16,7 +16,7 @@
 pub mod prelude {
     pub use array_layout::prelude::*;
     pub use clock_tree::prelude::*;
-    pub use desim::prelude::*;
+    pub use netlist::prelude::*;
     pub use selftimed::prelude::*;
     pub use systolic::prelude::*;
     pub use vlsi_sync::prelude::*;

@@ -16,7 +16,7 @@ fn core_data_types_are_send_and_sync() {
     assert_send_sync::<WireDelayModel>();
     assert_send_sync::<SummationModel>();
     assert_send_sync::<DifferenceModel>();
-    assert_send_sync::<Simulator>();
+    assert_send_sync::<NetSim>();
     assert_send_sync::<SimTime>();
     assert_send_sync::<InverterString>();
     assert_send_sync::<ClockSchedule>();
@@ -70,7 +70,7 @@ fn display_impls_are_informative() {
 fn debug_impls_are_non_empty() {
     assert!(!format!("{:?}", CommGraph::linear(2)).is_empty());
     assert!(!format!("{:?}", WireDelayModel::default()).is_empty());
-    assert!(!format!("{:?}", Simulator::new()).is_empty());
+    assert!(!format!("{:?}", NetSim::from_netlist(Netlist::new())).is_empty());
     assert!(!format!("{:?}", SummationModel::from_delay_model(WireDelayModel::default())).is_empty());
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end gate-level scenarios: the paper's synchronization
-//! mechanisms exercised as actual circuits on the discrete-event
-//! simulator, across crates.
+//! mechanisms exercised as actual circuits on the netlist engine,
+//! across crates.
 
 use vlsi_sync_repro::prelude::*;
 
@@ -61,17 +61,19 @@ fn elmore_quantifies_the_buffering_tradeoff() {
 
 #[test]
 fn vcd_export_round_trips_a_simulation() {
-    let mut sim = Simulator::new();
-    let clock = add_stoppable_clock(&mut sim, 2, SimTime::from_ps(50), SimTime::from_ps(80));
+    let mut nl = Netlist::new();
+    let clock = add_stoppable_clock(&mut nl, 2, SimTime::from_ps(50), SimTime::from_ps(80));
+    let mut sim = NetSim::from_netlist(nl);
+    sim.watch(clock.clk);
     sim.schedule_input(clock.enable, SimTime::from_ps(100), true);
     sim.run_until(SimTime::from_ps(10_000));
-    let vcd = export_vcd(&sim, &[(clock.enable, "en"), (clock.clk, "clk")]);
+    let vcd = sim.export_vcd(&[(clock.enable, "en"), (clock.clk, "clk")]);
     // Structure: header, two vars, dumpvars, and one timestamp per
     // distinct event time.
     assert!(vcd.contains("$timescale 1ps $end"));
     assert_eq!(vcd.matches("$var wire 1").count(), 2);
     let stamps = vcd.lines().filter(|l| l.starts_with('#')).count();
-    assert!(stamps >= sim.transitions(clock.clk).len());
+    assert!(stamps >= sim.transitions_ps(clock.clk).len());
 }
 
 #[test]

@@ -302,35 +302,36 @@ fn relayed_tree_machine_correct_for_any_spacing() {
 // ---------------- simulator invariants ----------------
 
 #[test]
-fn desim_chain_is_deterministic() {
+fn netlist_chain_is_deterministic() {
     for (_, mut rng) in cases(17) {
         let dlen = rng.gen_range(2usize..12);
         let delays: Vec<u64> = (0..dlen).map(|_| rng.gen_range(1u64..500)).collect();
         let period = rng.gen_range(100u64..2000);
         let build = || {
-            let mut sim = Simulator::new();
-            let mut nets = vec![sim.add_net()];
+            let mut nl = Netlist::new();
+            let mut wires = vec![nl.add_wire()];
             for &d in &delays {
-                let n = sim.add_net();
-                sim.add_buffer(
-                    *nets.last().expect("non-empty"),
-                    n,
+                let w = nl.add_wire();
+                nl.add_buffer(
+                    *wires.last().expect("non-empty"),
+                    w,
                     SimTime::from_ps(d),
                     SimTime::from_ps(d.max(2) - 1),
                 );
-                nets.push(n);
+                wires.push(w);
             }
-            let last = *nets.last().expect("non-empty");
+            let last = *wires.last().expect("non-empty");
+            let mut sim = NetSim::from_netlist(nl);
             sim.watch(last);
             sim.schedule_clock(
-                nets[0],
+                wires[0],
                 SimTime::from_ps(5),
                 SimTime::from_ps(period),
                 SimTime::from_ps(period / 2),
                 10,
             );
             sim.run_until(SimTime::from_ps(1_000_000));
-            sim.transitions(last).to_vec()
+            sim.transitions_ps(last).to_vec()
         };
         assert_eq!(build(), build());
     }
