@@ -63,7 +63,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
         match arg.as_str() {
             "--fast" => opts.cfg.fast = true,
             "--seed" => opts.cfg.seed = args.parse("--seed", COUNT)?,
-            "--threads" => opts.cfg.threads = args.parse("--threads", COUNT)?,
+            "--threads" => opts.cfg.threads = args.threads("--threads")?,
             "--trials" => opts.cfg.trials = Some(args.parse("--trials", COUNT)?),
             "--only" => {
                 let list = args.value("--only")?;

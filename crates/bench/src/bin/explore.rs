@@ -8,6 +8,9 @@
 //!         [--json FILE] [--frontier-json FILE] [--emit-manifest FILE]
 //! ```
 //!
+//! `--threads` defaults to `SIM_THREADS`, else every core; `--threads
+//! 0` means the same. The thread count never changes the output.
+//!
 //! By default the sweep runs in-process and the frontier table goes to
 //! stdout. `--json` / `--frontier-json` additionally write the merged
 //! sweep report and the frontier report. `--emit-manifest` writes the
@@ -21,9 +24,11 @@
 use bench::{f, grid, Table};
 use sim_observe::Json;
 use sim_runtime::cli::{self, Args, CliError};
+use sim_runtime::ParallelSweep;
 
 const USAGE: &str = "usage: explore [--fast] [--seed S] [--trials N] [--threads T] \
-[--shards N] [--checkpoint-every N] [--json FILE] [--frontier-json FILE] [--emit-manifest FILE]";
+[--shards N] [--checkpoint-every N] [--json FILE] [--frontier-json FILE] [--emit-manifest FILE]
+--threads T: worker threads; 0 or unset means SIM_THREADS, else every core";
 
 struct Opts {
     fast: bool,
@@ -42,7 +47,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
         fast: false,
         seed: 11,
         trials: 60,
-        threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        threads: ParallelSweep::from_env().threads(),
         shards: 4,
         checkpoint_every: 25,
         json: None,
@@ -55,7 +60,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
             "--fast" => opts.fast = true,
             "--seed" => opts.seed = args.parse("--seed", "a non-negative integer")?,
             "--trials" => opts.trials = args.parse("--trials", POSITIVE)?,
-            "--threads" => opts.threads = args.parse("--threads", POSITIVE)?,
+            "--threads" => opts.threads = args.threads("--threads")?,
             "--shards" => opts.shards = args.parse("--shards", POSITIVE)?,
             "--checkpoint-every" => {
                 opts.checkpoint_every = args.parse("--checkpoint-every", POSITIVE)?;
@@ -65,9 +70,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
             "--emit-manifest" => opts.emit_manifest = Some(args.value("--emit-manifest")?),
             other => return Err(cli::unknown(other)),
         }
-    }
-    if opts.threads == 0 {
-        return Err(CliError::Usage("--threads needs a positive integer".to_owned()));
     }
     Ok(opts)
 }
@@ -163,5 +165,28 @@ fn main() {
     if let Err(msg) = run(&opts) {
         eprintln!("explore: error: {msg}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn threads(args: &[&str]) -> usize {
+        parse_opts(Args::new(args.iter().copied()))
+            .expect("valid args")
+            .threads
+    }
+
+    #[test]
+    fn zero_or_absent_threads_take_the_environment_default() {
+        let default = ParallelSweep::from_env().threads();
+        assert_eq!(threads(&[]), default);
+        assert_eq!(threads(&["--threads", "0"]), default);
+        assert_eq!(threads(&["--threads", "3"]), 3);
+        assert!(matches!(
+            parse_opts(Args::new(["--threads", "-1"])),
+            Err(CliError::Usage(_))
+        ));
     }
 }

@@ -12,6 +12,10 @@
 //! sweep_shard --bench [--out FILE] [--seed S] [--trials N] [--threads T]
 //! ```
 //!
+//! `--threads` defaults to `SIM_THREADS`, else every core; `--threads
+//! 0` means the same. The thread count never changes a result or a
+//! checkpoint's deterministic bytes.
+//!
 //! `--status` reads the checkpoint and heartbeat files under `--dir`
 //! and prints one line per shard: done / active / interrupted /
 //! pending, with live trials/sec, ETA, and worker utilization taken
@@ -38,13 +42,15 @@
 use bench::grid;
 use sim_observe::{Json, SpanTimer};
 use sim_runtime::cli::{self, Args, CliError};
+use sim_runtime::ParallelSweep;
 use sim_sweep::prelude::*;
 
 const USAGE: &str = "usage: sweep_shard --manifest FILE --shard I --dir D [--threads T] [--stop-after K] [--throttle-ms MS]
        sweep_shard --manifest FILE --single --out FILE [--threads T]
        sweep_shard --manifest FILE --merge --dir D [--out FILE] [--frontier FILE]
        sweep_shard --manifest FILE --status --dir D [--probe-ms MS]
-       sweep_shard --bench [--out FILE] [--seed S] [--trials N] [--threads T]";
+       sweep_shard --bench [--out FILE] [--seed S] [--trials N] [--threads T]
+--threads T: worker threads; 0 or unset means SIM_THREADS, else every core";
 
 #[derive(Default)]
 struct Opts {
@@ -67,7 +73,7 @@ struct Opts {
 
 fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
     let mut opts = Opts {
-        threads: 1,
+        threads: ParallelSweep::from_env().threads(),
         probe_ms: 150,
         seed: 11,
         trials: 8,
@@ -86,7 +92,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
             "--bench" => opts.bench = true,
             "--out" => opts.out = Some(args.value("--out")?),
             "--frontier" => opts.frontier = Some(args.value("--frontier")?),
-            "--threads" => opts.threads = args.parse("--threads", POSITIVE)?,
+            "--threads" => opts.threads = args.threads("--threads")?,
             "--stop-after" => opts.stop_after = Some(args.parse("--stop-after", POSITIVE)?),
             "--throttle-ms" => opts.throttle_ms = args.parse("--throttle-ms", COUNT)?,
             "--probe-ms" => opts.probe_ms = args.parse("--probe-ms", COUNT)?,
@@ -94,9 +100,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
             "--trials" => opts.trials = args.parse("--trials", POSITIVE)?,
             other => return Err(cli::unknown(other)),
         }
-    }
-    if opts.threads == 0 {
-        return Err(CliError::Usage("--threads needs a positive integer".into()));
     }
     let modes =
         usize::from(opts.shard.is_some()) + usize::from(opts.single) + usize::from(opts.merge)
@@ -455,5 +458,31 @@ fn main() {
             eprintln!("sweep_shard: error: {msg}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, CliError> {
+        parse_opts(Args::new(args.iter().copied()))
+    }
+
+    #[test]
+    fn zero_or_absent_threads_take_the_environment_default() {
+        let default = ParallelSweep::from_env().threads();
+        let threads = |extra: &[&str]| {
+            let mut args = vec!["--manifest", "m.json", "--shard", "0", "--dir", "d"];
+            args.extend_from_slice(extra);
+            parse(&args).expect("valid args").threads
+        };
+        assert_eq!(threads(&[]), default);
+        assert_eq!(threads(&["--threads", "0"]), default);
+        assert_eq!(threads(&["--threads", "3"]), 3);
+        assert!(matches!(
+            parse(&["--bench", "--threads", "x"]),
+            Err(CliError::Usage(_))
+        ));
     }
 }

@@ -29,6 +29,7 @@
 //! assert_eq!(cli::resolve("usage: demo", parse(Args::new(["--seed"]))), Err(2));
 //! ```
 
+use crate::sweep::ParallelSweep;
 use std::str::FromStr;
 
 /// Why parsing stopped before producing options.
@@ -99,6 +100,22 @@ impl Args {
         let raw = self.value(flag)?;
         raw.parse()
             .map_err(|_| CliError::Usage(format!("{flag} needs {what}, got `{raw}`")))
+    }
+
+    /// The value following `flag` as a worker-thread count, under the
+    /// rule every binary shares: a positive count is taken as given,
+    /// and `0` means the default — `SIM_THREADS`, else every core
+    /// ([`ParallelSweep::from_env`]).
+    ///
+    /// # Errors
+    ///
+    /// A usage error when the value is missing or not a non-negative
+    /// integer.
+    pub fn threads(&mut self, flag: &str) -> Result<usize, CliError> {
+        match self.parse(flag, "a non-negative integer")? {
+            0 => Ok(ParallelSweep::from_env().threads()),
+            n => Ok(n),
+        }
     }
 
     /// The value following `flag` as a finite, non-negative number:
@@ -218,6 +235,20 @@ mod tests {
         assert_eq!(finite("0"), Ok(0.0));
         assert_eq!(finite("2.5"), Ok(2.5));
         assert_eq!(finite("1e30"), Ok(1e30));
+    }
+
+    #[test]
+    fn zero_threads_means_the_environment_default() {
+        let threads = |raw: &str| Args::new([raw]).threads("--threads");
+        let default = ParallelSweep::from_env().threads();
+        assert_eq!(threads("0"), Ok(default));
+        assert_eq!(threads("3"), Ok(3));
+        for bad in ["-1", "x", "1.5"] {
+            assert!(
+                usage(threads(bad)).starts_with("--threads needs a non-negative integer"),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub struct ExpConfig {
     pub trials: Option<usize>,
     /// Root seed for every random stream in the experiment.
     pub seed: u64,
-    /// Worker-thread count for [`ParallelSweep`] loops (`0` → all
-    /// available cores).
+    /// Worker-thread count for [`ParallelSweep`] loops. The default and
+    /// `--threads 0` both read `SIM_THREADS`, else all cores; a `0`
+    /// set programmatically means all available cores.
     pub threads: usize,
     /// Run at reduced sizes/trials (smoke-test mode).
     pub fast: bool,
@@ -114,7 +115,7 @@ impl ExpConfig {
                     cfg.trials = Some(t);
                 }
                 "--seed" => cfg.seed = args.parse("--seed", COUNT)?,
-                "--threads" => cfg.threads = args.parse("--threads", COUNT)?,
+                "--threads" => cfg.threads = args.threads("--threads")?,
                 "--fast" => cfg.fast = true,
                 "--json" => cfg.json = Some(args.value("--json")?),
                 "--vcd" => cfg.vcd = Some(args.value("--vcd")?),
@@ -577,6 +578,19 @@ mod tests {
         assert_eq!(cfg.vcd, None);
         assert!(!cfg.list);
         assert!(!cfg.stream);
+    }
+
+    #[test]
+    fn zero_or_absent_threads_take_the_environment_default() {
+        let default = ParallelSweep::from_env().threads();
+        let parsed = |args: &[&str]| {
+            ExpConfig::from_args(args.iter().map(|s| (*s).to_owned()))
+                .expect("valid args")
+                .threads
+        };
+        assert_eq!(parsed(&[]), default);
+        assert_eq!(parsed(&["--threads", "0"]), default);
+        assert_eq!(parsed(&["--threads", "2"]), 2);
     }
 
     #[test]

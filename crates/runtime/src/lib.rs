@@ -23,8 +23,10 @@
 //!   with per-trial child seeds, so results are **bit-identical
 //!   regardless of thread count** (`SIM_THREADS=1` reproduces
 //!   `SIM_THREADS=8`) and of how the range is sharded. Its whole trial
-//!   API is `run`, `run_timed` (adds wall-clock stats and per-trial
-//!   spans), `run_isolated` (catches panicking trials) and `count`;
+//!   API is `stream` (the one trial loop: results handed back in trial
+//!   order as each prefix completes, stoppable by the consumer), and on
+//!   it `run`, `run_timed` (adds wall-clock stats and per-trial spans),
+//!   `run_isolated` (catches panicking trials) and `count`;
 //! * [`experiment`] — the [`Experiment`] trait, [`ExpConfig`]
 //!   (`--trials/--seed/--threads/--fast/--json/--vcd/--trace/--list`),
 //!   and the [`Registry`] of `e1`–`e14` that the `experiments` binary

@@ -10,11 +10,20 @@
 //! **bit-identical for any worker count** — `SIM_THREADS=1` reproduces
 //! `SIM_THREADS=8` exactly. Parallelism changes wall-clock time, never
 //! results.
+//!
+//! Every method rides on one trial loop, [`ParallelSweep::stream`],
+//! which hands results back on the calling thread in trial order as
+//! soon as each prefix of the range is complete: `run` collects them,
+//! `count` folds them, and `sim-sweep` writes its checkpoints behind
+//! the workers from the same stream. One worker runs inline on the
+//! calling thread.
 
 use crate::rng::SimRng;
 use sim_observe::{duration_ns, Json, LogHistogram};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::ops::{ControlFlow, Range};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Name of the environment variable that picks the default worker
@@ -38,17 +47,6 @@ pub const THREADS_ENV: &str = "SIM_THREADS";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelSweep {
     threads: usize,
-}
-
-/// What one worker did: its results and spans (paired, in the order
-/// it claimed trials), busy time and latency histogram. Kept local to
-/// the worker until it finishes, so the trial hot path never touches
-/// shared state beyond the index cursor.
-struct WorkerTally<T> {
-    results: Vec<T>,
-    spans: Vec<TrialSpan>,
-    busy: Duration,
-    hist: LogHistogram,
 }
 
 impl ParallelSweep {
@@ -99,21 +97,23 @@ impl ParallelSweep {
         T: Send,
         F: Fn(usize, &mut SimRng) -> T + Sync,
     {
-        self.run_timed(range, seed, f).0
+        let mut out = Vec::with_capacity(range.len());
+        self.stream(range, seed, f, |result, _, _| {
+            out.push(result);
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// [`ParallelSweep::run`], returning with the results the sweep's
     /// wall-clock telemetry: [`SweepStats`] (total time, per-worker
     /// busy time and trial counts, a log-scale histogram of per-trial
     /// latencies) and one [`TrialSpan`] per trial, sorted by trial
-    /// index — the raw material of a `sim-trace` wall-time track and
-    /// of shard heartbeats.
+    /// index — the raw material of a `sim-trace` wall-time track.
     ///
     /// The results are exactly those of `run`; only the stats and
     /// spans, which are volatile by nature, depend on scheduling and
-    /// must stay out of deterministic report sections. The cost is two
-    /// `Instant::now` calls, one histogram add and one span push per
-    /// trial, in worker-local state merged once per worker.
+    /// must stay out of deterministic report sections.
     pub fn run_timed<T, F>(
         &self,
         range: Range<usize>,
@@ -124,77 +124,106 @@ impl ParallelSweep {
         T: Send,
         F: Fn(usize, &mut SimRng) -> T + Sync,
     {
-        let lo = range.start;
-        let trials = range.len();
-        let workers = self.threads.min(trials.max(1));
-        let sweep_start = Instant::now();
-        let next = AtomicUsize::new(0);
-        let worker = |w: usize| {
-            let mut tally = WorkerTally {
-                results: Vec::new(),
-                spans: Vec::new(),
-                busy: Duration::ZERO,
-                hist: LogHistogram::new(),
-            };
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= trials {
-                    break tally;
-                }
-                let g = lo + i;
-                let t0 = Instant::now();
-                let out = f(g, &mut SimRng::for_trial(seed, g as u64));
-                let dt = t0.elapsed();
-                tally.results.push(out);
-                tally.busy += dt;
-                tally.hist.record(duration_ns(dt));
-                tally.spans.push(TrialSpan {
-                    trial: g,
-                    worker: w,
-                    start_ns: duration_ns(t0.duration_since(sweep_start)),
-                    dur_ns: duration_ns(dt),
-                });
-            }
-        };
-        let tallies: Vec<WorkerTally<T>> = if workers == 1 {
-            vec![worker(0)]
-        } else {
-            let worker = &worker;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || worker(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(trials).collect();
-        let mut stats = SweepStats {
-            trials,
-            workers,
-            wall: sweep_start.elapsed(),
-            worker_trials: Vec::with_capacity(workers),
-            worker_busy: Vec::with_capacity(workers),
-            trial_ns: LogHistogram::new(),
-        };
-        let mut spans = Vec::with_capacity(trials);
-        for tally in tallies {
-            stats.worker_trials.push(tally.results.len());
-            stats.worker_busy.push(tally.busy);
-            stats.trial_ns.merge(&tally.hist);
-            for (span, out) in tally.spans.iter().zip(tally.results) {
-                slots[span.trial - lo] = Some(out);
-            }
-            spans.extend(tally.spans);
-        }
-        spans.sort_by_key(|s| s.trial);
-        let out = slots
-            .into_iter()
-            .map(|slot| slot.expect("every trial in the range was claimed"))
-            .collect();
+        let mut out = Vec::with_capacity(range.len());
+        let mut spans = Vec::with_capacity(range.len());
+        let stats = self.stream(range, seed, f, |result, span, _| {
+            out.push(result);
+            spans.push(*span);
+            ControlFlow::Continue(())
+        });
         (out, stats, spans)
+    }
+
+    /// The one trial loop behind every other method: runs the trials
+    /// with global indices in `range` (seeded as in
+    /// [`ParallelSweep::run`]) and hands each result to `sink` on the
+    /// calling thread, in global-trial order, as soon as it and every
+    /// trial before it have finished. `sink` also gets the trial's
+    /// [`TrialSpan`] and the running [`SweepStats`] of the trials
+    /// delivered so far; returning [`ControlFlow::Break`] ends the
+    /// sweep — workers stop claiming trials, and those still in flight
+    /// finish and are dropped. The returned stats cover the delivered
+    /// trials, with `wall` the whole sweep's.
+    ///
+    /// With one worker the trials run inline on the calling thread (no
+    /// thread spawned, no channel) and each result reaches `sink` the
+    /// moment its trial returns. With more, scoped workers claim
+    /// trials from an atomic cursor and send results back to the
+    /// calling thread, which puts them in order; a slow `sink` — a
+    /// shard writing a checkpoint — never stalls the workers.
+    ///
+    /// A panicking trial stops the other workers from claiming more;
+    /// once they finish, `sink` has seen every trial before the
+    /// panicking one and the panic resumes on the calling thread.
+    pub fn stream<T, F, S>(&self, range: Range<usize>, seed: u64, f: F, mut sink: S) -> SweepStats
+    where
+        T: Send,
+        F: Fn(usize, &mut SimRng) -> T + Sync,
+        S: FnMut(T, &TrialSpan, &SweepStats) -> ControlFlow<()>,
+    {
+        let workers = self.threads.min(range.len().max(1));
+        let cursor = Cursor {
+            range,
+            seed,
+            next: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            start: Instant::now(),
+        };
+        let mut stats = SweepStats::empty(workers);
+        let mut deliver = |result: T, span: TrialSpan| {
+            stats.record(&span);
+            sink(result, &span, &stats)
+        };
+        if workers == 1 {
+            cursor.work(0, &f, &mut deliver);
+        } else {
+            std::thread::scope(|scope| {
+                let (tx, rx) = mpsc::channel::<(T, TrialSpan)>();
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let (tx, cursor, f) = (tx.clone(), &cursor, &f);
+                        scope.spawn(move || {
+                            let _halt = HaltOnPanic(&cursor.stop);
+                            cursor.work(w, f, |result, span| match tx.send((result, span)) {
+                                Ok(()) => ControlFlow::Continue(()),
+                                Err(_) => ControlFlow::Break(()),
+                            });
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                // Results arrive in completion order; `ahead[k]` holds
+                // trial `due + k` until every trial before it is in.
+                let mut ahead: VecDeque<Option<(T, TrialSpan)>> = VecDeque::new();
+                let mut due = cursor.range.start;
+                'recv: for (result, span) in &rx {
+                    let k = span.trial - due;
+                    if ahead.len() <= k {
+                        ahead.resize_with(k + 1, || None);
+                    }
+                    ahead[k] = Some((result, span));
+                    while let Some((result, span)) = ahead.front_mut().and_then(Option::take) {
+                        ahead.pop_front();
+                        due += 1;
+                        if deliver(result, span).is_break() {
+                            cursor.stop.store(true, Ordering::Relaxed);
+                            break 'recv;
+                        }
+                    }
+                }
+                // Dropping the receiver turns any in-flight send into
+                // an error, so no worker outlives a stopped sweep by
+                // more than the trial it is running.
+                drop(rx);
+                for handle in handles {
+                    if let Err(payload) = handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+            });
+        }
+        stats.wall = cursor.start.elapsed();
+        stats
     }
 
     /// Like [`ParallelSweep::run`] over `0..trials`, but isolates every
@@ -225,10 +254,65 @@ impl ParallelSweep {
     where
         F: Fn(usize, &mut SimRng) -> bool + Sync,
     {
-        self.run(0..trials, seed, pred)
-            .into_iter()
-            .filter(|&hit| hit)
-            .count()
+        let mut hits = 0;
+        self.stream(0..trials, seed, pred, |hit, _, _| {
+            hits += usize::from(hit);
+            ControlFlow::Continue(())
+        });
+        hits
+    }
+}
+
+/// The claim cursor and stop flag one [`ParallelSweep::stream`] call
+/// shares between its workers.
+struct Cursor {
+    range: Range<usize>,
+    seed: u64,
+    next: AtomicUsize,
+    stop: AtomicBool,
+    start: Instant,
+}
+
+impl Cursor {
+    /// The trial loop every worker runs: claim the next trial, run it,
+    /// hand it to `emit` — until the range is exhausted, `emit` breaks,
+    /// or another party sets `stop`.
+    fn work<T, F, E>(&self, worker: usize, f: &F, mut emit: E)
+    where
+        F: Fn(usize, &mut SimRng) -> T,
+        E: FnMut(T, TrialSpan) -> ControlFlow<()>,
+    {
+        while !self.stop.load(Ordering::Relaxed) {
+            let g = self.range.start + self.next.fetch_add(1, Ordering::Relaxed);
+            if g >= self.range.end {
+                break;
+            }
+            let t0 = Instant::now();
+            let result = f(g, &mut SimRng::for_trial(self.seed, g as u64));
+            let span = TrialSpan {
+                trial: g,
+                worker,
+                start_ns: duration_ns(t0.duration_since(self.start)),
+                dur_ns: duration_ns(t0.elapsed()),
+            };
+            if emit(result, span).is_break() {
+                self.stop.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+    }
+}
+
+/// Sets a sweep's stop flag when its worker unwinds, so one panicking
+/// trial halts the sweep instead of leaving the others to finish the
+/// range first.
+struct HaltOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for HaltOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -284,7 +368,8 @@ pub struct TrialSpan {
 /// never in the deterministic core.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepStats {
-    /// Trials executed.
+    /// Trials delivered (all of the range unless the sink stopped the
+    /// sweep early).
     pub trials: usize,
     /// Workers the sweep actually used (≤ the configured thread
     /// count; a sweep never spawns more workers than trials).
@@ -300,6 +385,30 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
+    /// Stats of a sweep that has delivered nothing yet.
+    fn empty(workers: usize) -> Self {
+        SweepStats {
+            trials: 0,
+            workers,
+            wall: Duration::ZERO,
+            worker_trials: vec![0; workers],
+            worker_busy: vec![Duration::ZERO; workers],
+            trial_ns: LogHistogram::new(),
+        }
+    }
+
+    /// Counts one delivered trial; `wall` advances to the latest end of
+    /// a delivered trial, so running stats never read another clock.
+    fn record(&mut self, span: &TrialSpan) {
+        self.trials += 1;
+        self.worker_trials[span.worker] += 1;
+        self.worker_busy[span.worker] += Duration::from_nanos(span.dur_ns);
+        self.trial_ns.record(span.dur_ns);
+        self.wall = self.wall.max(Duration::from_nanos(
+            span.start_ns.saturating_add(span.dur_ns),
+        ));
+    }
+
     /// Completed trials per wall-clock second (0 for an instant sweep).
     #[must_use]
     pub fn items_per_sec(&self) -> f64 {
@@ -502,6 +611,82 @@ mod tests {
             } else {
                 assert!(r.is_ok(), "trial {i}");
             }
+        }
+    }
+
+    #[test]
+    fn stream_delivers_in_trial_order_until_the_sink_breaks() {
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let stats = ParallelSweep::new(threads).stream(
+                5..105,
+                3,
+                |g, rng| (g, trial_sum(g, rng)),
+                |(g, sum), span, running| {
+                    assert_eq!(span.trial, g);
+                    assert_eq!(
+                        running.trials,
+                        seen.len() + 1,
+                        "running stats count this trial"
+                    );
+                    seen.push((g, sum));
+                    if seen.len() == 10 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            let want: Vec<_> = ParallelSweep::new(1).run(5..15, 3, |g, rng| (g, trial_sum(g, rng)));
+            assert_eq!(seen, want, "{threads} threads");
+            assert_eq!(stats.trials, 10, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_inline_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let here = |_: usize, _: &mut SimRng| std::thread::current().id() == caller;
+        assert!(ParallelSweep::new(1).run(0..8, 1, here).iter().all(|&h| h));
+        // Several workers run on spawned threads, yet the sink still
+        // runs on the caller.
+        ParallelSweep::new(2).stream(0..8, 1, here, |ran_here, _, _| {
+            assert!(!ran_here, "workers are spawned threads");
+            assert_eq!(std::thread::current().id(), caller);
+            ControlFlow::Continue(())
+        });
+    }
+
+    #[test]
+    fn a_panicking_trial_resumes_on_the_caller_after_its_prefix() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let outcomes: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let mut seen = Vec::new();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ParallelSweep::new(threads).stream(
+                        0..200,
+                        9,
+                        |g, _| {
+                            assert_ne!(g, 13, "trial {g} hit the planted fault");
+                            g
+                        },
+                        |g, _, _| {
+                            seen.push(g);
+                            ControlFlow::Continue(())
+                        },
+                    )
+                }));
+                (threads, caught.map_err(|p| panic_message(p.as_ref())), seen)
+            })
+            .collect();
+        std::panic::set_hook(prev);
+        for (threads, caught, seen) in outcomes {
+            let msg = caught.expect_err("the trial's panic reaches the caller");
+            assert!(msg.contains("planted fault"), "{threads} threads: {msg}");
+            assert_eq!(seen, (0..13).collect::<Vec<_>>(), "{threads} threads");
         }
     }
 

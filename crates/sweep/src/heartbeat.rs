@@ -2,7 +2,7 @@
 //!
 //! A checkpoint is the shard's durable state; a heartbeat is its
 //! *vital signs* — trials/sec, ETA, worker utilization — written
-//! atomically after every checkpoint chunk so an operator (or
+//! atomically after every checkpoint so an operator (or
 //! `sweep_shard --status`) can watch a long sweep without attaching to
 //! the process. Heartbeats are purely observational: removing one
 //! never loses work, and a resuming shard overwrites whatever it
@@ -38,14 +38,16 @@ pub struct Heartbeat {
     pub hi: u64,
     /// Trials completed so far (checkpointed, not merely attempted).
     pub completed: u64,
-    /// Worker threads the last chunk actually used.
+    /// Worker threads this invocation actually uses.
     pub workers: u64,
-    /// Observed throughput over the last chunk, trials per second.
+    /// Observed throughput of this invocation so far, trials per
+    /// second.
     pub trials_per_sec: f64,
     /// Projected milliseconds to finish the remaining range at the
     /// observed rate; 0 when the rate is unmeasurable.
     pub eta_ms: f64,
-    /// Mean worker busy-fraction over the last chunk, in `[0, 1]`.
+    /// Mean worker busy-fraction of this invocation so far, in
+    /// `[0, 1]`.
     pub utilization: f64,
     /// Wall-clock milliseconds this invocation has been running.
     pub wall_ms: f64,
@@ -58,8 +60,8 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// Builds a heartbeat from the identity fields plus the
-    /// [`SweepStats`] of the chunk that just finished.
+    /// Builds a heartbeat from the identity fields plus the running
+    /// [`SweepStats`] of the invocation's trials so far.
     #[must_use]
     pub fn from_stats(
         manifest_digest: &str,

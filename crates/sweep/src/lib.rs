@@ -14,12 +14,16 @@
 //!   shard partition, with a content [digest](Manifest::digest) that
 //!   pins checkpoints to the manifest they belong to;
 //! * [`checkpoint`] — **atomic checkpoint files** ([`Checkpoint`]):
-//!   written to a temp file and renamed into place every N trials, so
-//!   a `kill -9` mid-write can never leave a truncated checkpoint and
-//!   a killed shard resumes exactly where it stopped;
-//! * [`shard`] — the **shard runner** ([`run_shard`]): executes one
-//!   shard's disjoint trial range with auto-resume, periodic
-//!   checkpointing, and a `stop_after` budget for testing kill/resume;
+//!   the completed prefix of a shard's results, written to a temp file
+//!   and renamed into place, so a `kill -9` mid-write can never leave
+//!   a truncated checkpoint and a killed shard resumes exactly where
+//!   it stopped;
+//! * [`shard`] — the **shard runner** ([`run_shard`]): one
+//!   barrier-free pass over a shard's disjoint trial range with
+//!   auto-resume and a `stop_after` budget for testing kill/resume;
+//!   the calling thread writes each checkpoint as the in-order prefix
+//!   reaches every N-th trial, while the workers keep running trials
+//!   past it;
 //! * [`heartbeat`] — **live progress files** ([`Heartbeat`]): written
 //!   atomically next to each checkpoint with trials/sec, ETA, and
 //!   worker utilization, removed when the shard finishes, so

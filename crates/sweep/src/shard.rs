@@ -1,6 +1,17 @@
 //! Shard runners: execute one shard's disjoint trial range with
 //! periodic atomic checkpoints and automatic resume.
 //!
+//! A shard is one pass of [`ParallelSweep::stream`] over its range:
+//! the workers never wait at a checkpoint. Results come back to the
+//! calling thread in trial order, and that thread writes the
+//! checkpoint, then the heartbeat, each time the completed prefix
+//! reaches a boundary (the resume point plus a multiple of
+//! `checkpoint_every`, and the end of a `stop_after` budget) while the
+//! workers keep claiming trials past it. A `kill -9` therefore still
+//! leaves the last complete prefix on disk, and the checkpoint at each
+//! boundary holds the same bytes, `wall_ms` aside, for every thread
+//! count.
+//!
 //! Because every trial's RNG stream is `SimRng::for_trial(seed, g)`
 //! with `g` the *global* trial index, the runner produces exactly the
 //! results a single-process run would have produced for those indices
@@ -12,6 +23,7 @@ use crate::heartbeat::{heartbeat_path, remove_heartbeat, Heartbeat};
 use crate::manifest::{GridPoint, Manifest};
 use sim_observe::Json;
 use sim_runtime::{ParallelSweep, SimRng};
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Execution knobs for [`run_shard`] — all volatile: none of them can
@@ -29,9 +41,11 @@ pub struct ShardOpts {
 }
 
 impl Default for ShardOpts {
+    /// Threads from [`ParallelSweep::from_env`] (`SIM_THREADS`, else
+    /// every core), no budget, no throttle.
     fn default() -> Self {
         ShardOpts {
-            threads: 1,
+            threads: ParallelSweep::from_env().threads(),
             stop_after: None,
             throttle_ms: 0,
         }
@@ -69,9 +83,10 @@ pub fn shard_path(dir: &str, shard: u64) -> String {
 
 /// Runs (or resumes) shard `shard` of `manifest`, checkpointing into
 /// [`shard_path`]`(dir, shard)` every `manifest.checkpoint_every`
-/// trials. The trial function receives `(point_index, point,
-/// trial_within_point, rng)` and returns the trial's JSON result; it
-/// must be deterministic in those inputs.
+/// trials while the workers run on (see the module docs). The trial
+/// function receives `(point_index, point, trial_within_point, rng)`
+/// and returns the trial's JSON result; it must be deterministic in
+/// those inputs.
 ///
 /// A valid checkpoint for the same manifest digest resumes the shard
 /// exactly where it stopped; an unusable one (external damage) is
@@ -80,8 +95,16 @@ pub fn shard_path(dir: &str, shard: u64) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message when a checkpoint cannot be written, or when an
-/// existing checkpoint belongs to a different manifest or shard.
+/// Returns a message when a checkpoint cannot be written — the workers
+/// stop claiming trials at once, so the error comes back after the
+/// trials in flight, not at the end of the range — or when an existing
+/// checkpoint belongs to a different manifest or shard.
+///
+/// # Panics
+///
+/// Re-raises a panicking trial's panic once the other workers have
+/// stopped; the checkpoint on disk is then the last complete prefix
+/// before it.
 pub fn run_shard<F>(
     manifest: &Manifest,
     shard: u64,
@@ -115,71 +138,79 @@ where
         results = cp.results;
     }
     let resumed_at = results.len() as u64;
-
-    let sweep = ParallelSweep::new(opts.threads);
-    let started = Instant::now();
-    let mut executed: u64 = 0;
-    let mut checkpoints: u64 = 0;
-    let mut interrupted = false;
     let total = hi - lo;
+    // The last trial this invocation runs: the range end, or where the
+    // `stop_after` budget runs out.
+    let end = opts
+        .stop_after
+        .map_or(total, |budget| total.min(resumed_at.saturating_add(budget)));
+    let started = Instant::now();
+    let mut checkpoints: u64 = 0;
+    let mut failure = None;
     // The tick continues from any lingering heartbeat so a resumed
     // shard never rewinds the counter — otherwise an observer probing
     // across a kill/resume boundary could read the same tick twice
     // from a shard that is in fact making progress.
     let mut tick = Heartbeat::load(&hb_path).map_or(0, |hb| hb.tick);
 
-    while (results.len() as u64) < total {
-        let remaining = total - results.len() as u64;
-        let mut chunk = manifest.checkpoint_every.min(remaining);
-        if let Some(budget) = opts.stop_after {
-            let left = budget.saturating_sub(executed);
-            if left == 0 {
-                interrupted = true;
-                break;
+    // One pass over the range: results arrive here in trial order while
+    // the workers run ahead, and every `checkpoint_every` trials past
+    // the resume point (and at `end`) the prefix so far becomes the
+    // checkpoint.
+    ParallelSweep::new(opts.threads).stream(
+        (lo + resumed_at) as usize..(lo + end) as usize,
+        manifest.seed,
+        |g, rng| {
+            if opts.throttle_ms > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
             }
-            chunk = chunk.min(left);
-        }
-        let chunk_lo = lo as usize + results.len();
-        let (out, stats, _) =
-            sweep.run_timed(chunk_lo..chunk_lo + chunk as usize, manifest.seed, |g, rng| {
-                if opts.throttle_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
-                }
-                let (pi, t) = manifest.point_of(g);
-                trial(pi, &manifest.points[pi], t, rng)
-            });
-        results.extend(out);
-        executed += chunk;
-        let cp = Checkpoint {
-            manifest_digest: digest.clone(),
-            shard,
-            lo,
-            hi,
-            completed: results.len() as u64,
-            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            results: std::mem::take(&mut results),
-        };
-        cp.save_atomic(&path)
-            .map_err(|e| format!("cannot write checkpoint `{path}`: {e}"))?;
-        results = cp.results;
-        checkpoints += 1;
-        // Heartbeat rides behind the checkpoint: the durable state is
-        // already safe, so a heartbeat write failure is not fatal —
-        // progress reporting must never kill a sweep.
-        tick += 1;
-        let hb = Heartbeat::from_stats(
-            &digest,
-            shard,
-            lo,
-            hi,
-            results.len() as u64,
-            started.elapsed().as_secs_f64() * 1e3,
-            &stats,
-        )
-        .with_tick(tick);
-        if let Err(e) = hb.save_atomic(&hb_path) {
-            eprintln!("warning: cannot write heartbeat `{hb_path}`: {e}");
-        }
+            let (pi, t) = manifest.point_of(g);
+            trial(pi, &manifest.points[pi], t, rng)
+        },
+        |result, _, stats| {
+            results.push(result);
+            let done = results.len() as u64;
+            if !(done - resumed_at).is_multiple_of(manifest.checkpoint_every) && done != end {
+                return ControlFlow::Continue(());
+            }
+            let cp = Checkpoint {
+                manifest_digest: digest.clone(),
+                shard,
+                lo,
+                hi,
+                completed: done,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                results: std::mem::take(&mut results),
+            };
+            let saved = cp.save_atomic(&path);
+            results = cp.results;
+            if let Err(e) = saved {
+                failure = Some(format!("cannot write checkpoint `{path}`: {e}"));
+                return ControlFlow::Break(());
+            }
+            checkpoints += 1;
+            // Heartbeat rides behind the checkpoint: the durable state
+            // is already safe, so a heartbeat write failure is not
+            // fatal — progress reporting must never kill a sweep.
+            tick += 1;
+            let hb = Heartbeat::from_stats(
+                &digest,
+                shard,
+                lo,
+                hi,
+                done,
+                started.elapsed().as_secs_f64() * 1e3,
+                stats,
+            )
+            .with_tick(tick);
+            if let Err(e) = hb.save_atomic(&hb_path) {
+                eprintln!("warning: cannot write heartbeat `{hb_path}`: {e}");
+            }
+            ControlFlow::Continue(())
+        },
+    );
+    if let Some(msg) = failure {
+        return Err(msg);
     }
 
     // A finished shard needs no vital signs: the heartbeat disappears
@@ -194,7 +225,7 @@ where
         hi,
         resumed_at,
         completed: results.len() as u64,
-        interrupted,
+        interrupted: end < total,
         checkpoints,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
     })
@@ -218,6 +249,7 @@ mod tests {
     use super::*;
     use crate::manifest::GridPoint;
     use sim_runtime::Rng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn toy_manifest(checkpoint_every: u64) -> Manifest {
         Manifest::new(
@@ -274,7 +306,7 @@ mod tests {
     fn kill_and_resume_is_invisible_in_the_results() {
         let m = toy_manifest(2);
         let dir = fresh_dir("resume");
-        // Budget of 3 trials: stops mid-range, mid-checkpoint-chunk.
+        // Budget of 3 trials: stops mid-range, between two boundaries.
         let opts = ShardOpts {
             stop_after: Some(3),
             ..ShardOpts::default()
@@ -359,7 +391,7 @@ mod tests {
             stop_after: Some(n),
             ..ShardOpts::default()
         };
-        // First leg: budget 2 of the shard's 4 trials -> one chunk,
+        // First leg: budget 2 of the shard's 4 trials -> one boundary,
         // one heartbeat write.
         let st = run_shard(&m, 0, &dir, &budget(2), toy_trial).expect("first leg");
         assert!(st.interrupted);
@@ -378,6 +410,160 @@ mod tests {
         );
         assert_eq!(hb2.tick, hb.tick + st2.checkpoints);
         let _ = std::fs::remove_dir_all(std::path::Path::new(&dir));
+    }
+
+    /// One shard of 20 trials, checkpointed every 3: boundaries that a
+    /// budget can end between.
+    fn long_manifest() -> Manifest {
+        Manifest::new(
+            "toy-long",
+            5,
+            10,
+            1,
+            3,
+            vec![
+                GridPoint::new("a", "t1", 2, 0.0),
+                GridPoint::new("b", "t2", 4, 0.1),
+            ],
+        )
+        .expect("valid manifest")
+    }
+
+    /// Asserts the checkpoint file holds exactly the bytes the reference
+    /// run gives for a `completed`-trial prefix, its `wall_ms` aside.
+    fn assert_checkpoint_is_prefix(m: &Manifest, dir: &str, completed: u64, case: &str) {
+        let path = shard_path(dir, 0);
+        let text = std::fs::read_to_string(&path).expect("checkpoint on disk");
+        let on_disk = Checkpoint::load(&path).expect("valid checkpoint");
+        let want = Checkpoint {
+            manifest_digest: m.digest(),
+            shard: 0,
+            lo: 0,
+            hi: m.total_trials() as u64,
+            completed,
+            wall_ms: on_disk.wall_ms,
+            results: run_single(m, 1, toy_trial)[..completed as usize].to_vec(),
+        };
+        assert_eq!(text, want.to_json().to_pretty(), "{case}");
+    }
+
+    fn budget(threads: usize, stop_after: Option<u64>) -> ShardOpts {
+        ShardOpts {
+            threads,
+            stop_after,
+            throttle_ms: 0,
+        }
+    }
+
+    #[test]
+    fn checkpoints_hold_the_reference_bytes_at_every_boundary() {
+        let m = long_manifest();
+        let (total, every) = (m.total_trials() as u64, m.checkpoint_every);
+        for threads in [1, 2, 4] {
+            let dir = fresh_dir(&format!("bytes{threads}"));
+            let st = run_shard(&m, 0, &dir, &budget(threads, None), toy_trial).expect("shard");
+            assert_eq!(st.checkpoints, total.div_ceil(every), "{threads} threads");
+            assert_checkpoint_is_prefix(&m, &dir, total, &format!("{threads} threads"));
+            // Every budget, on or between boundaries, leaves the prefix
+            // it reached; resuming from each finishes the same file.
+            for stop in 1..=total {
+                let case = format!("{threads} threads, stop after {stop}");
+                let _ = std::fs::remove_dir_all(&dir);
+                let st = run_shard(&m, 0, &dir, &budget(threads, Some(stop)), toy_trial)
+                    .expect("first leg");
+                assert_eq!(
+                    (st.completed, st.interrupted),
+                    (stop, stop < total),
+                    "{case}"
+                );
+                assert_eq!(st.checkpoints, stop.div_ceil(every), "{case}");
+                assert_checkpoint_is_prefix(&m, &dir, stop, &case);
+                // A second budgeted leg counts its boundaries from the
+                // resume point, not from the start of the shard.
+                let mid = (stop + every + 1).min(total);
+                let st = run_shard(&m, 0, &dir, &budget(threads, Some(every + 1)), toy_trial)
+                    .expect("second leg");
+                assert_eq!((st.resumed_at, st.completed), (stop, mid), "{case}");
+                assert_eq!(st.checkpoints, (mid - stop).div_ceil(every), "{case}");
+                assert_checkpoint_is_prefix(&m, &dir, mid, &case);
+                let st = run_shard(&m, 0, &dir, &budget(threads, None), toy_trial).expect("resume");
+                assert_eq!(st.checkpoints, (total - mid).div_ceil(every), "{case}");
+                assert_checkpoint_is_prefix(&m, &dir, total, &case);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_panicking_trial_panics_the_shard_and_leaves_a_complete_prefix() {
+        let m = long_manifest();
+        const FAULT: u64 = 13;
+        for threads in [1, 2, 4] {
+            let dir = fresh_dir(&format!("panic{threads}"));
+            let (m2, dir2) = (m.clone(), dir.clone());
+            let (tx, rx) = std::sync::mpsc::channel();
+            // On a thread of its own, so a hang fails the test instead
+            // of stalling it.
+            std::thread::spawn(move || {
+                let caught = std::panic::catch_unwind(|| {
+                    run_shard(&m2, 0, &dir2, &budget(threads, None), |pi, p, t, rng| {
+                        let g = pi as u64 * m2.trials_per_point + t;
+                        assert_ne!(g, FAULT, "planted fault");
+                        toy_trial(pi, p, t, rng)
+                    })
+                });
+                let _ = tx.send(caught.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("run_shard must not hang on a panicking trial");
+            assert!(
+                panicked,
+                "{threads} threads: the trial's panic reaches the caller"
+            );
+            // Every trial before the fault was delivered, so the last
+            // boundary before it is on disk, whole.
+            let done = FAULT / m.checkpoint_every * m.checkpoint_every;
+            assert_checkpoint_is_prefix(&m, &dir, done, &format!("{threads} threads"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_write_failure_stops_the_workers_promptly() {
+        let m = Manifest::new(
+            "toy-wide",
+            5,
+            200,
+            1,
+            4,
+            vec![GridPoint::new("a", "t1", 2, 0.0)],
+        )
+        .expect("valid manifest");
+        for threads in [1, 2, 4] {
+            let dir = fresh_dir(&format!("unwritable{threads}"));
+            // A directory where the checkpoint file should go: the
+            // rename onto it fails at the first boundary.
+            std::fs::create_dir_all(shard_path(&dir, 0)).expect("blocking dir");
+            // Trials far slower than a failed write: workers could only
+            // overrun the bound if the calling thread went unscheduled
+            // for two whole trials after the write failed.
+            let ran = AtomicUsize::new(0);
+            let err = run_shard(&m, 0, &dir, &budget(threads, None), |pi, p, t, rng| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                toy_trial(pi, p, t, rng)
+            })
+            .expect_err("an unwritable checkpoint is an error");
+            assert!(err.contains("cannot write checkpoint"), "{err}");
+            let ran = ran.load(Ordering::Relaxed);
+            let bound = m.checkpoint_every as usize + 2 * threads;
+            assert!(
+                ran <= bound,
+                "{threads} threads ran {ran} trials after a failed write (bound {bound})"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -84,13 +84,15 @@ run "$BIN/sweep_shard" --manifest "$MANIFEST" --single --out "$OUT/single.json" 
     --threads 4
 
 # Shards 0 and 2 run to completion; shard 1 is throttled, killed -9
-# mid-range, sabotaged with a torn temp file, and resumed.
+# mid-range, sabotaged with a torn temp file, and resumed. Shard 1 runs
+# two workers, so the kill lands while they are ahead of its last
+# checkpoint: the resume must start from that checkpoint all the same.
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 0 --dir "$OUT/shards" --threads 2
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 2 --dir "$OUT/shards" --threads 2
 
 echo "==> starting throttled shard 1 and killing it mid-range"
 "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 1 --dir "$OUT/shards" \
-    --throttle-ms 30 >"$OUT/shard1_first.log" 2>&1 &
+    --threads 2 --throttle-ms 30 >"$OUT/shard1_first.log" 2>&1 &
 SHARD_PID=$!
 CKPT="$OUT/shards/shard-1.json"
 HB="$OUT/shards/shard-1.hb.json"
