@@ -109,7 +109,7 @@ fn check_one(
 
     let base_path = opts.baselines.join(snapshot_name(name));
     if opts.update {
-        std::fs::write(&base_path, &rendered)
+        sim_runtime::write_atomic(&base_path, &rendered)
             .map_err(|e| format!("cannot write {}: {e}", base_path.display()))?;
         println!("{name}: baseline updated ({})", base_path.display());
         return Ok(true);
@@ -163,11 +163,7 @@ fn compare_file(path: &std::path::Path, opts: &Opts) -> i32 {
     };
     let base_path = opts.baselines.join(file_name);
     if opts.update {
-        if let Err(e) = std::fs::create_dir_all(&opts.baselines) {
-            eprintln!("cannot create {}: {e}", opts.baselines.display());
-            return 1;
-        }
-        if let Err(e) = std::fs::write(&base_path, &current_text) {
+        if let Err(e) = sim_runtime::write_atomic(&base_path, &current_text) {
             eprintln!("cannot write {}: {e}", base_path.display());
             return 1;
         }

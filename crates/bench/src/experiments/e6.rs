@@ -21,6 +21,7 @@ use crate::{f, Table};
 use netlist::prelude::*;
 use sim_faults::{FaultPlan, FaultRates};
 use sim_runtime::{mean_std, rline, ExpConfig, Experiment, Report, SimRng};
+use std::time::Instant;
 
 /// See the module docs.
 #[derive(Debug)]
@@ -43,6 +44,7 @@ impl Experiment for E6 {
     fn run(&self, cfg: &ExpConfig, _rng: &mut SimRng) -> Report {
         let mut r = cfg.report();
         let sweep = cfg.sweep();
+        let mut phases = Phases::start(cfg.tracing());
 
         // --- the paper's chip ------------------------------------------------
         // Fabrication seed 1 is "the" chip of Section VII throughout
@@ -230,7 +232,9 @@ impl Experiment for E6 {
             stages: nm_stages,
             ..InverterStringSpec::paper_chip(1)
         };
+        phases.end(&mut r, "paper chip and period searches");
         let nm_chip = InverterString::fabricate(nm_spec);
+        phases.end(&mut r, "1M fabricate");
         let equip = nm_chip.total_delay_both_edges();
         let shrink = nm_chip.worst_prefix_shrinkage_ps().unsigned_abs();
         // The survival-guaranteed period (pulse keeps >= half its
@@ -240,6 +244,7 @@ impl Experiment for E6 {
         let nm_cycles = if cfg.fast { 2 } else { 4 };
         let (nm_clk, nm_far) = (WireId::from_index(0), WireId::from_index(nm_stages));
         let mut nm_sim = NetSim::from_netlist(nm_chip.netlist());
+        phases.end(&mut r, "netlist and seal");
         nm_sim.watch(nm_far);
         if cfg.tracing() {
             nm_sim.enable_trace(1 << 10);
@@ -252,6 +257,7 @@ impl Experiment for E6 {
         let _ = nm_sim
             .run_to_quiescence(nm_limit)
             .unwrap_or_else(|e| panic!("1M-inverter string failed to settle: {e}"));
+        phases.end(&mut r, "chain run");
         let delivered = nm_sim.transitions_ps(nm_far).len();
         assert_eq!(
             delivered,
@@ -291,6 +297,7 @@ impl Experiment for E6 {
         rline!(r);
         let side: usize = 1_000;
         let mesh = MeshSpec::square(side, cfg.seed).build();
+        phases.end(&mut r, "mesh build and seal");
         rline!(
             r,
             "wavefront mesh, {side}x{side} cells (one shared arena, {} gates):",
@@ -316,6 +323,11 @@ impl Experiment for E6 {
                 FaultPlan::new(cfg.seed, 0, FaultRates::uniform(rate))
             };
             let out = mesh.run_wave(&plan);
+            if rate == 0.0 {
+                phases.end(&mut r, "nominal wave");
+            } else {
+                phases.end(&mut r, &format!("faulted wave {rate:.4}"));
+            }
             out.stats.record(r.metrics_mut(), "e6.mesh");
             mesh_table.row(&[
                 &format!("{rate:.4}"),
@@ -346,5 +358,31 @@ impl Experiment for E6 {
         rline!(r);
         rline!(r, "check: ~68x speedup, constant across lengths, sqrt(n) discrepancy  [OK]");
         r
+    }
+}
+
+/// Wall-clock spans of e6's phases on the `e6/phases` trace track,
+/// laid end to end from the start of the run. Untraced, each phase
+/// boundary costs one branch and reads no clock.
+struct Phases(Option<(Instant, Instant)>);
+
+impl Phases {
+    fn start(tracing: bool) -> Phases {
+        Phases(tracing.then(|| (Instant::now(), Instant::now())))
+    }
+
+    /// Ends the current phase as `name`; the next one starts now.
+    fn end(&mut self, r: &mut Report, name: &str) {
+        if let Some((epoch, begun)) = &mut self.0 {
+            let now = Instant::now();
+            let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+            r.trace_mut().add_wall_span(
+                "e6/phases",
+                name,
+                ns(begun.duration_since(*epoch)),
+                ns(now.duration_since(*begun)),
+            );
+            *begun = now;
+        }
     }
 }

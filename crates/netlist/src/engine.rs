@@ -50,6 +50,24 @@
 //! discipline: waveform watches (a flag bit per wire, logs in a small
 //! side table) and the [`TraceBuf`] lifecycle hooks cost a
 //! predictable untaken branch each when disabled.
+//!
+//! **Two ways a run executes.** The event loop above is one. The other
+//! is a *levelized* pass, taken by [`NetSim::run_to_quiescence`] alone,
+//! and only when tracing is off and the netlist is *levelizable* —
+//! acyclic and register-free, one predicate decided once by
+//! [`Netlist::seal`](crate::Netlist::seal) (see
+//! [`SealedNetlist::is_levelizable`]). The pass visits each wire once
+//! in topological order, starting from the simulator's current state,
+//! and reproduces the event loop exactly: every wire's value and last
+//! change, watched waveforms, every [`EngineStats`] field and `now`.
+//! It gives up, and the event loop runs from the untouched state,
+//! when the run would pass its limit or meets a same-instant tie that
+//! its dispatch key cannot order and whose two orders disagree. [`NetSim::run_until`],
+//! [`NetSim::run_budgeted`], traced runs and cyclic netlists
+//! (stoppable clocks, Muller pipelines, the gate-element pair) always
+//! take the event loop, which stays the oracle: it is pinned to the
+//! frozen reference fingerprints, and the levelized pass is checked
+//! against it.
 
 use crate::arena::{Fanout, GateKind, SealedNetlist, WireId, NONE, TWO_INPUT};
 use crate::time::{SimTime, TimeOp, TimeOverflowError};
@@ -57,6 +75,8 @@ use crate::wheel::{Ev, Wheel};
 use sim_observe::{TraceBuf, TraceEvent, VcdWriter};
 use std::fmt;
 use std::sync::Arc;
+
+mod levelized;
 
 /// A recorded setup or hold violation at a register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,7 +236,7 @@ enum Step {
 /// Everything the engine tracks about one wire, packed into 32 bytes:
 /// dispatch, scheduling, the inertial checks and the evaluation of the
 /// wire's driver all read the same record.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WireState {
     /// Fire time of the latest accepted schedule — the inertial
     /// window's anchor.
@@ -662,11 +682,20 @@ impl NetSim {
 
     /// Runs until no events remain, up to a safety `limit`.
     ///
+    /// On a levelizable netlist with tracing off this is one
+    /// topological pass rather than the event loop, with identical
+    /// results (see the module docs).
+    ///
     /// # Errors
     ///
     /// Returns [`StillActiveError`] if events or upsets remain past
     /// the limit.
     pub fn run_to_quiescence(&mut self, limit: SimTime) -> Result<SimTime, StillActiveError> {
+        if self.trace.is_none() && self.nl.is_levelizable() {
+            if let Some(t) = self.run_levelized(limit.as_ps()) {
+                return Ok(SimTime::from_ps(t));
+            }
+        }
         loop {
             match self.step_once(limit.as_ps()) {
                 Step::Did => {}

@@ -202,14 +202,29 @@ impl Mesh {
     /// times).
     #[must_use]
     pub fn run_wave(&self, plan: &FaultPlan) -> WaveOutcome {
+        let (mut sim, faults) = self.prepare_wave(plan);
+        let _ = sim
+            .run_to_quiescence(self.settle_limit())
+            .unwrap_or_else(|e| panic!("mesh failed to settle: {e}"));
+        self.wave_outcome(&sim, faults)
+    }
+
+    /// The simulator of one [`Mesh::run_wave`] before it runs: `plan`'s
+    /// faults injected over the settle window and the corner's rising
+    /// edge scheduled. Returns it with what was injected.
+    #[must_use]
+    pub fn prepare_wave(&self, plan: &FaultPlan) -> (NetSim, InjectionSummary) {
         let mut sim = NetSim::new(Arc::clone(&self.sealed));
         let words = gate_fault_words(plan, &self.sealed);
-        let limit = self.settle_limit();
-        let faults = inject_fault_words(&mut sim, &words, limit);
+        let faults = inject_fault_words(&mut sim, &words, self.settle_limit());
         sim.schedule_input(self.input, SimTime::from_ps(10), true);
-        let _ = sim
-            .run_to_quiescence(limit)
-            .unwrap_or_else(|e| panic!("mesh failed to settle: {e}"));
+        (sim, faults)
+    }
+
+    /// Reads a settled wave off `sim`, a simulator from
+    /// [`Mesh::prepare_wave`] run to quiescence.
+    #[must_use]
+    pub fn wave_outcome(&self, sim: &NetSim, faults: InjectionSummary) -> WaveOutcome {
         let mut reached = 0usize;
         let mut first = u64::MAX;
         let mut last = 0u64;

@@ -98,7 +98,6 @@ impl Wheel {
     }
 
     /// Horizon in picoseconds.
-    #[cfg(test)]
     pub fn horizon_ps(&self) -> u64 {
         self.mask + 1
     }
@@ -175,6 +174,38 @@ impl Wheel {
         }
         self.len -= 1 + rest.len();
         head
+    }
+
+    /// Every pending event: bucket by bucket in index order (not time
+    /// order), each bucket's head before its spilled followers, which
+    /// keep push order.
+    pub fn events(&self) -> Vec<Ev> {
+        let mut out = Vec::with_capacity(self.len);
+        for (word, &bits) in self.words.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let b = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push(self.heads[b]);
+                if self.spilled[word] & (1 << (b % 64)) != 0 {
+                    out.extend_from_slice(&self.spill[b]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Drops every pending event.
+    pub fn clear(&mut self) {
+        for (word, bits) in self.spilled.iter_mut().enumerate() {
+            while *bits != 0 {
+                self.spill[word * 64 + bits.trailing_zeros() as usize].clear();
+                *bits &= *bits - 1;
+            }
+        }
+        self.words.fill(0);
+        self.summary.fill(0);
+        self.len = 0;
     }
 
     /// Cyclic two-level bitmap scan: the first occupied bucket at or
@@ -336,6 +367,25 @@ mod tests {
             fired,
             vec![(3, 0), (503, 10), (700, 1), (1_200, 11)]
         );
+    }
+
+    #[test]
+    fn events_lists_every_bucket_and_clear_empties_the_wheel() {
+        let mut w = Wheel::with_horizon(100);
+        for (t, wire) in [(130, 1), (5, 2), (130, 3), (64, 4), (130, 5)] {
+            w.push(ev(t, wire));
+        }
+        let mut listed: Vec<(u64, u32)> = w.events().iter().map(|e| (e.t_ps, e.wire)).collect();
+        // Bucket index order, each bucket's events in push order.
+        assert_eq!(listed, vec![(130, 1), (130, 3), (130, 5), (5, 2), (64, 4)]);
+        w.clear();
+        assert!(w.is_empty() && w.events().is_empty());
+        assert_eq!(w.earliest(0), None);
+        // Reusable after a clear, spill bits included.
+        w.push(ev(130, 6));
+        w.push(ev(130, 7));
+        listed = w.events().iter().map(|e| (e.t_ps, e.wire)).collect();
+        assert_eq!(listed, vec![(130, 6), (130, 7)]);
     }
 
     /// Pops one bucket and checks it against the reference: the

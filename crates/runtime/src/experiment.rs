@@ -33,6 +33,7 @@ use crate::rng::SimRng;
 use crate::sweep::ParallelSweep;
 use sim_observe::SpanTimer;
 use std::fmt;
+use std::path::Path;
 
 /// Shared run configuration parsed from the experiment CLI.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,12 +219,35 @@ pub fn write_artifact(label: &str, path: &str, contents: &str) {
 ///
 /// Propagates the directory-creation or write failure.
 pub fn write_with_parents(path: &str, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+    create_parent(Path::new(path))?;
     std::fs::write(path, contents)
+}
+
+/// Replaces `path` with `contents` atomically: writes the sibling
+/// `{path}.tmp` (same directory, so the rename stays on one file
+/// system), then renames it over `path`. A reader, or a writer killed
+/// mid-write, sees the old file or the new one, never a torn mix.
+/// Missing parent directories are created. Nothing is fsynced, so
+/// this guards against interrupted writers, not against power loss.
+///
+/// # Errors
+///
+/// Propagates the directory-creation, write or rename failure; `path`
+/// keeps its old contents.
+pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
+    let path = path.as_ref();
+    create_parent(path)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
+}
+
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
 }
 
 /// Drains the thread's artifact-failure flag: true if any
@@ -819,6 +843,23 @@ mod tests {
     fn listing_shows_the_runtime_estimate() {
         assert!(listing_line(&Timed).ends_with("~140ms"));
         assert!(!listing_line(&Dummy).contains("ms"), "0 means unmeasured");
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("sim_runtime_atomic_{}", std::process::id()));
+        let path = dir.join("nested").join("doc.json");
+        let tmp = dir.join("nested").join("doc.json.tmp");
+        write_atomic(&path, "old").expect("first write creates the directory");
+        write_atomic(&path, "new").expect("second write replaces");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new");
+        assert!(!tmp.exists(), "no temp file remains");
+        // A directory squatting on the temp path: the write fails and
+        // the file keeps its old contents.
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(write_atomic(&path, "torn").is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -110,16 +110,15 @@ impl Checkpoint {
         Ok(cp)
     }
 
-    /// Writes the checkpoint atomically: serialize to `<path>.tmp`,
-    /// then rename over `path`. Creates missing parent directories.
+    /// Writes the checkpoint atomically with
+    /// [`sim_runtime::write_atomic`]: serialize to `<path>.tmp`, then
+    /// rename over `path`. Creates missing parent directories.
     ///
     /// # Errors
     ///
     /// Propagates the write or rename failure.
     pub fn save_atomic(&self, path: &str) -> std::io::Result<()> {
-        let tmp = format!("{path}.tmp");
-        sim_runtime::write_with_parents(&tmp, &self.to_json().to_pretty())?;
-        std::fs::rename(&tmp, path)
+        sim_runtime::write_atomic(path, &self.to_json().to_pretty())
     }
 
     /// Reads and parses a checkpoint file.

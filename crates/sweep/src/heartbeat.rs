@@ -185,9 +185,7 @@ impl Heartbeat {
     ///
     /// Propagates the write or rename failure.
     pub fn save_atomic(&self, path: &str) -> std::io::Result<()> {
-        let tmp = format!("{path}.tmp");
-        sim_runtime::write_with_parents(&tmp, &self.to_json().to_pretty())?;
-        std::fs::rename(&tmp, path)
+        sim_runtime::write_atomic(path, &self.to_json().to_pretty())
     }
 
     /// Reads and parses a heartbeat file.

@@ -33,12 +33,14 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline
 # structural — wall-clock banding is opt-in via --wall-tol).
 run target/release/bench_regress --fast --out target/bench --baselines baselines
 # Netlist-core throughput smoke: the million-gate workloads (1M-stage
-# pipelined string + 1000x1000 mesh waves) must hold an events/sec
-# floor — a scheduler or settle-loop slowdown fails here even if the
-# counters still match — and the deterministic counter snapshot must
-# match its committed baseline byte-for-byte. The floor is half the
-# slowest of ten release runs on a 2-vCPU Linux VM (6.42M events/sec),
-# rounded down.
+# pipelined string + 1000x1000 mesh waves) run through the event loop
+# and must hold an events/sec floor — a scheduler or settle-loop
+# slowdown fails here even if the counters still match — and the
+# deterministic counter snapshot must match its committed baseline
+# byte-for-byte. The floor is half the slowest of ten release runs on
+# a 2-vCPU Linux VM (6.42M events/sec), rounded down. The same three
+# runs then repeat through run_to_quiescence (the levelized pass); any
+# differing counter, value, arrival or sim time exits nonzero.
 run target/release/netlist_bench --out target/bench/BENCH_netlist.json --min-eps 3200000
 run target/release/bench_regress --compare target/bench/BENCH_netlist.json --baselines baselines
 # Trace smoke: one experiment through --trace end to end, then the

@@ -164,6 +164,10 @@ fn trace_text_identical_across_thread_counts_for_every_experiment() {
     }
 }
 
+/// `--trace` must not leak into stdout. For e6 this also pits the two
+/// ways a netlist run executes against each other on the 1M-stage
+/// chain: traced, it takes the event loop; untraced, the levelized
+/// pass. The report prints that run's counters.
 #[test]
 fn tracing_never_changes_the_report_bytes() {
     for exp in [
