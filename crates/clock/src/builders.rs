@@ -84,15 +84,29 @@ pub fn htree(comm: &CommGraph, layout: &Layout) -> ClockTree {
             builder.attach_cell(parent, cell);
             continue;
         }
-        // Split across the longer dimension of the bounding box.
+        // Split across the longer dimension of the bounding box: the
+        // lower half is the `mid` least cells in `(x, y, cell)` order, or
+        // `(y, x, cell)`. The cell id makes that order total, so the
+        // half is one set whatever the order inside the group, and
+        // neither the children's centres (but for the sign of a zero
+        // coordinate) nor their own splits depend on that order: a
+        // selection builds the tree a stable sort from id order did.
         let r = array_layout::geom::Rect::bounding(group.iter().map(|&(_, p)| p))
             .expect("group non-empty");
-        if r.width() >= r.height() {
-            group.sort_by(|a, b| a.1.x.total_cmp(&b.1.x).then(a.1.y.total_cmp(&b.1.y)));
-        } else {
-            group.sort_by(|a, b| a.1.y.total_cmp(&b.1.y).then(a.1.x.total_cmp(&b.1.x)));
-        }
         let mid = group.len() / 2;
+        if r.width() >= r.height() {
+            group.select_nth_unstable_by(mid, |a, b| {
+                (a.1.x.total_cmp(&b.1.x))
+                    .then(a.1.y.total_cmp(&b.1.y))
+                    .then(a.0.cmp(&b.0))
+            });
+        } else {
+            group.select_nth_unstable_by(mid, |a, b| {
+                (a.1.y.total_cmp(&b.1.y))
+                    .then(a.1.x.total_cmp(&b.1.x))
+                    .then(a.0.cmp(&b.0))
+            });
+        }
         let (left, right) = (lo..lo + mid, lo + mid..hi);
         for range in [left, right] {
             let child_group = &cells[range.clone()];
@@ -351,6 +365,98 @@ mod tests {
             .iter()
             .fold((f64::INFINITY, 0.0f64), |(lo, hi), &d| (lo.min(d), hi.max(d)));
         assert!(approx_eq(min, max), "not equidistant after tuning");
+    }
+
+    /// `htree` as it was built with a stable full sort per split: the
+    /// reference the selection split must reproduce.
+    fn htree_by_stable_sort(comm: &CommGraph, layout: &Layout) -> ClockTree {
+        let mut cells: Vec<(CellId, Point)> = comm
+            .cells()
+            .map(|c| (c, layout.position(c.index())))
+            .collect();
+        let bbox_center = |group: &[(CellId, Point)]| -> Point {
+            let r = array_layout::geom::Rect::bounding(group.iter().map(|&(_, p)| p))
+                .expect("group non-empty");
+            r.min().midpoint(r.max())
+        };
+        let mut builder = ClockTreeBuilder::new(bbox_center(&cells));
+        let mut tasks = vec![(builder.root(), 0, cells.len())];
+        while let Some((parent, lo, hi)) = tasks.pop() {
+            let group = &mut cells[lo..hi];
+            if group.len() == 1 {
+                builder.attach_cell(parent, group[0].0);
+                continue;
+            }
+            let r = array_layout::geom::Rect::bounding(group.iter().map(|&(_, p)| p))
+                .expect("group non-empty");
+            if r.width() >= r.height() {
+                group.sort_by(|a, b| a.1.x.total_cmp(&b.1.x).then(a.1.y.total_cmp(&b.1.y)));
+            } else {
+                group.sort_by(|a, b| a.1.y.total_cmp(&b.1.y).then(a.1.x.total_cmp(&b.1.x)));
+            }
+            let mid = group.len() / 2;
+            for (a, b) in [(lo, lo + mid), (lo + mid, hi)] {
+                let child = builder.add_child(parent, bbox_center(&cells[a..b]), None);
+                tasks.push((child, a, b));
+            }
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn htree_selection_split_matches_the_stable_sort() {
+        use sim_runtime::{Rng, SimRng};
+        // Coordinate pools: few distinct values force coincident points
+        // and equal keys, and ±0 are distinct under `total_cmp`.
+        let pools: [&[f64]; 4] = [
+            &[0.0, 1.0, 2.0, 3.0],
+            &[-0.0, 0.0, 1.0],
+            &[-0.0, 0.0],
+            &[5.0],
+        ];
+        let mut rng = SimRng::seed_from_u64(0x4854_5245);
+        let mut checked = 0;
+        for n in (1..=40).chain([63, 64, 65, 100, 257]) {
+            for pool in pools {
+                for continuous in [false, true] {
+                    let coord = |rng: &mut SimRng| {
+                        if continuous {
+                            rng.gen_range(-4.0..4.0)
+                        } else {
+                            pool[rng.gen_u64_below(pool.len() as u64) as usize]
+                        }
+                    };
+                    let positions: Vec<Point> = (0..n)
+                        .map(|_| {
+                            let x = coord(&mut rng);
+                            Point::new(x, coord(&mut rng))
+                        })
+                        .collect();
+                    let comm = CommGraph::linear(n);
+                    let layout = Layout::from_positions(&comm, positions);
+                    let (got, want) = (htree(&comm, &layout), htree_by_stable_sort(&comm, &layout));
+                    assert_eq!(got.node_count(), want.node_count(), "n={n} {pool:?}");
+                    for v in want.nodes() {
+                        let ctx = format!("n={n} pool={pool:?} continuous={continuous} node {v}");
+                        // Equal as values: where a group's coordinates are all
+                        // ±0, the sign of its centre's zero follows the order
+                        // `Rect::bounding` folds `f64::min`/`max` in, which
+                        // differs between the two splits. Lengths take `abs`,
+                        // so they agree to the bit.
+                        assert_eq!(got.position(v), want.position(v), "{ctx}");
+                        assert_eq!(got.parent(v), want.parent(v), "{ctx}");
+                        assert_eq!(
+                            got.wire_length(v).to_bits(),
+                            want.wire_length(v).to_bits(),
+                            "{ctx}"
+                        );
+                        assert_eq!(got.cell(v), want.cell(v), "{ctx}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 45 * 4 * 2);
     }
 
     #[test]

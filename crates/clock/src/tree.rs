@@ -70,12 +70,31 @@ impl fmt::Display for NodeId {
 pub struct ClockTree {
     positions: Vec<Point>,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    children: Vec<Children>,
     wire_len: Vec<f64>,
     cell_of: Vec<Option<CellId>>,
     node_of_cell: Vec<Option<NodeId>>,
     root_dist: Vec<f64>,
     depth: Vec<usize>,
+}
+
+/// One node's children, inline: CLK is binary (A4), so two slots
+/// always suffice.
+#[derive(Debug, Clone, Copy)]
+struct Children {
+    ids: [NodeId; 2],
+    len: u8,
+}
+
+impl Children {
+    const NONE: Children = Children {
+        ids: [NodeId(0); 2],
+        len: 0,
+    };
+
+    fn as_slice(&self) -> &[NodeId] {
+        &self.ids[..usize::from(self.len)]
+    }
 }
 
 impl ClockTree {
@@ -111,7 +130,7 @@ impl ClockTree {
     /// Children of `node` (at most two).
     #[must_use]
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.children[node.index()]
+        self.children[node.index()].as_slice()
     }
 
     /// Physical length of the wire from `node` to its parent
@@ -452,17 +471,15 @@ impl ClockTree {
         }
     }
 
-    /// Structural validation: binary arity, non-negative wire lengths,
-    /// consistent cell attachment.
+    /// Structural validation: non-negative wire lengths and consistent
+    /// cell attachment. (Binary arity holds by construction:
+    /// [`ClockTreeBuilder::add_child`] refuses a third child.)
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
         for n in self.nodes() {
-            if self.children(n).len() > 2 {
-                return Err(format!("node {n} has {} children (> 2)", self.children(n).len()));
-            }
             if self.wire_length(n) < 0.0 {
                 return Err(format!("node {n} has negative wire length"));
             }
@@ -520,7 +537,7 @@ impl BufferFaultReport {
 pub struct ClockTreeBuilder {
     positions: Vec<Point>,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    children: Vec<Children>,
     wire_len: Vec<f64>,
     cell_of: Vec<Option<CellId>>,
 }
@@ -532,7 +549,7 @@ impl ClockTreeBuilder {
         ClockTreeBuilder {
             positions: vec![root_pos],
             parent: vec![None],
-            children: vec![Vec::new()],
+            children: vec![Children::NONE],
             wire_len: vec![0.0],
             cell_of: vec![None],
         }
@@ -557,7 +574,7 @@ impl ClockTreeBuilder {
     pub fn add_child(&mut self, parent: NodeId, pos: Point, length: Option<f64>) -> NodeId {
         assert!(parent.index() < self.positions.len(), "parent out of range");
         assert!(
-            self.children[parent.index()].len() < 2,
+            self.children[parent.index()].len < 2,
             "node {parent} already has two children (CLK is binary)"
         );
         let direct = self.positions[parent.index()].manhattan(pos);
@@ -574,10 +591,12 @@ impl ClockTreeBuilder {
         let id = NodeId(self.positions.len());
         self.positions.push(pos);
         self.parent.push(Some(parent));
-        self.children.push(Vec::new());
+        self.children.push(Children::NONE);
         self.wire_len.push(len);
         self.cell_of.push(None);
-        self.children[parent.index()].push(id);
+        let siblings = &mut self.children[parent.index()];
+        siblings.ids[usize::from(siblings.len)] = id;
+        siblings.len += 1;
         id
     }
 

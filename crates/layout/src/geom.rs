@@ -3,8 +3,8 @@
 //! The paper measures everything — skew, distribution time, wire delay —
 //! in terms of *physical length* in a planar layout (assumptions A2/A3:
 //! cells occupy unit area, wires have unit width). This module provides
-//! the points, rectangles, and rectilinear polylines those lengths are
-//! measured on.
+//! the points and rectangles those lengths are measured on, and the
+//! length of a wire routed through a sequence of way-points.
 //!
 //! Coordinates are `f64` multiples of the unit cell pitch. All layout
 //! generators in this crate place cells on integer coordinates, so
@@ -216,94 +216,21 @@ impl Rect {
     }
 }
 
-/// A rectilinear polyline: the route of one wire in the plane.
-///
-/// Routes are stored as a sequence of way-points; the wire's physical
-/// length — the quantity the paper's delay and skew models consume — is
-/// the sum of the segment lengths.
+/// Physical length of a wire routed through `points`: the sum of its
+/// segment lengths, in order — the quantity the paper's delay and skew
+/// models consume.
 ///
 /// # Examples
 ///
 /// ```
-/// use array_layout::geom::{Point, Polyline};
+/// use array_layout::geom::{route_length, Point};
 ///
-/// let wire = Polyline::new(vec![
-///     Point::new(0.0, 0.0),
-///     Point::new(2.0, 0.0),
-///     Point::new(2.0, 3.0),
-/// ]);
-/// assert_eq!(wire.length(), 5.0);
+/// let wire = [Point::new(0.0, 0.0), Point::new(2.0, 0.0), Point::new(2.0, 3.0)];
+/// assert_eq!(route_length(&wire), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Polyline {
-    points: Vec<Point>,
-}
-
-impl Polyline {
-    /// Creates a polyline from way-points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two way-points are supplied; a wire must
-    /// connect two distinct endpoints.
-    #[must_use]
-    pub fn new(points: Vec<Point>) -> Self {
-        assert!(
-            points.len() >= 2,
-            "a wire route needs at least two way-points, got {}",
-            points.len()
-        );
-        Polyline { points }
-    }
-
-    /// A direct two-point route from `a` to `b`.
-    #[must_use]
-    pub fn direct(a: Point, b: Point) -> Self {
-        Polyline::new(vec![a, b])
-    }
-
-    /// An L-shaped rectilinear route from `a` to `b` (horizontal first).
-    #[must_use]
-    pub fn rectilinear(a: Point, b: Point) -> Self {
-        if approx_eq(a.x, b.x) || approx_eq(a.y, b.y) {
-            Polyline::direct(a, b)
-        } else {
-            Polyline::new(vec![a, Point::new(b.x, a.y), b])
-        }
-    }
-
-    /// First way-point of the route.
-    #[must_use]
-    pub fn start(&self) -> Point {
-        self.points[0]
-    }
-
-    /// Last way-point of the route.
-    #[must_use]
-    pub fn end(&self) -> Point {
-        *self.points.last().expect("polyline has at least two points")
-    }
-
-    /// The way-points of the route, in order.
-    #[must_use]
-    pub fn points(&self) -> &[Point] {
-        &self.points
-    }
-
-    /// Total physical length of the route.
-    #[must_use]
-    pub fn length(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| w[0].euclidean(w[1]))
-            .sum()
-    }
-
-    /// Number of straight segments in the route.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.points.len() - 1
-    }
+#[must_use]
+pub fn route_length(points: &[Point]) -> f64 {
+    points.windows(2).map(|w| w[0].euclidean(w[1])).sum()
 }
 
 #[cfg(test)]
@@ -374,30 +301,13 @@ mod tests {
     }
 
     #[test]
-    fn polyline_length_sums_segments() {
-        let p = Polyline::new(vec![
+    fn route_length_sums_segments() {
+        let route = [
             Point::new(0.0, 0.0),
             Point::new(3.0, 0.0),
             Point::new(3.0, 4.0),
-        ]);
-        assert!(approx_eq(p.length(), 7.0));
-        assert_eq!(p.segment_count(), 2);
-        assert_eq!(p.start(), Point::new(0.0, 0.0));
-        assert_eq!(p.end(), Point::new(3.0, 4.0));
-    }
-
-    #[test]
-    fn rectilinear_route_collapses_when_collinear() {
-        let straight = Polyline::rectilinear(Point::new(0.0, 1.0), Point::new(5.0, 1.0));
-        assert_eq!(straight.segment_count(), 1);
-        let bent = Polyline::rectilinear(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        assert_eq!(bent.segment_count(), 2);
-        assert!(approx_eq(bent.length(), 4.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two way-points")]
-    fn polyline_rejects_single_point() {
-        let _ = Polyline::new(vec![Point::origin()]);
+        ];
+        assert!(approx_eq(route_length(&route), 7.0));
+        assert!(approx_eq(route_length(&route[..2]), 3.0));
     }
 }

@@ -127,33 +127,101 @@ pub enum Topology {
 pub struct CommGraph {
     nodes: usize,
     edges: Vec<CommEdge>,
-    out_adj: Vec<Vec<usize>>,
-    in_adj: Vec<Vec<usize>>,
+    out_rows: EdgeRows,
+    in_rows: EdgeRows,
     topology: Topology,
 }
 
-impl CommGraph {
-    fn with_capacity(nodes: usize, topology: Topology) -> Self {
-        CommGraph {
-            nodes,
-            edges: Vec::new(),
-            out_adj: vec![Vec::new(); nodes],
-            in_adj: vec![Vec::new(); nodes],
-            topology,
+/// Per-cell edge-id rows in compressed sparse row form: cell `c`'s
+/// edges are `ids[start[c]..start[c + 1]]`, in insertion order.
+#[derive(Debug, Clone)]
+struct EdgeRows {
+    start: Vec<usize>,
+    ids: Vec<usize>,
+}
+
+impl EdgeRows {
+    /// Groups the edge ids by `end(edge)` with a stable counting sort,
+    /// so each row keeps insertion order.
+    fn build(nodes: usize, edges: &[CommEdge], end: impl Fn(&CommEdge) -> usize) -> Self {
+        let mut start = vec![0usize; nodes + 1];
+        for e in edges {
+            start[end(e) + 1] += 1;
+        }
+        for c in 0..nodes {
+            start[c + 1] += start[c];
+        }
+        // Fill with `start[c]` as row `c`'s cursor; afterwards each
+        // cursor sits at the next row's start, so shift back by one.
+        let mut ids = vec![0usize; edges.len()];
+        for (idx, e) in edges.iter().enumerate() {
+            let c = end(e);
+            ids[start[c]] = idx;
+            start[c] += 1;
+        }
+        start.copy_within(0..nodes, 1);
+        start[0] = 0;
+        EdgeRows { start, ids }
+    }
+
+    fn row(&self, cell: usize) -> &[usize] {
+        &self.ids[self.start[cell]..self.start[cell + 1]]
+    }
+}
+
+/// Appends the directed edge `src → dst`.
+fn push_edge(edges: &mut Vec<CommEdge>, src: usize, dst: usize) {
+    debug_assert!(src != dst);
+    edges.push(CommEdge::new(CellId(src), CellId(dst)));
+}
+
+/// Appends `a → b` then `b → a`.
+fn push_bidir(edges: &mut Vec<CommEdge>, a: usize, b: usize) {
+    push_edge(edges, a, b);
+    push_edge(edges, b, a);
+}
+
+/// The mesh links of a `rows × cols` grid, row-major, each cell's east
+/// link before its south link (and its north-east diagonal last when
+/// `diagonal`), with room reserved for `extra` more edges.
+fn grid_links(rows: usize, cols: usize, diagonal: bool, extra: usize) -> Vec<CommEdge> {
+    let mut links = rows * (cols - 1) + (rows - 1) * cols;
+    if diagonal {
+        links += (rows - 1) * (cols - 1);
+    }
+    let mut edges = Vec::with_capacity(2 * links + extra);
+    for r in 0..rows {
+        for c in 0..cols {
+            let id = r * cols + c;
+            if c + 1 < cols {
+                push_bidir(&mut edges, id, id + 1);
+            }
+            if r + 1 < rows {
+                push_bidir(&mut edges, id, id + cols);
+            }
+            if diagonal && r + 1 < rows && c + 1 < cols {
+                push_bidir(&mut edges, id, id + cols + 1);
+            }
         }
     }
+    edges
+}
 
-    fn push_edge(&mut self, src: usize, dst: usize) {
-        debug_assert!(src < self.nodes && dst < self.nodes && src != dst);
-        let idx = self.edges.len();
-        self.edges.push(CommEdge::new(CellId(src), CellId(dst)));
-        self.out_adj[src].push(idx);
-        self.in_adj[dst].push(idx);
-    }
-
-    fn push_bidir(&mut self, a: usize, b: usize) {
-        self.push_edge(a, b);
-        self.push_edge(b, a);
+impl CommGraph {
+    /// The one constructor: every generator, [`CommGraphBuilder`] and
+    /// [`CommGraph::subdivided`] assemble the edge list, then build
+    /// both edge-id row tables from it once.
+    fn from_edges(nodes: usize, edges: Vec<CommEdge>, topology: Topology) -> Self {
+        debug_assert!(edges.iter().all(|e| e.src.0 < nodes && e.dst.0 < nodes));
+        let out_rows = EdgeRows::build(nodes, &edges, |e| e.src.0);
+        let in_rows = EdgeRows::build(nodes, &edges, |e| e.dst.0);
+        CommGraph {
+            nodes,
+            edges,
+            out_rows,
+            in_rows,
+            topology,
+        }
     }
 
     /// Builds a one-dimensional array of `n` cells, each linked in both
@@ -165,11 +233,11 @@ impl CommGraph {
     #[must_use]
     pub fn linear(n: usize) -> Self {
         assert!(n > 0, "a linear array needs at least one cell");
-        let mut g = CommGraph::with_capacity(n, Topology::Linear { n });
-        for i in 0..n.saturating_sub(1) {
-            g.push_bidir(i, i + 1);
+        let mut edges = Vec::with_capacity(2 * (n - 1));
+        for i in 0..n - 1 {
+            push_bidir(&mut edges, i, i + 1);
         }
-        g
+        CommGraph::from_edges(n, edges, Topology::Linear { n })
     }
 
     /// Builds a ring of `n` cells.
@@ -181,11 +249,11 @@ impl CommGraph {
     #[must_use]
     pub fn ring(n: usize) -> Self {
         assert!(n >= 3, "a ring needs at least three cells, got {n}");
-        let mut g = CommGraph::with_capacity(n, Topology::Ring { n });
+        let mut edges = Vec::with_capacity(2 * n);
         for i in 0..n {
-            g.push_bidir(i, (i + 1) % n);
+            push_bidir(&mut edges, i, (i + 1) % n);
         }
-        g
+        CommGraph::from_edges(n, edges, Topology::Ring { n })
     }
 
     /// Builds a `rows × cols` mesh with 4-neighbour bidirectional links.
@@ -198,9 +266,8 @@ impl CommGraph {
     #[must_use]
     pub fn mesh(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "mesh dimensions must be positive");
-        let mut g = CommGraph::with_capacity(rows * cols, Topology::Mesh { rows, cols });
-        g.add_grid_links(rows, cols, false);
-        g
+        let edges = grid_links(rows, cols, false, 0);
+        CommGraph::from_edges(rows * cols, edges, Topology::Mesh { rows, cols })
     }
 
     /// Builds a `rows × cols` torus (mesh with wrap-around links).
@@ -215,15 +282,14 @@ impl CommGraph {
             rows >= 3 && cols >= 3,
             "torus dimensions must be at least 3, got {rows}x{cols}"
         );
-        let mut g = CommGraph::with_capacity(rows * cols, Topology::Torus { rows, cols });
-        g.add_grid_links(rows, cols, false);
+        let mut edges = grid_links(rows, cols, false, 2 * (rows + cols));
         for r in 0..rows {
-            g.push_bidir(r * cols + (cols - 1), r * cols);
+            push_bidir(&mut edges, r * cols + (cols - 1), r * cols);
         }
         for c in 0..cols {
-            g.push_bidir((rows - 1) * cols + c, c);
+            push_bidir(&mut edges, (rows - 1) * cols + c, c);
         }
-        g
+        CommGraph::from_edges(rows * cols, edges, Topology::Torus { rows, cols })
     }
 
     /// Builds a hexagonal `rows × cols` array: a mesh plus the
@@ -236,26 +302,8 @@ impl CommGraph {
     #[must_use]
     pub fn hex(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "hex dimensions must be positive");
-        let mut g = CommGraph::with_capacity(rows * cols, Topology::Hex { rows, cols });
-        g.add_grid_links(rows, cols, true);
-        g
-    }
-
-    fn add_grid_links(&mut self, rows: usize, cols: usize, diagonal: bool) {
-        for r in 0..rows {
-            for c in 0..cols {
-                let id = r * cols + c;
-                if c + 1 < cols {
-                    self.push_bidir(id, id + 1);
-                }
-                if r + 1 < rows {
-                    self.push_bidir(id, id + cols);
-                }
-                if diagonal && r + 1 < rows && c + 1 < cols {
-                    self.push_bidir(id, id + cols + 1);
-                }
-            }
-        }
+        let edges = grid_links(rows, cols, true, 0);
+        CommGraph::from_edges(rows * cols, edges, Topology::Hex { rows, cols })
     }
 
     /// Builds a complete binary tree with `levels` levels
@@ -274,15 +322,15 @@ impl CommGraph {
             .checked_shl(levels as u32)
             .expect("tree too large"))
             - 1;
-        let mut g = CommGraph::with_capacity(nodes, Topology::BinaryTree { levels });
+        let mut edges = Vec::with_capacity(2 * (nodes - 1));
         for i in 0..nodes {
             for child in [2 * i + 1, 2 * i + 2] {
                 if child < nodes {
-                    g.push_bidir(i, child);
+                    push_bidir(&mut edges, i, child);
                 }
             }
         }
-        g
+        CommGraph::from_edges(nodes, edges, Topology::BinaryTree { levels })
     }
 
     /// Id of the cell at grid position `(row, col)` for grid-like
@@ -365,24 +413,24 @@ impl CommGraph {
     /// output-port order.
     #[must_use]
     pub fn out_edge_ids(&self, cell: CellId) -> &[usize] {
-        &self.out_adj[cell.index()]
+        self.out_rows.row(cell.index())
     }
 
     /// Indices (into [`CommGraph::edges`]) of the edges entering
     /// `cell`, in insertion order — the cell's input-port order.
     #[must_use]
     pub fn in_edge_ids(&self, cell: CellId) -> &[usize] {
-        &self.in_adj[cell.index()]
+        self.in_rows.row(cell.index())
     }
 
     /// Cells reachable from `cell` over one outgoing edge.
     pub fn out_neighbors(&self, cell: CellId) -> impl Iterator<Item = CellId> + '_ {
-        self.out_adj[cell.index()].iter().map(|&e| self.edges[e].dst)
+        self.out_edge_ids(cell).iter().map(|&e| self.edges[e].dst)
     }
 
     /// Cells with an edge into `cell`.
     pub fn in_neighbors(&self, cell: CellId) -> impl Iterator<Item = CellId> + '_ {
-        self.in_adj[cell.index()].iter().map(|&e| self.edges[e].src)
+        self.in_edge_ids(cell).iter().map(|&e| self.edges[e].src)
     }
 
     /// Neighbours of `cell` ignoring edge direction, deduplicated.
@@ -423,21 +471,21 @@ impl CommGraph {
         );
         let originals = self.node_count();
         let total_relays: usize = regs.iter().sum();
-        let mut g = CommGraph::with_capacity(originals + total_relays, Topology::Custom);
+        let mut edges = Vec::with_capacity(self.edge_count() + total_relays);
         let mut relay_of = vec![None; originals + total_relays];
         let mut next_relay = originals;
         for (e, (edge, &k)) in self.edges.iter().zip(regs).enumerate() {
             let mut from = edge.src.index();
             for pos in 0..k {
                 relay_of[next_relay] = Some((e, pos));
-                g.push_edge(from, next_relay);
+                push_edge(&mut edges, from, next_relay);
                 from = next_relay;
                 next_relay += 1;
             }
-            g.push_edge(from, edge.dst.index());
+            push_edge(&mut edges, from, edge.dst.index());
         }
         SubdividedComm {
-            graph: g,
+            graph: CommGraph::from_edges(originals + total_relays, edges, Topology::Custom),
             original_cells: originals,
             relay_of,
         }
@@ -453,7 +501,7 @@ impl CommGraph {
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
             let du = dist[u.index()];
-            for v in self.undirected_neighbors(u) {
+            for v in self.out_neighbors(u).chain(self.in_neighbors(u)) {
                 if dist[v.index()] == usize::MAX {
                     dist[v.index()] = du + 1;
                     queue.push_back(v);
@@ -523,7 +571,8 @@ impl SubdividedComm {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CommGraphBuilder {
-    graph: CommGraph,
+    nodes: usize,
+    edges: Vec<CommEdge>,
 }
 
 impl CommGraphBuilder {
@@ -531,7 +580,8 @@ impl CommGraphBuilder {
     #[must_use]
     pub fn new(nodes: usize) -> Self {
         CommGraphBuilder {
-            graph: CommGraph::with_capacity(nodes, Topology::Custom),
+            nodes,
+            edges: Vec::new(),
         }
     }
 
@@ -543,11 +593,11 @@ impl CommGraphBuilder {
     /// self-loop.
     pub fn edge(&mut self, src: CellId, dst: CellId) -> &mut Self {
         assert!(
-            src.index() < self.graph.nodes && dst.index() < self.graph.nodes,
+            src.index() < self.nodes && dst.index() < self.nodes,
             "edge endpoint out of range"
         );
         assert_ne!(src, dst, "self-loops are not meaningful in COMM");
-        self.graph.push_edge(src.index(), dst.index());
+        push_edge(&mut self.edges, src.index(), dst.index());
         self
     }
 
@@ -565,7 +615,7 @@ impl CommGraphBuilder {
     /// Finishes the graph.
     #[must_use]
     pub fn build(self) -> CommGraph {
-        self.graph
+        CommGraph::from_edges(self.nodes, self.edges, Topology::Custom)
     }
 }
 
@@ -713,6 +763,54 @@ mod tests {
                 sub.graph.out_edge_ids(cell).len(),
                 "{cell}: out-degree must be preserved"
             );
+        }
+    }
+
+    #[test]
+    fn edge_id_rows_are_the_insertion_order_scan() {
+        // Systolic executors read these rows as port order, so each must
+        // equal a naive scan of `edges()` filtered by endpoint.
+        let mut custom = CommGraphBuilder::new(5);
+        custom
+            .edge(CellId::new(3), CellId::new(0))
+            .bidirectional(CellId::new(1), CellId::new(3))
+            .edge(CellId::new(0), CellId::new(4))
+            .edge(CellId::new(4), CellId::new(3))
+            .bidirectional(CellId::new(0), CellId::new(1));
+        let hex = CommGraph::hex(3, 4);
+        let regs: Vec<usize> = (0..hex.edge_count()).map(|e| e % 3).collect();
+        let graphs = [
+            CommGraph::linear(1),
+            CommGraph::linear(7),
+            CommGraph::ring(5),
+            CommGraph::mesh(1, 6),
+            CommGraph::mesh(4, 3),
+            CommGraph::torus(3, 4),
+            hex.clone(),
+            CommGraph::complete_binary_tree(4),
+            custom.build(),
+            CommGraphBuilder::new(3).build(),
+            hex.subdivided(&regs).graph,
+        ];
+        for g in &graphs {
+            for cell in g.cells() {
+                let scan = |keep: &dyn Fn(&CommEdge) -> bool| -> Vec<usize> {
+                    (0..g.edge_count())
+                        .filter(|&e| keep(&g.edges()[e]))
+                        .collect()
+                };
+                let topo = g.topology();
+                assert_eq!(
+                    g.out_edge_ids(cell),
+                    scan(&|e| e.src == cell),
+                    "{topo:?} {cell}"
+                );
+                assert_eq!(
+                    g.in_edge_ids(cell),
+                    scan(&|e| e.dst == cell),
+                    "{topo:?} {cell}"
+                );
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 //! * [`Layout::htree_tree`] — the H-tree layout of a complete binary
 //!   tree in `O(N)` area (Section VIII).
 
-use crate::geom::{approx_eq, Point, Polyline, Rect};
+use crate::geom::{approx_eq, route_length, Point, Rect};
 use crate::graph::{CommGraph, Topology};
 
 /// A placement of a communication graph in the plane.
@@ -35,8 +35,57 @@ use crate::graph::{CommGraph, Topology};
 #[derive(Debug, Clone)]
 pub struct Layout {
     positions: Vec<Point>,
-    routes: Vec<Polyline>,
+    routes: Routes,
     bbox: Rect,
+}
+
+/// Every edge's rectilinear wire route, stored flat: route `e` is
+/// `points[start[e]..start[e + 1]]`, at least two way-points long.
+#[derive(Debug, Clone)]
+struct Routes {
+    points: Vec<Point>,
+    start: Vec<usize>,
+}
+
+impl Routes {
+    /// Room for `edges` routes of up to three way-points each.
+    fn with_capacity(edges: usize) -> Self {
+        let mut start = Vec::with_capacity(edges + 1);
+        start.push(0);
+        Routes {
+            points: Vec::with_capacity(3 * edges),
+            start,
+        }
+    }
+
+    /// Appends one route through `points`.
+    fn push(&mut self, points: &[Point]) {
+        debug_assert!(points.len() >= 2, "a wire route needs two way-points");
+        self.points.extend_from_slice(points);
+        self.start.push(self.points.len());
+    }
+
+    /// Appends an L-shaped route from `a` to `b`, horizontal first; a
+    /// straight one when the two already share a row or column.
+    fn push_rectilinear(&mut self, a: Point, b: Point) {
+        if approx_eq(a.x, b.x) || approx_eq(a.y, b.y) {
+            self.push(&[a, b]);
+        } else {
+            self.push(&[a, Point::new(b.x, a.y), b]);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn get(&self, e: usize) -> &[Point] {
+        &self.points[self.start[e]..self.start[e + 1]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Point]> + '_ {
+        self.start.windows(2).map(|w| &self.points[w[0]..w[1]])
+    }
 }
 
 /// Error returned by [`Layout::validate`] when a layout is inconsistent
@@ -113,13 +162,10 @@ impl Layout {
             comm.node_count(),
             "one position per cell required"
         );
-        let routes = comm
-            .edges()
-            .iter()
-            .map(|e| {
-                Polyline::rectilinear(positions[e.src.index()], positions[e.dst.index()])
-            })
-            .collect();
+        let mut routes = Routes::with_capacity(comm.edge_count());
+        for e in comm.edges() {
+            routes.push_rectilinear(positions[e.src.index()], positions[e.dst.index()]);
+        }
         let bbox = Rect::bounding(positions.iter().copied())
             .unwrap_or_else(|| Rect::from_corners(Point::origin(), Point::origin()));
         Layout {
@@ -221,38 +267,35 @@ impl Layout {
             // Route wrap edges around the array edge so their physical
             // length reflects the detour (cols or rows plus the detour
             // out and back).
-            let routes = comm
-                .edges()
-                .iter()
-                .map(|e| {
-                    let a = positions[e.src.index()];
-                    let b = positions[e.dst.index()];
-                    if (a.x - b.x).abs() > 1.5 {
-                        // horizontal wrap: go out beyond the boundary
-                        let dir = if a.x < b.x { -1.0 } else { 1.0 };
-                        let out_x = if dir < 0.0 { -1.0 } else { cols as f64 };
-                        Polyline::new(vec![
-                            a,
-                            Point::new(out_x, a.y),
-                            Point::new(out_x, b.y - 0.5),
-                            Point::new(b.x, b.y - 0.5),
-                            b,
-                        ])
-                    } else if (a.y - b.y).abs() > 1.5 {
-                        let dir = if a.y < b.y { -1.0 } else { 1.0 };
-                        let out_y = if dir < 0.0 { -1.0 } else { rows as f64 };
-                        Polyline::new(vec![
-                            a,
-                            Point::new(a.x, out_y),
-                            Point::new(b.x - 0.5, out_y),
-                            Point::new(b.x - 0.5, b.y),
-                            b,
-                        ])
-                    } else {
-                        Polyline::rectilinear(a, b)
-                    }
-                })
-                .collect();
+            let mut routes = Routes::with_capacity(comm.edge_count());
+            for e in comm.edges() {
+                let a = positions[e.src.index()];
+                let b = positions[e.dst.index()];
+                if (a.x - b.x).abs() > 1.5 {
+                    // horizontal wrap: go out beyond the boundary
+                    let dir = if a.x < b.x { -1.0 } else { 1.0 };
+                    let out_x = if dir < 0.0 { -1.0 } else { cols as f64 };
+                    routes.push(&[
+                        a,
+                        Point::new(out_x, a.y),
+                        Point::new(out_x, b.y - 0.5),
+                        Point::new(b.x, b.y - 0.5),
+                        b,
+                    ]);
+                } else if (a.y - b.y).abs() > 1.5 {
+                    let dir = if a.y < b.y { -1.0 } else { 1.0 };
+                    let out_y = if dir < 0.0 { -1.0 } else { rows as f64 };
+                    routes.push(&[
+                        a,
+                        Point::new(a.x, out_y),
+                        Point::new(b.x - 0.5, out_y),
+                        Point::new(b.x - 0.5, b.y),
+                        b,
+                    ]);
+                } else {
+                    routes.push_rectilinear(a, b);
+                }
+            }
             let bbox = Rect::bounding(positions.iter().copied()).expect("non-empty");
             Layout {
                 positions,
@@ -391,15 +434,16 @@ impl Layout {
         &self.positions
     }
 
-    /// Route of communication edge `e` (same index as
-    /// [`CommGraph::edges`]).
+    /// Way-points of the wire routed for communication edge `e` (same
+    /// index as [`CommGraph::edges`]), from its source cell to its
+    /// target cell; at least two long.
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     #[must_use]
-    pub fn route(&self, e: usize) -> &Polyline {
-        &self.routes[e]
+    pub fn route(&self, e: usize) -> &[Point] {
+        self.routes.get(e)
     }
 
     /// Physical length of the wire routed for edge `e`.
@@ -409,17 +453,14 @@ impl Layout {
     /// Panics if `e` is out of range.
     #[must_use]
     pub fn wire_length(&self, e: usize) -> f64 {
-        self.routes[e].length()
+        route_length(self.routes.get(e))
     }
 
     /// The longest communication wire in the layout; with unit-length
     /// delay this bounds the communication part of δ in A5.
     #[must_use]
     pub fn max_wire_length(&self) -> f64 {
-        self.routes
-            .iter()
-            .map(Polyline::length)
-            .fold(0.0, f64::max)
+        self.routes.iter().map(route_length).fold(0.0, f64::max)
     }
 
     /// Bounding box of the cell positions.
@@ -460,7 +501,7 @@ impl Layout {
         assert!(spacing > 0.0, "register spacing must be positive");
         self.routes
             .iter()
-            .map(|r| (r.length() / spacing).ceil().max(1.0) as usize - 1)
+            .map(|r| (route_length(r) / spacing).ceil().max(1.0) as usize - 1)
             .collect()
     }
 
@@ -484,17 +525,11 @@ impl Layout {
                 graph: comm.edge_count(),
             });
         }
-        for (i, e) in comm.edges().iter().enumerate() {
-            let r = &self.routes[i];
+        let at = |p: Point, q: Point| approx_eq(p.x, q.x) && approx_eq(p.y, q.y);
+        for (i, (e, r)) in comm.edges().iter().zip(self.routes.iter()).enumerate() {
             let (a, b) = (self.positions[e.src.index()], self.positions[e.dst.index()]);
-            let attached = (approx_eq(r.start().x, a.x)
-                && approx_eq(r.start().y, a.y)
-                && approx_eq(r.end().x, b.x)
-                && approx_eq(r.end().y, b.y))
-                || (approx_eq(r.start().x, b.x)
-                    && approx_eq(r.start().y, b.y)
-                    && approx_eq(r.end().x, a.x)
-                    && approx_eq(r.end().y, a.y));
+            let (start, end) = (r[0], r[r.len() - 1]);
+            let attached = (at(start, a) && at(end, b)) || (at(start, b) && at(end, a));
             if !attached {
                 return Err(ValidateLayoutError::RouteDetached { edge: i });
             }
@@ -665,11 +700,33 @@ mod tests {
     fn validate_rejects_detached_route() {
         let comm = CommGraph::linear(3);
         let mut l = Layout::linear_row(&comm);
-        l.routes[0] = Polyline::direct(Point::new(10.0, 10.0), Point::new(11.0, 10.0));
+        let s = l.routes.start[0];
+        l.routes.points[s..s + 2]
+            .copy_from_slice(&[Point::new(10.0, 10.0), Point::new(11.0, 10.0)]);
         assert!(matches!(
             l.validate(&comm),
             Err(ValidateLayoutError::RouteDetached { edge: 0 })
         ));
+    }
+
+    #[test]
+    fn routes_are_rectilinear_and_collapse_when_collinear() {
+        let comm = CommGraph::linear(2);
+        let straight =
+            Layout::from_positions(&comm, vec![Point::new(0.0, 1.0), Point::new(5.0, 1.0)]);
+        assert_eq!(
+            straight.route(0),
+            [Point::new(0.0, 1.0), Point::new(5.0, 1.0)]
+        );
+        let bent = Layout::from_positions(&comm, vec![Point::origin(), Point::new(2.0, 2.0)]);
+        // Horizontal first, from the edge's source to its target.
+        assert_eq!(
+            bent.route(0),
+            [Point::origin(), Point::new(2.0, 0.0), Point::new(2.0, 2.0)]
+        );
+        assert_eq!(bent.route(1)[0], Point::new(2.0, 2.0));
+        assert!(approx_eq(bent.wire_length(0), 4.0));
+        assert!(approx_eq(bent.max_wire_length(), 4.0));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod layout;
 pub mod prelude {
     pub use crate::bisection::{estimate_bisection, known_bisection_width, Bisection};
     pub use crate::embedding::GridEmbedding;
-    pub use crate::geom::{Point, Polyline, Rect};
+    pub use crate::geom::{Point, Rect};
     pub use crate::graph::{CellId, CommEdge, CommGraph, CommGraphBuilder, SubdividedComm, Topology};
     pub use crate::layout::{Layout, ValidateLayoutError};
 }

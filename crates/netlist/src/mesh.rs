@@ -74,30 +74,33 @@ impl MeshSpec {
         let mut rng = SimRng::seed_from_u64(self.seed);
         let mut nl = Netlist::new();
         let input = nl.add_wire();
-        let cells: Vec<WireId> = (0..self.cells()).map(|_| nl.add_wire()).collect();
+        for i in 0..self.cells() {
+            let wire = nl.add_wire();
+            debug_assert_eq!(wire, cell_wire(i));
+        }
         let draw = |rng: &mut SimRng| {
             let d = sample_normal(rng, self.base_delay.as_ps() as f64, self.jitter_std_ps);
             SimTime::from_ps((d.round() as i64).max(1) as u64)
         };
         for r in 0..self.rows {
             for c in 0..self.cols {
-                let out = cells[r * self.cols + c];
+                let out = cell_wire(r * self.cols + c);
                 let (rise, fall) = (draw(&mut rng), draw(&mut rng));
                 match (r, c) {
                     (0, 0) => {
                         nl.add_buffer(input, out, rise, fall);
                     }
                     (0, _) => {
-                        let west = cells[c - 1];
+                        let west = cell_wire(c - 1);
                         nl.add_buffer(west, out, rise, fall);
                     }
                     (_, 0) => {
-                        let north = cells[(r - 1) * self.cols];
+                        let north = cell_wire((r - 1) * self.cols);
                         nl.add_buffer(north, out, rise, fall);
                     }
                     _ => {
-                        let north = cells[(r - 1) * self.cols + c];
-                        let west = cells[r * self.cols + c - 1];
+                        let north = cell_wire((r - 1) * self.cols + c);
+                        let west = cell_wire(r * self.cols + c - 1);
                         nl.add_gate2(GateKind::Or2, north, west, out, rise, fall);
                     }
                 }
@@ -106,20 +109,24 @@ impl MeshSpec {
         Mesh {
             spec: *self,
             input,
-            cells,
             sealed: Arc::new(nl.seal()),
         }
     }
 }
 
-/// A sealed mesh: the shared arena plus the wire map. Clone-cheap
-/// (the arena is behind an [`Arc`]), so fault sweeps build once and
+/// The wire of cell `i = r * cols + c`: the corner stimulus is wire 0
+/// and the cells follow in row-major order.
+fn cell_wire(i: usize) -> WireId {
+    WireId::from_index(1 + i)
+}
+
+/// A sealed mesh: the shared arena and its geometry. Clone-cheap (the
+/// arena is behind an [`Arc`]), so fault sweeps build once and
 /// simulate many times.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     spec: MeshSpec,
     input: WireId,
-    cells: Vec<WireId>,
     sealed: Arc<SealedNetlist>,
 }
 
@@ -176,7 +183,7 @@ impl Mesh {
     #[must_use]
     pub fn cell(&self, r: usize, c: usize) -> WireId {
         assert!(r < self.spec.rows && c < self.spec.cols);
-        self.cells[r * self.spec.cols + c]
+        cell_wire(r * self.spec.cols + c)
     }
 
     /// An upper bound on how long the wavefront (faulted or not) can
@@ -228,7 +235,8 @@ impl Mesh {
         let mut reached = 0usize;
         let mut first = u64::MAX;
         let mut last = 0u64;
-        for &cell in &self.cells {
+        let cells = self.spec.cells();
+        for cell in (0..cells).map(cell_wire) {
             if sim.value(cell) {
                 reached += 1;
                 let t = sim.last_change_ps(cell);
@@ -241,7 +249,7 @@ impl Mesh {
         }
         WaveOutcome {
             reached,
-            cells: self.cells.len(),
+            cells,
             first_arrival_ps: first,
             last_arrival_ps: last,
             faults,
