@@ -94,6 +94,7 @@ fn check_one(
     let exp = registry
         .get(name)
         .ok_or_else(|| format!("unknown experiment `{name}`"))?;
+    sim_runtime::check_trials(exp, &opts.cfg)?;
     let timer = SpanTimer::start();
     let report = run_experiment(exp, &opts.cfg);
     let run = RunInfo {

@@ -25,6 +25,15 @@ use vlsi_sync::prelude::*;
 #[derive(Debug)]
 pub struct E5;
 
+/// The naive synchronizer's metastability model and sampling period.
+fn metastability() -> (MetastabilityModel, f64) {
+    (MetastabilityModel::new(0.05, 0.5), 10.0)
+}
+
+/// The chance, per seed, that `naive > 0` may fail at the minimum
+/// trial count: no event lands in a capture window.
+const ZERO_CAPTURE_ODDS: f64 = 1e-9;
+
 impl Experiment for E5 {
     fn name(&self) -> &'static str {
         "e5"
@@ -37,6 +46,14 @@ impl Experiment for E5 {
     }
     fn approx_ms(&self) -> u64 {
         80
+    }
+    /// The fewest events for which `(1 − p)^events`, the chance of no
+    /// capture at per-event capture probability `p`, is at most
+    /// `ZERO_CAPTURE_ODDS`.
+    fn min_trials(&self) -> usize {
+        let (meta, period) = metastability();
+        let p = meta.failure_probability(period, 0.0);
+        (ZERO_CAPTURE_ODDS.ln() / (-p).ln_1p()).ceil() as usize
     }
 
     fn run(&self, cfg: &ExpConfig, _rng: &mut SimRng) -> Report {
@@ -156,9 +173,9 @@ impl Experiment for E5 {
 
         // Metastability: stoppable clock vs naive synchronizer, the
         // Monte-Carlo fanned out across the sweep's workers.
-        let meta = MetastabilityModel::new(0.05, 0.5);
+        let (meta, period) = metastability();
         let events = cfg.trials_or(1_000_000);
-        let naive = meta.count_naive_failures_par(events, 10.0, cfg.seed, &cfg.sweep());
+        let naive = meta.count_naive_failures_par(events, period, cfg.seed, &cfg.sweep());
         let stoppable = meta.count_stoppable_clock_failures(events);
         r.metrics_mut().add("e5.naive_failures", naive as u64);
         r.metrics_mut().add("e5.stoppable_failures", stoppable as u64);

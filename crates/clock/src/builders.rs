@@ -438,12 +438,12 @@ mod tests {
                     assert_eq!(got.node_count(), want.node_count(), "n={n} {pool:?}");
                     for v in want.nodes() {
                         let ctx = format!("n={n} pool={pool:?} continuous={continuous} node {v}");
-                        // Equal as values: where a group's coordinates are all
-                        // ±0, the sign of its centre's zero follows the order
-                        // `Rect::bounding` folds `f64::min`/`max` in, which
-                        // differs between the two splits. Lengths take `abs`,
-                        // so they agree to the bit.
+                        // Equal to the bit: `Rect::bounding` orders −0 below
+                        // +0, so a centre's zero sign does not follow the
+                        // order each split folds its group in.
                         assert_eq!(got.position(v), want.position(v), "{ctx}");
+                        let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+                        assert_eq!(bits(got.position(v)), bits(want.position(v)), "{ctx}");
                         assert_eq!(got.parent(v), want.parent(v), "{ctx}");
                         assert_eq!(
                             got.wire_length(v).to_bits(),

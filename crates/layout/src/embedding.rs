@@ -123,18 +123,6 @@ impl GridEmbedding {
         }
     }
 
-    /// Source grid dimensions `(rows, cols)`.
-    #[must_use]
-    pub fn src_dims(&self) -> (usize, usize) {
-        (self.src_rows, self.src_cols)
-    }
-
-    /// Destination grid dimensions `(rows, cols)`.
-    #[must_use]
-    pub fn dst_dims(&self) -> (usize, usize) {
-        (self.dst_rows, self.dst_cols)
-    }
-
     /// Destination position of source cell `(row, col)`.
     ///
     /// # Panics
@@ -227,7 +215,7 @@ mod tests {
                 .map(|(rr, cc)| e.image(rr, cc))
                 .collect();
             assert_eq!(images.len(), r * c, "collision in {r}x{c} fold");
-            let (dr, dc) = e.dst_dims();
+            let (dr, dc) = (e.dst_rows, e.dst_cols);
             for (ir, ic) in images {
                 assert!(ir < dr && ic < dc, "image out of bounds in {r}x{c}");
             }
@@ -261,7 +249,7 @@ mod tests {
     #[test]
     fn fold_of_square_is_identity_shaped() {
         let e = GridEmbedding::fold(8, 8);
-        assert_eq!(e.dst_dims(), (8, 8));
+        assert_eq!((e.dst_rows, e.dst_cols), (8, 8));
         assert_eq!(e.max_dilation(), 1);
         assert_eq!(e.image(3, 5), (3, 5));
     }
@@ -272,7 +260,7 @@ mod tests {
         // share a destination column, so its dilation is purely
         // vertical and bounded by the short dimension.
         let e = GridEmbedding::fold(2, 32);
-        let (h, _) = e.dst_dims();
+        let h = e.dst_rows;
         assert!(h >= 4, "expected at least two bands");
         assert!(e.max_dilation() <= 2 * 2, "dilation {}", e.max_dilation());
     }

@@ -102,6 +102,18 @@ impl From<(f64, f64)> for Point {
     }
 }
 
+/// `f64::min` under `total_cmp`, which orders −0 below +0: unlike
+/// `f64::min`, whose result for ±0 may be either operand, a box folded
+/// from points gets the same bits in any order.
+fn lo(a: f64, b: f64) -> f64 {
+    std::cmp::min_by(a, b, f64::total_cmp)
+}
+
+/// `f64::max` under `total_cmp`; see [`lo`].
+fn hi(a: f64, b: f64) -> f64 {
+    std::cmp::max_by(a, b, f64::total_cmp)
+}
+
 /// An axis-aligned rectangle, used for layout bounding boxes.
 ///
 /// # Examples
@@ -124,8 +136,8 @@ impl Rect {
     #[must_use]
     pub fn from_corners(a: Point, b: Point) -> Self {
         Rect {
-            min: Point::new(a.x.min(b.x), a.y.min(b.y)),
-            max: Point::new(a.x.max(b.x), a.y.max(b.y)),
+            min: Point::new(lo(a.x, b.x), lo(a.y, b.y)),
+            max: Point::new(hi(a.x, b.x), hi(a.y, b.y)),
         }
     }
 
@@ -150,8 +162,8 @@ impl Rect {
     #[must_use]
     pub fn expanded_to(self, p: Point) -> Self {
         Rect {
-            min: Point::new(self.min.x.min(p.x), self.min.y.min(p.y)),
-            max: Point::new(self.max.x.max(p.x), self.max.y.max(p.y)),
+            min: Point::new(lo(self.min.x, p.x), lo(self.min.y, p.y)),
+            max: Point::new(hi(self.max.x, p.x), hi(self.max.y, p.y)),
         }
     }
 

@@ -208,9 +208,9 @@ fn grid_links(rows: usize, cols: usize, diagonal: bool, extra: usize) -> Vec<Com
 }
 
 impl CommGraph {
-    /// The one constructor: every generator, [`CommGraphBuilder`] and
-    /// [`CommGraph::subdivided`] assemble the edge list, then build
-    /// both edge-id row tables from it once.
+    /// The one constructor: every generator and [`CommGraphBuilder`]
+    /// assemble the edge list, then build both edge-id row tables from
+    /// it once.
     fn from_edges(nodes: usize, edges: Vec<CommEdge>, topology: Topology) -> Self {
         debug_assert!(edges.iter().all(|e| e.src.0 < nodes && e.dst.0 < nodes));
         let out_rows = EdgeRows::build(nodes, &edges, |e| e.src.0);
@@ -451,46 +451,6 @@ impl CommGraph {
         self.undirected_neighbors(cell).len()
     }
 
-    /// Subdivides every directed edge `e` into `regs[e] + 1` hops by
-    /// inserting `regs[e]` relay cells — the Section VIII pipeline
-    /// registers that "in effect just make wires thicker".
-    ///
-    /// Original cells keep their ids (and their relative port order);
-    /// relay cells are appended after them. Each relay has exactly one
-    /// in-edge and one out-edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regs.len() != self.edge_count()`.
-    #[must_use]
-    pub fn subdivided(&self, regs: &[usize]) -> SubdividedComm {
-        assert_eq!(
-            regs.len(),
-            self.edge_count(),
-            "one register count per directed edge required"
-        );
-        let originals = self.node_count();
-        let total_relays: usize = regs.iter().sum();
-        let mut edges = Vec::with_capacity(self.edge_count() + total_relays);
-        let mut relay_of = vec![None; originals + total_relays];
-        let mut next_relay = originals;
-        for (e, (edge, &k)) in self.edges.iter().zip(regs).enumerate() {
-            let mut from = edge.src.index();
-            for pos in 0..k {
-                relay_of[next_relay] = Some((e, pos));
-                push_edge(&mut edges, from, next_relay);
-                from = next_relay;
-                next_relay += 1;
-            }
-            push_edge(&mut edges, from, edge.dst.index());
-        }
-        SubdividedComm {
-            graph: CommGraph::from_edges(originals + total_relays, edges, Topology::Custom),
-            original_cells: originals,
-            relay_of,
-        }
-    }
-
     /// Breadth-first hop distances from `start`, ignoring edge
     /// direction. Unreachable cells report `usize::MAX`.
     #[must_use]
@@ -520,39 +480,6 @@ impl CommGraph {
         self.bfs_distances(CellId(0))
             .iter()
             .all(|&d| d != usize::MAX)
-    }
-}
-
-/// A communication graph with pipeline relay cells inserted on its
-/// edges (Section VIII), plus the bookkeeping to tell originals from
-/// relays.
-#[derive(Debug, Clone)]
-pub struct SubdividedComm {
-    /// The subdivided graph (original cells first, relays appended).
-    pub graph: CommGraph,
-    /// Number of original cells (ids `0..original_cells`).
-    pub original_cells: usize,
-    /// For each cell id: `Some((original_edge, position))` when the
-    /// cell is the `position`-th relay on that edge, `None` for
-    /// original cells.
-    pub relay_of: Vec<Option<(usize, usize)>>,
-}
-
-impl SubdividedComm {
-    /// Returns `true` when `cell` is a relay inserted by subdivision.
-    #[must_use]
-    pub fn is_relay(&self, cell: CellId) -> bool {
-        self.relay_of
-            .get(cell.index())
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    /// Number of relay cells inserted.
-    #[must_use]
-    pub fn relay_count(&self) -> usize {
-        self.graph.node_count() - self.original_cells
     }
 }
 
@@ -725,48 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn subdivision_inserts_relays_in_chains() {
-        let g = CommGraph::linear(3); // edges: 0→1, 1→0, 1→2, 2→1
-        let regs = vec![2, 0, 1, 0];
-        let sub = g.subdivided(&regs);
-        assert_eq!(sub.original_cells, 3);
-        assert_eq!(sub.relay_count(), 3);
-        assert_eq!(sub.graph.node_count(), 6);
-        // Edge 0→1 became 0→r→r→1: total directed edges = Σ(k+1).
-        assert_eq!(sub.graph.edge_count(), 3 + 1 + 2 + 1);
-        // Relays have exactly one in and one out edge.
-        for cell in sub.graph.cells() {
-            if sub.is_relay(cell) {
-                assert_eq!(sub.graph.in_edge_ids(cell).len(), 1, "{cell}");
-                assert_eq!(sub.graph.out_edge_ids(cell).len(), 1, "{cell}");
-            }
-        }
-        // Path length 0→…→1 via relays is 3 hops.
-        let d = sub.graph.bfs_distances(CellId::new(0));
-        assert!(sub.graph.is_connected());
-        assert_eq!(d[1], 1, "bidirectional shortcut via the 1→0 edge");
-    }
-
-    #[test]
-    fn subdivision_preserves_original_port_order() {
-        let g = CommGraph::mesh(2, 2);
-        let regs = vec![1; g.edge_count()];
-        let sub = g.subdivided(&regs);
-        for cell in g.cells() {
-            assert_eq!(
-                g.in_edge_ids(cell).len(),
-                sub.graph.in_edge_ids(cell).len(),
-                "{cell}: in-degree must be preserved"
-            );
-            assert_eq!(
-                g.out_edge_ids(cell).len(),
-                sub.graph.out_edge_ids(cell).len(),
-                "{cell}: out-degree must be preserved"
-            );
-        }
-    }
-
-    #[test]
     fn edge_id_rows_are_the_insertion_order_scan() {
         // Systolic executors read these rows as port order, so each must
         // equal a naive scan of `edges()` filtered by endpoint.
@@ -777,8 +662,20 @@ mod tests {
             .edge(CellId::new(0), CellId::new(4))
             .edge(CellId::new(4), CellId::new(3))
             .bidirectional(CellId::new(0), CellId::new(1));
+        // The hex array with `e % 3` relay cells chained into edge `e`.
         let hex = CommGraph::hex(3, 4);
-        let regs: Vec<usize> = (0..hex.edge_count()).map(|e| e % 3).collect();
+        let relays: usize = (0..hex.edge_count()).map(|e| e % 3).sum();
+        let mut relayed = CommGraphBuilder::new(hex.node_count() + relays);
+        let mut next = hex.node_count();
+        for (e, edge) in hex.edges().iter().enumerate() {
+            let mut from = edge.src;
+            for _ in 0..e % 3 {
+                relayed.edge(from, CellId::new(next));
+                from = CellId::new(next);
+                next += 1;
+            }
+            relayed.edge(from, edge.dst);
+        }
         let graphs = [
             CommGraph::linear(1),
             CommGraph::linear(7),
@@ -790,7 +687,7 @@ mod tests {
             CommGraph::complete_binary_tree(4),
             custom.build(),
             CommGraphBuilder::new(3).build(),
-            hex.subdivided(&regs).graph,
+            relayed.build(),
         ];
         for g in &graphs {
             for cell in g.cells() {
@@ -812,22 +709,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn subdivision_with_zero_registers_is_isomorphic() {
-        let g = CommGraph::linear(4);
-        let sub = g.subdivided(&vec![0; g.edge_count()]);
-        assert_eq!(sub.graph.node_count(), 4);
-        assert_eq!(sub.graph.edge_count(), g.edge_count());
-        assert_eq!(sub.relay_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one register count per directed edge")]
-    fn subdivision_checks_plan_length() {
-        let g = CommGraph::linear(3);
-        let _ = g.subdivided(&[1, 2]);
     }
 
     #[test]

@@ -463,12 +463,6 @@ impl Layout {
         self.routes.iter().map(route_length).fold(0.0, f64::max)
     }
 
-    /// Bounding box of the cell positions.
-    #[must_use]
-    pub fn bounding_box(&self) -> Rect {
-        self.bbox
-    }
-
     /// Layout area measured as the bounding box of cell centres, each
     /// padded by the unit cell (A2). Never less than the cell count.
     #[must_use]
@@ -481,28 +475,6 @@ impl Layout {
     #[must_use]
     pub fn aspect_ratio(&self) -> f64 {
         self.bbox.aspect_ratio()
-    }
-
-    /// Computes the Section VIII pipeline-register plan: the number of
-    /// relay registers to insert on each directed edge so that no
-    /// unregistered wire run exceeds `spacing` length units
-    /// (`⌈len/spacing⌉ − 1` registers per edge).
-    ///
-    /// On an H-tree layout of a complete binary tree, edges at the
-    /// same level have equal lengths, so the plan automatically puts
-    /// "the same number of registers on all of the edges in a given
-    /// level" as the paper requires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spacing` is not positive.
-    #[must_use]
-    pub fn pipeline_register_plan(&self, spacing: f64) -> Vec<usize> {
-        assert!(spacing > 0.0, "register spacing must be positive");
-        self.routes
-            .iter()
-            .map(|r| (route_length(r) / spacing).ceil().max(1.0) as usize - 1)
-            .collect()
     }
 
     /// Checks this layout against its graph: one position per cell,
@@ -558,7 +530,7 @@ mod tests {
         let l = Layout::linear_row(&comm);
         assert!(l.validate(&comm).is_ok());
         assert!(approx_eq(l.max_wire_length(), 1.0));
-        assert!(approx_eq(l.bounding_box().width(), 9.0));
+        assert!(approx_eq(l.bbox.width(), 9.0));
     }
 
     #[test]

@@ -41,9 +41,9 @@ pub mod layout;
 
 /// Convenient re-exports of the crate's primary types.
 pub mod prelude {
-    pub use crate::bisection::{estimate_bisection, known_bisection_width, Bisection};
+    pub use crate::bisection::known_bisection_width;
     pub use crate::embedding::GridEmbedding;
     pub use crate::geom::{Point, Rect};
-    pub use crate::graph::{CellId, CommEdge, CommGraph, CommGraphBuilder, SubdividedComm, Topology};
+    pub use crate::graph::{CellId, CommEdge, CommGraph, CommGraphBuilder, Topology};
     pub use crate::layout::{Layout, ValidateLayoutError};
 }

@@ -642,16 +642,6 @@ impl SealedNetlist {
         self.gates.len()
     }
 
-    /// The output wire of gate `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is stale.
-    #[must_use]
-    pub fn gate_output(&self, g: GateId) -> WireId {
-        WireId(self.gates[g.index()].out)
-    }
-
     /// The scheduler's per-gate delay bound, in picoseconds.
     #[must_use]
     pub fn max_delay_ps(&self) -> u64 {

@@ -578,12 +578,6 @@ impl NetSim {
         self.trace = Some(Box::new(TraceBuf::new(capacity)));
     }
 
-    /// Whether event tracing is enabled.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Marks `wire` as a clock: its transitions also record
     /// `ClockEdge` trace events under `signal` / `phase`.
     pub fn mark_clock(&mut self, wire: WireId, signal: &str, phase: u8) {
@@ -1219,7 +1213,7 @@ mod tests {
         let (mut plain, b) = traced_fixture(false);
         plain.run_until(ps(5_000));
         let (mut traced, _) = traced_fixture(true);
-        assert!(traced.trace_enabled());
+        assert!(traced.trace.is_some());
         traced.run_until(ps(5_000));
         assert_eq!(plain.stats(), traced.stats());
         assert_eq!(plain.transitions_ps(b), traced.transitions_ps(b));
@@ -1232,7 +1226,7 @@ mod tests {
         sim.run_until(ps(5_000));
         let stats = sim.stats();
         let buf = sim.take_trace().expect("tracing was enabled");
-        assert!(!sim.trace_enabled(), "take_trace disables tracing");
+        assert!(sim.trace.is_none(), "take_trace disables tracing");
         let (events, dropped) = buf.into_ordered();
         assert_eq!(dropped, 0);
         let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count() as u64;

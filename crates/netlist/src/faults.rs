@@ -79,11 +79,6 @@ impl FaultWord {
         }
     }
 
-    /// Whether this word carries any fault.
-    #[must_use]
-    pub fn is_faulty(self) -> bool {
-        self.0 & 0b11 != KIND_NONE
-    }
 }
 
 /// Draws the plan once per gate (site = gate index) into a packed
@@ -396,8 +391,8 @@ mod tests {
             }
             other => panic!("expected transient, got {other:?}"),
         }
-        assert!(w.is_faulty());
-        assert!(!FaultWord::NONE.is_faulty());
+        assert!(w.unpack().is_some());
+        assert!(FaultWord::NONE.unpack().is_none());
     }
 
     #[test]
@@ -440,6 +435,6 @@ mod tests {
         nl.add_buffer(a, b, SimTime::from_ps(5), SimTime::from_ps(5));
         let sealed = nl.seal();
         let words = gate_fault_words(&FaultPlan::disabled(), &sealed);
-        assert!(words.iter().all(|w| !w.is_faulty()));
+        assert!(words.iter().all(|w| w.unpack().is_none()));
     }
 }

@@ -58,18 +58,6 @@ impl SimTime {
         self.0
     }
 
-    /// The time in nanoseconds, truncated.
-    #[must_use]
-    pub fn as_ns(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// The time as a floating-point nanosecond count.
-    #[must_use]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating subtraction.
     #[must_use]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
@@ -235,9 +223,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimTime::from_ns(3).as_ps(), 3_000);
-        assert_eq!(SimTime::from_us(2).as_ns(), 2_000);
-        assert_eq!(SimTime::from_ps(1500).as_ns(), 1);
-        assert_eq!(SimTime::from_ps(1500).as_ns_f64(), 1.5);
+        assert_eq!(SimTime::from_us(2).as_ps(), 2_000_000);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Metrics {
             .record(value);
     }
 
-    /// Merges a whole histogram into the named slot.
-    pub fn observe_all(&mut self, name: &str, hist: &LogHistogram) {
-        self.hists.entry(name.to_owned()).or_default().merge(hist);
-    }
-
     /// Current value of a counter (zero when absent).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {

@@ -299,6 +299,12 @@ pub trait Experiment: Sync + Send {
     fn approx_ms(&self) -> u64 {
         0
     }
+    /// The fewest trials the run's own checks hold at; a smaller
+    /// explicit `cfg.trials` is refused by [`check_trials`] before the
+    /// run. `1` (the default) accepts any count.
+    fn min_trials(&self) -> usize {
+        1
+    }
     /// Runs the experiment under `cfg`, drawing any sequential
     /// randomness from `rng` (parallel loops derive per-trial streams
     /// from `cfg.seed` via [`ParallelSweep`]).
@@ -415,6 +421,23 @@ fn listing_line(exp: &dyn Experiment) -> String {
     line
 }
 
+/// Refuses an explicit trial count below `exp`'s
+/// [`Experiment::min_trials`], naming the minimum.
+///
+/// # Errors
+///
+/// The refusal message, for a usage error or a bad request.
+pub fn check_trials(exp: &dyn Experiment, cfg: &ExpConfig) -> Result<(), String> {
+    match cfg.trials {
+        Some(t) if t < exp.min_trials() => Err(format!(
+            "{} needs at least {} trials, got {t}",
+            exp.name(),
+            exp.min_trials()
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Runs `exp` under `cfg` with the prescribed root RNG, returning its
 /// report. The library-facing entry point; the `experiments` binary
 /// wraps it in [`run_cli_args`].
@@ -464,6 +487,9 @@ fn cli_main<I: IntoIterator<Item = String>>(
         eprintln!("unknown experiment `{name}`");
         return 2;
     };
+    if let Err(code) = cli::resolve(USAGE, check_trials(exp, &cfg).map_err(CliError::Usage)) {
+        return code;
+    }
     cfg.stream = true;
     print!("{}", banner(exp, &cfg));
     let timer = SpanTimer::start();

@@ -73,8 +73,8 @@ pub use dist::{
     from_total_order_key, linear_fit, mean_std, sample_normal, total_order_key, Gaussian,
 };
 pub use experiment::{
-    run_cli_args, run_experiment, take_artifact_failure, write_artifact, write_atomic,
-    write_with_parents, ExpConfig, Experiment, Registry,
+    check_trials, run_cli_args, run_experiment, take_artifact_failure, write_artifact,
+    write_atomic, write_with_parents, ExpConfig, Experiment, Registry,
 };
 pub use report::{
     json_core, json_full, Report, RunInfo, TableSection, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,

@@ -12,7 +12,7 @@
 //! [`MetastabilityModel`] provides the standard exponential-resolution
 //! model and Monte-Carlo counters for both disciplines.
 
-use sim_runtime::{ParallelSweep, Rng, SimRng};
+use sim_runtime::{ParallelSweep, Rng};
 
 /// Exponential-resolution metastability model: an event landing
 /// within `window` of a sampling edge goes metastable, and a
@@ -68,36 +68,14 @@ impl MetastabilityModel {
     /// Monte-Carlo count of metastable captures when `events`
     /// uniformly-phased asynchronous arrivals are sampled by a
     /// free-running clock: an arrival within `window` of an edge goes
-    /// metastable.
+    /// metastable. Events are split into fixed chunks of 8192 that fan
+    /// out across a [`ParallelSweep`], each chunk drawing from its own
+    /// per-trial stream, so the count depends only on `seed` — never
+    /// on the worker count.
     ///
     /// # Panics
     ///
     /// Panics unless `period > window`.
-    #[must_use]
-    pub fn count_naive_failures(&self, events: usize, period: f64, seed: u64) -> usize {
-        assert!(period > self.window, "period must exceed the window");
-        let mut rng = SimRng::seed_from_u64(seed);
-        (0..events)
-            .filter(|_| {
-                let phase: f64 = rng.gen_range(0.0..period);
-                let dist_to_edge = phase.min(period - phase);
-                dist_to_edge < self.window / 2.0
-            })
-            .count()
-    }
-
-    /// Parallel variant of [`count_naive_failures`] for the E5 sweep:
-    /// events are split into fixed chunks of 8192 that fan out across
-    /// a [`ParallelSweep`], each chunk drawing from its own per-trial
-    /// stream. The count depends only on `seed` — never on the worker
-    /// count. (The stream differs from the sequential counter's, so
-    /// the two counts agree in rate, not bit-for-bit.)
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `period > window`.
-    ///
-    /// [`count_naive_failures`]: MetastabilityModel::count_naive_failures
     #[must_use]
     pub fn count_naive_failures_par(
         &self,
@@ -157,7 +135,7 @@ mod tests {
     fn naive_sampling_fails_at_expected_rate() {
         let m = MetastabilityModel::new(0.2, 0.5);
         let events = 200_000;
-        let failures = m.count_naive_failures(events, 10.0, 3);
+        let failures = m.count_naive_failures_par(events, 10.0, 3, &ParallelSweep::new(1));
         let expected = events as f64 * 0.2 / 10.0;
         let ratio = failures as f64 / expected;
         assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
@@ -168,7 +146,7 @@ mod tests {
         let m = MetastabilityModel::new(0.2, 0.5);
         assert_eq!(m.count_stoppable_clock_failures(1_000_000), 0);
         // While naive sampling of the same traffic does fail.
-        assert!(m.count_naive_failures(1_000_000, 10.0, 4) > 0);
+        assert!(m.count_naive_failures_par(1_000_000, 10.0, 4, &ParallelSweep::new(1)) > 0);
     }
 
     #[test]
@@ -183,7 +161,6 @@ mod tests {
                 "threads {threads} diverged"
             );
         }
-        // Same expected rate as the sequential counter.
         let expected = events as f64 * 0.2 / 10.0;
         let ratio = base as f64 / expected;
         assert!((0.85..1.15).contains(&ratio), "ratio {ratio}");

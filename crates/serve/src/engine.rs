@@ -36,7 +36,7 @@ use crate::telemetry::{EngineTelemetry, GaugeSnapshot};
 use sim_faults::FaultRates;
 use sim_observe::timeseries::SloPolicy;
 use sim_observe::duration_ns;
-use sim_runtime::{json_core, run_experiment, Registry};
+use sim_runtime::{check_trials, json_core, run_experiment, Registry};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,12 +190,6 @@ impl Engine {
         }
     }
 
-    /// The experiments this engine can serve, in registry order.
-    #[must_use]
-    pub fn experiment_names(&self) -> Vec<&'static str> {
-        self.registry.names()
-    }
-
     /// Serves one request: cache hit, coalesced wait, or fresh run.
     ///
     /// # Errors
@@ -209,13 +203,13 @@ impl Engine {
     }
 
     fn run_inner(self: &Arc<Self>, req: &Request) -> Result<Outcome, ServeError> {
-        if self.registry.get(&req.experiment).is_none() {
+        let Some(exp) = self.registry.get(&req.experiment) else {
             return Err(ServeError::BadRequest(format!(
                 "unknown experiment `{}` (known: {})",
                 req.experiment,
                 self.registry.names().join(", ")
             )));
-        }
+        };
         if req.fault_rates != FaultRates::none() {
             return Err(ServeError::BadRequest(
                 "nonzero fault_rates are reserved: no experiment consumes external \
@@ -225,6 +219,7 @@ impl Engine {
             ));
         }
         let cfg = req.exp_config(self.job_threads);
+        check_trials(exp, &cfg).map_err(ServeError::BadRequest)?;
         let registry = Arc::clone(&self.registry);
         let name = req.experiment.clone();
         self.serve_body(&req.canonical(), req.key(), &req.experiment, move || {
@@ -568,6 +563,13 @@ mod tests {
         assert!(matches!(err, ServeError::BadRequest(_)));
         assert!(err.to_string().contains("e12"), "{err}");
         assert_eq!(err.status(), "bad_request");
+
+        // Fewer trials than e5's capture check needs: refused up front,
+        // naming the minimum, instead of a panicked job.
+        let min = eng.registry.get("e5").expect("e5 is registered").min_trials();
+        let err = eng.run(&fast_request("e5", 1)).expect_err("two trials are too few");
+        assert_eq!(err.status(), "bad_request");
+        assert!(err.to_string().contains(&format!("at least {min} trials")), "{err}");
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!
 //! A cell is active when `t ≡ x + y (mod 3)` — the famous one-third
 //! utilization of the hexagonal design. A dense `n × n` product uses
-//! the `(2n−1) × (2n−1)` hex array; the design's real target is band
-//! matrices, where the array size depends only on the bandwidths.
+//! the `(2n−1) × (2n−1)` hex array.
 
 use crate::exec::{in_port_from, out_port_to, ArrayAlgorithm, Item};
 use array_layout::graph::{CellId, CommGraph};
@@ -236,261 +235,6 @@ impl ArrayAlgorithm for HexMatMul {
     }
 }
 
-/// Band-matrix hexagonal multiply: the configuration Kung & Leiserson
-/// actually designed for. With both operands banded (`a_{ik} = 0`
-/// unless `|i−k| < w`, same for `b`), the meeting coordinates satisfy
-/// `|x|, |y| < w`, so a `(2w−1) × (2w−1)` array multiplies band
-/// matrices of **any** size `n` — the bounded-hardware property that
-/// makes the hex array a practical systolic machine.
-///
-/// # Examples
-///
-/// ```
-/// use systolic::algorithms::hex_matmul::HexBandMatMul;
-///
-/// // Tridiagonal (w = 2) 5×5 matrices on a 3×3 hex array.
-/// let a = HexBandMatMul::band_matrix(5, 2, |i, k| (i + k + 1) as i64);
-/// let b = HexBandMatMul::band_matrix(5, 2, |k, j| (k * 2 + j) as i64 - 3);
-/// let c = HexBandMatMul::multiply(&a, &b, 2);
-/// assert_eq!(c, systolic_reference(&a, &b));
-/// # fn systolic_reference(a: &[Vec<i64>], b: &[Vec<i64>]) -> Vec<Vec<i64>> {
-/// #     systolic::algorithms::matmul::SystolicMatMul::reference(a, b)
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct HexBandMatMul {
-    comm: CommGraph,
-    n: usize,
-    w: usize,
-    side: usize,
-    a: Vec<Vec<i64>>,
-    b: Vec<Vec<i64>>,
-    c: Vec<Vec<i64>>,
-    south_in: Vec<Option<usize>>,
-    west_in: Vec<Option<usize>>,
-    ne_in: Vec<Option<usize>>,
-    north_out: Vec<Option<usize>>,
-    east_out: Vec<Option<usize>>,
-    sw_out: Vec<Option<usize>>,
-}
-
-impl HexBandMatMul {
-    /// Builds a banded `n × n` matrix with half-bandwidth `w`
-    /// (`m[i][j] = f(i, j)` when `|i−j| < w`, else 0) — a convenience
-    /// for constructing test operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ w`.
-    #[must_use]
-    pub fn band_matrix(n: usize, w: usize, f: impl Fn(usize, usize) -> i64) -> Vec<Vec<i64>> {
-        assert!(w >= 1, "bandwidth must be at least 1");
-        (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| if i.abs_diff(j) < w { f(i, j) } else { 0 })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Builds the band multiplier for `a · b`, both `n × n` with
-    /// half-bandwidth `w`. The hex array has `(2w−1)²` cells no
-    /// matter how large `n` is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrices are not square and equal-sized, if
-    /// `w < 1`, or if either matrix has a nonzero entry outside the
-    /// band.
-    #[must_use]
-    pub fn new(a: &[Vec<i64>], b: &[Vec<i64>], w: usize) -> Self {
-        let n = a.len();
-        assert!(n > 0, "matrices must be non-empty");
-        assert!(w >= 1, "bandwidth must be at least 1");
-        assert!(a.iter().all(|r| r.len() == n), "A must be square");
-        assert_eq!(b.len(), n, "B must match A's size");
-        assert!(b.iter().all(|r| r.len() == n), "B must be square");
-        for (name, m) in [("A", a), ("B", b)] {
-            for (i, row) in m.iter().enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    assert!(
-                        v == 0 || i.abs_diff(j) < w,
-                        "{name}[{i}][{j}] = {v} lies outside the bandwidth-{w} band"
-                    );
-                }
-            }
-        }
-        let side = 2 * w - 1;
-        let comm = CommGraph::hex(side, side);
-        let cell = |r: usize, c: usize| comm.grid_id(r, c);
-        let mut south_in = Vec::with_capacity(side * side);
-        let mut west_in = Vec::with_capacity(side * side);
-        let mut ne_in = Vec::with_capacity(side * side);
-        let mut north_out = Vec::with_capacity(side * side);
-        let mut east_out = Vec::with_capacity(side * side);
-        let mut sw_out = Vec::with_capacity(side * side);
-        for r in 0..side {
-            for c in 0..side {
-                let here = cell(r, c);
-                south_in.push(
-                    (r > 0).then(|| in_port_from(&comm, here, cell(r - 1, c))).flatten(),
-                );
-                west_in.push(
-                    (c > 0).then(|| in_port_from(&comm, here, cell(r, c - 1))).flatten(),
-                );
-                ne_in.push(
-                    (r + 1 < side && c + 1 < side)
-                        .then(|| in_port_from(&comm, here, cell(r + 1, c + 1)))
-                        .flatten(),
-                );
-                north_out.push(
-                    (r + 1 < side).then(|| out_port_to(&comm, here, cell(r + 1, c))).flatten(),
-                );
-                east_out.push(
-                    (c + 1 < side).then(|| out_port_to(&comm, here, cell(r, c + 1))).flatten(),
-                );
-                sw_out.push(
-                    (r > 0 && c > 0)
-                        .then(|| out_port_to(&comm, here, cell(r - 1, c - 1)))
-                        .flatten(),
-                );
-            }
-        }
-        HexBandMatMul {
-            comm,
-            n,
-            w,
-            side,
-            a: a.to_vec(),
-            b: b.to_vec(),
-            c: vec![vec![0; n]; n],
-            south_in,
-            west_in,
-            ne_in,
-            north_out,
-            east_out,
-            sw_out,
-        }
-    }
-
-    /// The communication graph: a `(2w−1) × (2w−1)` hex array,
-    /// independent of `n`.
-    #[must_use]
-    pub fn comm(&self) -> &CommGraph {
-        &self.comm
-    }
-
-    /// Cycles needed: `max t = (n−1) + (n−1) + (n−1)` plus margin.
-    #[must_use]
-    pub fn cycles_needed(&self) -> usize {
-        3 * self.n + 2
-    }
-
-    /// The accumulated product.
-    #[must_use]
-    pub fn product(&self) -> &[Vec<i64>] {
-        &self.c
-    }
-
-    /// Convenience: run to completion on an ideal executor.
-    ///
-    /// # Panics
-    ///
-    /// As for [`HexBandMatMul::new`].
-    #[must_use]
-    pub fn multiply(a: &[Vec<i64>], b: &[Vec<i64>], w: usize) -> Vec<Vec<i64>> {
-        let mut hm = HexBandMatMul::new(a, b, w);
-        let mut exec = crate::exec::IdealExecutor::new(&hm.comm().clone());
-        let cycles = hm.cycles_needed();
-        exec.run(&mut hm, cycles);
-        hm.c
-    }
-
-    /// The range of `k` contributing to `c_{ij}` within the bands.
-    fn k_range(&self, i: usize, j: usize) -> Option<(usize, usize)> {
-        let w = self.w;
-        let lo = i.max(j).saturating_sub(w - 1);
-        let hi = (i.min(j) + w - 1).min(self.n - 1);
-        (lo <= hi).then_some((lo, hi))
-    }
-
-    /// Decodes the meeting triple at `(r, c)` at cycle `t`, if it is a
-    /// live in-band meeting.
-    fn triple_at(&self, r: usize, c: usize, t: usize) -> Option<(usize, usize, usize)> {
-        let off = self.w as i64 - 1;
-        let x = c as i64 - off;
-        let y = r as i64 - off;
-        let rem = t as i64 - x - y;
-        if rem < 0 || rem % 3 != 0 {
-            return None;
-        }
-        let k = rem / 3;
-        let i = x + k;
-        let j = y + k;
-        let n = self.n as i64;
-        if !((0..n).contains(&k) && (0..n).contains(&i) && (0..n).contains(&j)) {
-            return None;
-        }
-        let (i, j, k) = (i as usize, j as usize, k as usize);
-        // Only meetings inside the band region carry tokens.
-        let (lo, hi) = self.k_range(i, j)?;
-        (lo..=hi).contains(&k).then_some((i, j, k))
-    }
-}
-
-impl ArrayAlgorithm for HexBandMatMul {
-    fn step_cell(&mut self, cell: CellId, cycle: usize, inputs: &[Item], outputs: &mut [Item]) {
-        let idx = cell.index();
-        let (r, c) = (idx / self.side, idx % self.side);
-        let Some((i, j, k)) = self.triple_at(r, c, cycle) else {
-            return;
-        };
-        let w = self.w;
-        // a_{ik}'s first in-band meeting is at the smallest valid j.
-        let a_first_j = k.saturating_sub(w - 1);
-        let b_first_i = k.saturating_sub(w - 1);
-        let (c_lo, c_hi) = self.k_range(i, j).expect("triple implies a live range");
-        let a_val = if j == a_first_j {
-            self.a[i][k]
-        } else {
-            self.south_in[idx]
-                .and_then(|p| inputs[p])
-                .expect("a-stream token must arrive on schedule")
-        };
-        let b_val = if i == b_first_i {
-            self.b[k][j]
-        } else {
-            self.west_in[idx]
-                .and_then(|p| inputs[p])
-                .expect("b-stream token must arrive on schedule")
-        };
-        let c_val = if k == c_lo {
-            0
-        } else {
-            self.ne_in[idx]
-                .and_then(|p| inputs[p])
-                .expect("c-stream token must arrive on schedule")
-        };
-        let c_new = c_val + a_val * b_val;
-        // a_{ik} continues while the next j is still in band and range.
-        if j + 1 < self.n && j < k + w - 1 {
-            let p = self.north_out[idx].expect("a-stream has room to move north");
-            outputs[p] = Some(a_val);
-        }
-        if i + 1 < self.n && i < k + w - 1 {
-            let p = self.east_out[idx].expect("b-stream has room to move east");
-            outputs[p] = Some(b_val);
-        }
-        if k < c_hi {
-            let p = self.sw_out[idx].expect("c-stream has room to move south-west");
-            outputs[p] = Some(c_new);
-        } else {
-            self.c[i][j] = c_new;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,70 +306,5 @@ mod tests {
     #[should_panic(expected = "square")]
     fn rejects_non_square() {
         let _ = HexMatMul::new(&[vec![1, 2]], &[vec![1], vec![2]]);
-    }
-
-    // ------------------------- band version -------------------------
-
-    #[test]
-    fn band_tridiagonal_matches_reference() {
-        let a = HexBandMatMul::band_matrix(6, 2, |i, k| (i * 3 + k) as i64 - 4);
-        let b = HexBandMatMul::band_matrix(6, 2, |k, j| (k + j * 2) as i64 - 3);
-        assert_eq!(
-            HexBandMatMul::multiply(&a, &b, 2),
-            HexMatMul::reference(&a, &b)
-        );
-    }
-
-    #[test]
-    fn band_array_size_independent_of_n() {
-        let small = HexBandMatMul::new(
-            &HexBandMatMul::band_matrix(4, 3, |i, j| (i + j) as i64),
-            &HexBandMatMul::band_matrix(4, 3, |i, j| (i * j) as i64 + 1),
-            3,
-        );
-        let large = HexBandMatMul::new(
-            &HexBandMatMul::band_matrix(40, 3, |i, j| (i + j) as i64),
-            &HexBandMatMul::band_matrix(40, 3, |i, j| (i * j) as i64 + 1),
-            3,
-        );
-        assert_eq!(small.comm().node_count(), 25);
-        assert_eq!(
-            small.comm().node_count(),
-            large.comm().node_count(),
-            "band array size must not depend on n"
-        );
-    }
-
-    #[test]
-    fn band_large_n_correct() {
-        let n = 24;
-        let a = HexBandMatMul::band_matrix(n, 3, |i, k| ((i * 7 + k * 3) % 11) as i64 - 5);
-        let b = HexBandMatMul::band_matrix(n, 3, |k, j| ((k * 5 + j) % 9) as i64 - 4);
-        assert_eq!(
-            HexBandMatMul::multiply(&a, &b, 3),
-            HexMatMul::reference(&a, &b)
-        );
-    }
-
-    #[test]
-    fn band_diagonal_only() {
-        // w = 1: pure diagonal matrices on a single cell.
-        let a = HexBandMatMul::band_matrix(5, 1, |i, _| i as i64 + 1);
-        let b = HexBandMatMul::band_matrix(5, 1, |i, _| 2 * i as i64 - 3);
-        let hm = HexBandMatMul::new(&a, &b, 1);
-        assert_eq!(hm.comm().node_count(), 1);
-        assert_eq!(
-            HexBandMatMul::multiply(&a, &b, 1),
-            HexMatMul::reference(&a, &b)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the bandwidth")]
-    fn band_rejects_out_of_band_entries() {
-        let mut a = HexBandMatMul::band_matrix(4, 2, |_, _| 1);
-        a[0][3] = 5;
-        let b = HexBandMatMul::band_matrix(4, 2, |_, _| 1);
-        let _ = HexBandMatMul::new(&a, &b, 2);
     }
 }

@@ -11,20 +11,12 @@
 //! * [`hex_matmul`] — the Kung–Leiserson hexagonal matrix multiply
 //!   (the workload behind Fig. 3(c));
 //! * [`sort`] — odd–even transposition sort on a linear array;
-//! * [`horner`] — pipelined polynomial evaluation on a linear array;
-//! * [`priority_queue`] — a systolic priority queue with constant-time
-//!   host operations;
-//! * [`trisolve`] — banded triangular-system solver on a linear array
-//!   (bounded hardware for unbounded problems);
 //! * [`tree_machine`] — the Bentley–Kung tree search machine
 //!   (Section VIII).
 
 pub mod fir;
 pub mod hex_matmul;
-pub mod horner;
 pub mod matmul;
 pub mod matvec;
-pub mod priority_queue;
 pub mod sort;
 pub mod tree_machine;
-pub mod trisolve;

@@ -77,12 +77,6 @@ impl IdealExecutor {
         &self.comm
     }
 
-    /// Number of completed cycles.
-    #[must_use]
-    pub fn cycles_run(&self) -> usize {
-        self.cycle
-    }
-
     /// Value currently in flight on edge `e` (delivered next cycle).
     ///
     /// # Panics
@@ -187,7 +181,7 @@ mod tests {
             .find(|&e| comm.edges()[e].dst == CellId::new(2))
             .expect("edge 1→2 exists");
         assert_eq!(exec.edge_value(e12), Some(11));
-        assert_eq!(exec.cycles_run(), 1);
+        assert_eq!(exec.cycle, 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! clocking assumptions are violated.
 //!
 //! * [`exec`] — lock-step execution over a communication graph;
-//! * [`algorithms`] — FIR filtering, matrix–vector, mesh matrix
-//!   multiply, odd–even sort, and the Bentley–Kung tree machine;
+//! * [`algorithms`] — FIR filtering, matrix–vector, mesh and
+//!   hexagonal matrix multiply, odd–even sort, and the Bentley–Kung
+//!   tree machine;
 //! * [`timing`] — setup/hold analysis per communication edge, the
 //!   minimum safe period (the concrete σ + δ + τ of A5), and a
 //!   fault-injecting executor;
@@ -34,23 +35,18 @@
 
 pub mod algorithms;
 pub mod exec;
-pub mod relay;
 pub mod throughput;
 pub mod timing;
 
 /// Convenient re-exports of the crate's primary items.
 pub mod prelude {
     pub use crate::algorithms::fir::SystolicFir;
-    pub use crate::algorithms::hex_matmul::{HexBandMatMul, HexMatMul};
-    pub use crate::algorithms::horner::SystolicHorner;
-    pub use crate::algorithms::priority_queue::{PqOp, SystolicPriorityQueue};
+    pub use crate::algorithms::hex_matmul::HexMatMul;
     pub use crate::algorithms::matmul::SystolicMatMul;
     pub use crate::algorithms::matvec::SystolicMatVec;
     pub use crate::algorithms::sort::OddEvenSorter;
     pub use crate::algorithms::tree_machine::TreeSearchMachine;
-    pub use crate::algorithms::trisolve::SystolicTriSolve;
     pub use crate::exec::{in_port_from, out_port_to, ArrayAlgorithm, IdealExecutor, Item};
-    pub use crate::relay::Relayed;
     pub use crate::throughput::{PipelineModel, ThroughputSample};
     pub use crate::timing::{
         classify_edges, min_safe_period, CellTiming, ClockSchedule, HoldRaceError,

@@ -1,5 +1,5 @@
 //! The hexagonal array of Fig. 3(c), end to end: its honest offset
-//! layout, the Kung–Leiserson band matrix multiply it was designed
+//! layout, the Kung–Leiserson matrix multiply it was designed
 //! for, and its H-tree clocking under the difference model.
 //!
 //! ```sh
@@ -18,19 +18,22 @@ fn main() {
         brick.max_wire_length()
     );
 
-    // The workload: band matrices of any size on a fixed array.
-    let n = 30;
-    let w = 3;
-    let a = HexBandMatMul::band_matrix(n, w, |i, k| ((i * 5 + k) % 13) as i64 - 6);
-    let b = HexBandMatMul::band_matrix(n, w, |k, j| ((k + j * 7) % 11) as i64 - 5);
-    let hm = HexBandMatMul::new(&a, &b, w);
+    // The workload: the Kung-Leiserson multiply the array was drawn for.
+    let n = 8;
+    let a: Vec<Vec<i64>> = (0..n)
+        .map(|i| (0..n).map(|k| ((i * 5 + k) % 13) as i64 - 6).collect())
+        .collect();
+    let b: Vec<Vec<i64>> = (0..n)
+        .map(|k| (0..n).map(|j| ((k + j * 7) % 11) as i64 - 5).collect())
+        .collect();
+    let hm = HexMatMul::new(&a, &b);
     println!(
-        "\nKung-Leiserson band multiply: {n}x{n} matrices (bandwidth {w}) on a \
-         {}-cell hex array, {} cycles",
+        "\nKung-Leiserson multiply: {n}x{n} matrices on a {}-cell hex array, \
+         {} cycles, each cell busy at most one cycle in three",
         hm.comm().node_count(),
         hm.cycles_needed()
     );
-    let c = HexBandMatMul::multiply(&a, &b, w);
+    let c = HexMatMul::multiply(&a, &b);
     assert_eq!(c, HexMatMul::reference(&a, &b));
     println!("product verified against the direct reference  [OK]");
 

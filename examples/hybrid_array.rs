@@ -30,7 +30,8 @@ fn main() {
 
     // Stoppable clocks cannot go metastable; free-running samplers can.
     let meta = MetastabilityModel::new(0.05, 0.5);
-    let naive = meta.count_naive_failures(500_000, 10.0, 1);
+    let sweep = sim_runtime::ParallelSweep::new(1);
+    let naive = meta.count_naive_failures_par(500_000, 10.0, 1, &sweep);
     println!();
     println!(
         "metastable captures in 500k transfers: naive synchronizer {naive}, stoppable clock {}",

@@ -4,8 +4,8 @@
 # runs with --offline.
 #
 # Usage: scripts/ci.sh [--heavy]
-#   --heavy   additionally run the slow randomized property suite
-#             (tests/props.rs, feature `heavy-tests`)
+#   --heavy   additionally run tests/levelized_differential.rs over
+#             50,000 random DAGs instead of 2,000 (feature `heavy-tests`)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,7 +84,7 @@ run target/release/sweep_shard --bench --out target/bench/BENCH_sweep.json
 run target/release/bench_regress --compare target/bench/BENCH_sweep.json --baselines baselines
 
 if [ "$HEAVY" = 1 ]; then
-    run cargo test -q --offline --features heavy-tests --test props
+    run cargo test -q --offline --features heavy-tests --test levelized_differential
 fi
 
 echo "==> tier-1 gate passed"

@@ -155,11 +155,29 @@ fn handshake_throughput_size_independent() {
 #[test]
 fn stoppable_clock_eliminates_metastability() {
     let meta = MetastabilityModel::new(0.1, 0.4);
-    assert!(meta.count_naive_failures(100_000, 8.0, 5) > 0);
+    assert!(
+        meta.count_naive_failures_par(100_000, 8.0, 5, &sim_runtime::ParallelSweep::new(1)) > 0
+    );
     assert_eq!(meta.count_stoppable_clock_failures(100_000), 0);
     // And the analytic failure probability decays exponentially in
     // settle slack.
     assert!(meta.failure_probability(8.0, 2.0) < meta.failure_probability(8.0, 0.5));
+}
+
+/// `--trials` below e5's minimum is a usage error (exit 2) before the
+/// run, not a failed `naive > 0` check; the minimum itself runs.
+#[test]
+fn e5_refuses_fewer_trials_than_its_capture_check_needs() {
+    use sim_runtime::run_cli_args;
+    let registry = bench::registry();
+    let min = registry.get("e5").expect("e5 is registered").min_trials();
+    let cli = |trials: usize| {
+        let args = ["--fast".to_owned(), "--trials".to_owned(), trials.to_string()];
+        run_cli_args(&registry, "e5", args)
+    };
+    assert_eq!(cli(2), 2);
+    assert_eq!(cli(min - 1), 2);
+    assert_eq!(cli(min), 0);
 }
 
 #[test]

@@ -6,9 +6,7 @@
 //! by [`SimRng`] so the default feature set stays free of crates.io
 //! dependencies. Each property runs `CASES` seeded cases; case `i` of
 //! property `tag` always sees `SimRng::for_trial(tag, i)`, so failures
-//! reproduce exactly. Gated behind `--features heavy-tests` (the suite
-//! is the slowest in the repo).
-#![cfg(feature = "heavy-tests")]
+//! reproduce exactly.
 
 use sim_runtime::{Rng, SimRng};
 use vlsi_sync_repro::prelude::*;
@@ -192,76 +190,12 @@ fn fold_embedding_injective_and_bounded() {
 // ---------------- more algorithms ----------------
 
 #[test]
-fn horner_equals_direct_evaluation() {
-    for (_, mut rng) in cases(11) {
-        let clen = rng.gen_range(1usize..7);
-        let coeffs = gen_vec(&mut rng, clen, -20, 20);
-        let plen = rng.gen_range(0usize..12);
-        let points = gen_vec(&mut rng, plen, -10, 10);
-        assert_eq!(
-            SystolicHorner::evaluate(&coeffs, &points),
-            SystolicHorner::reference(&coeffs, &points)
-        );
-    }
-}
-
-#[test]
-fn priority_queue_matches_heap() {
-    use std::collections::BinaryHeap;
-    for (_, mut rng) in cases(12) {
-        let olen = rng.gen_range(1usize..40);
-        let op_codes: Vec<u8> = (0..olen).map(|_| rng.gen_range(0u8..100)).collect();
-        // Derive a legal op sequence from the raw codes.
-        let mut live = 0usize;
-        let ops: Vec<PqOp> = op_codes
-            .iter()
-            .map(|&c| {
-                if live > 0 && c < 45 {
-                    live -= 1;
-                    PqOp::ExtractMin
-                } else {
-                    live += 1;
-                    PqOp::Insert(i64::from(c) * 7 % 50 - 25)
-                }
-            })
-            .collect();
-        let mut heap = BinaryHeap::new();
-        let mut expected = Vec::new();
-        for op in &ops {
-            match op {
-                PqOp::Insert(v) => heap.push(std::cmp::Reverse(*v)),
-                PqOp::ExtractMin => expected.push(heap.pop().map(|r| r.0)),
-            }
-        }
-        assert_eq!(SystolicPriorityQueue::run_ops(ops.len() + 1, &ops), expected);
-    }
-}
-
-#[test]
 fn hex_matmul_equals_direct_product() {
     for (_, mut rng) in cases(13) {
         let n = rng.gen_range(1usize..4);
         let a: Vec<Vec<i64>> = (0..n).map(|_| gen_vec(&mut rng, n, -8, 9)).collect();
         let b: Vec<Vec<i64>> = (0..n).map(|_| gen_vec(&mut rng, n, -6, 7)).collect();
         assert_eq!(HexMatMul::multiply(&a, &b), HexMatMul::reference(&a, &b));
-    }
-}
-
-#[test]
-fn trisolve_equals_forward_substitution() {
-    for (_, mut rng) in cases(14) {
-        let n = rng.gen_range(1usize..12);
-        let w = rng.gen_range(1usize..5).min(n);
-        let mut l = vec![vec![0i64; n]; n];
-        for (i, row) in l.iter_mut().enumerate() {
-            row[i] = 1;
-            let lo = i.saturating_sub(w - 1);
-            for cell in &mut row[lo..i] {
-                *cell = rng.gen_range(-5i64..=5);
-            }
-        }
-        let b: Vec<i64> = (0..n).map(|_| rng.gen_range(-30i64..=30)).collect();
-        assert_eq!(SystolicTriSolve::solve(&l, &b, w), SystolicTriSolve::reference(&l, &b));
     }
 }
 
@@ -274,28 +208,6 @@ fn ring_spine_skew_constant() {
         let tree = spine_ring(&comm, &layout);
         let model = SummationModel::from_delay_model(WireDelayModel::new(1.0, 0.1));
         assert!(model.max_skew(&tree, &comm) <= 5.5 + 1e-9);
-    }
-}
-
-#[test]
-fn relayed_tree_machine_correct_for_any_spacing() {
-    use systolic::relay::Relayed;
-    for (_, mut rng) in cases(16) {
-        let spacing_tenths = rng.gen_range(10u32..60);
-        let levels = rng.gen_range(1u32..4);
-        let leaves = 1usize << levels;
-        let keys: Vec<i64> = (0..leaves as i64).map(|i| 2 * i).collect();
-        let queries: Vec<i64> = (0..10).collect();
-        let expected = TreeSearchMachine::search(&keys, &queries);
-        let machine = TreeSearchMachine::new(&keys, &queries);
-        let layout = Layout::htree_tree(machine.comm());
-        let plan = layout.pipeline_register_plan(f64::from(spacing_tenths) / 10.0);
-        let sub = machine.comm().subdivided(&plan);
-        let mut exec = IdealExecutor::new(&sub.graph);
-        let mut relayed = Relayed::new(machine, &sub);
-        let cycles = 8 * (sub.graph.node_count() + queries.len() + 4);
-        exec.run(&mut relayed, cycles);
-        assert_eq!(relayed.inner().answers(), &expected[..]);
     }
 }
 
