@@ -284,14 +284,7 @@ fn main() {
         ),
     ]);
 
-    let rendered = doc.to_pretty();
-    if let Some(dir) = opts.out.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = std::fs::write(&opts.out, &rendered) {
+    if let Err(e) = sim_runtime::write_atomic(&opts.out, &doc.to_pretty()) {
         eprintln!("cannot write {}: {e}", opts.out.display());
         std::process::exit(1);
     }

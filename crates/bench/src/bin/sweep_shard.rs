@@ -1,8 +1,8 @@
 //! `sweep_shard` — the process-level worker of the checkpointed
-//! mega-sweep: run one shard of a manifest (resuming from its atomic
-//! checkpoint), run the whole manifest in-process as the reference, or
-//! merge completed shards into the deterministic sweep report and its
-//! Pareto frontier.
+//! mega-sweep: run one shard of a manifest (resuming from its
+//! append-only checkpoint), run the whole manifest in-process as the
+//! reference, or merge completed shards into the deterministic sweep
+//! report and its Pareto frontier.
 //!
 //! ```text
 //! sweep_shard --manifest FILE --shard I --dir D [--threads T] [--stop-after K] [--throttle-ms MS]
@@ -268,8 +268,8 @@ fn status_mode(opts: &Opts) -> Result<i32, String> {
                 }
             }
             // Mid-range checkpoint with no vital signs: the runner
-            // writes a heartbeat after every checkpoint and only
-            // removes it on completion, so whoever wrote this
+            // writes a heartbeat after every mid-range checkpoint and
+            // only removes it on completion, so whoever wrote this
             // checkpoint is gone.
             (Some(_), None) => "interrupted",
             (None, None) => "pending",

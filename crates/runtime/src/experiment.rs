@@ -508,7 +508,7 @@ fn cli_main<I: IntoIterator<Item = String>>(
             wall_ms,
         };
         let doc = json_full(exp, &cfg, &report, &run);
-        if let Err(err) = std::fs::write(path, doc.to_pretty()) {
+        if let Err(err) = write_atomic(path, &doc.to_pretty()) {
             eprintln!("error: failed to write JSON report to `{path}`: {err}");
             return 1;
         }
@@ -532,12 +532,12 @@ fn cli_main<I: IntoIterator<Item = String>>(
 /// a checker violation.
 fn export_trace(report: &Report, path: &str) -> i32 {
     let trace = report.trace();
-    if let Err(err) = std::fs::write(path, trace.to_perfetto().to_pretty()) {
+    if let Err(err) = write_atomic(path, &trace.to_perfetto().to_pretty()) {
         eprintln!("error: failed to write trace to `{path}`: {err}");
         return 1;
     }
     let text_path = format!("{path}.txt");
-    if let Err(err) = std::fs::write(&text_path, trace.to_text()) {
+    if let Err(err) = write_atomic(&text_path, &trace.to_text()) {
         eprintln!("error: failed to write trace text to `{text_path}`: {err}");
         return 1;
     }

@@ -151,7 +151,7 @@ fn main() {
     }
     if let Some(path) = &opts.json {
         let doc = loadgen::bench_json(&opts.cfg, &mix, &result);
-        if let Err(e) = std::fs::write(path, doc.to_pretty()) {
+        if let Err(e) = sim_runtime::write_atomic(path, &doc.to_pretty()) {
             eprintln!("sim_loadgen: cannot write {path}: {e}");
             std::process::exit(1);
         }

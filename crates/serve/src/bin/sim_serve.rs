@@ -90,7 +90,7 @@ fn main() {
         }
     };
     if let Some(path) = &opts.port_file {
-        if let Err(e) = std::fs::write(path, format!("{}\n", addr.port())) {
+        if let Err(e) = sim_runtime::write_atomic(path, &format!("{}\n", addr.port())) {
             eprintln!("sim_serve: cannot write {path}: {e}");
             std::process::exit(1);
         }

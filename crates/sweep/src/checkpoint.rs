@@ -1,20 +1,44 @@
-//! Atomic shard checkpoints.
+//! Append-only shard checkpoints.
 //!
-//! A checkpoint is the full prefix of a shard's results, written after
-//! every `checkpoint_every` trials. Writes go to `<path>.tmp` and are
-//! renamed into place: on POSIX the rename is atomic, so readers (and
-//! a resuming shard) only ever see either the previous complete
-//! checkpoint or the new complete checkpoint — never a truncation. A
-//! leftover `.tmp` from a kill mid-write is garbage by construction
-//! and is simply overwritten by the next save.
+//! A checkpoint is the prefix of a shard's results, kept at
+//! `shard-N.json` as a journal (schema version 2):
+//!
+//! ```text
+//! {"schema":"vlsi-sync/sweep-checkpoint","schema_version":2,"manifest_digest":"…","shard":1,"lo":10,"hi":20}
+//! 5d0e6a1c9f3b2e47 {"pi":0,"size":2,"t":0,"draw":531.0}
+//! …
+//! ```
+//!
+//! The header line names the sweep and the shard's global range. Each
+//! further line is one result, in global-trial order: the 16-hex
+//! [`fnv1a64`] of its compact JSON, a space, and the JSON. At every
+//! boundary the shard runner appends the results that arrived since
+//! the previous boundary in one write, so each result is written once
+//! and a checkpoint costs what it adds, not the whole prefix.
+//!
+//! The file is safe against a killed writer, not against power loss:
+//! nothing is fsynced. A kill mid-append leaves a last line that is
+//! unterminated or fails its checksum. [`Checkpoint::load`] drops that
+//! torn line, and a resuming shard truncates the file to its intact
+//! lines before appending. A bad line with more lines after it cannot
+//! come from a torn append: it is damage, and the file is refused.
+//!
+//! Version-1 files (one pretty-printed document, rewritten whole at
+//! every boundary) still load. A resume rewrites one once as a
+//! journal, through [`sim_runtime::write_atomic`], and appends to that.
 
 use crate::manifest::{req_str, req_u64};
-use sim_observe::Json;
+use sim_observe::{fnv1a64, Json};
+use std::fmt::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
 
-/// Schema identifier of the checkpoint JSON document.
+/// Schema identifier of the checkpoint header (and of a version-1
+/// checkpoint document).
 pub const CHECKPOINT_SCHEMA: &str = "vlsi-sync/sweep-checkpoint";
-/// Current checkpoint schema version.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
+/// Current checkpoint schema version: 2, the append-only journal.
+/// Version-1 documents still load.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
 
 /// One shard's persisted progress: identity (which manifest, which
 /// shard, which global range) plus the ordered result prefix.
@@ -32,12 +56,17 @@ pub struct Checkpoint {
     pub hi: u64,
     /// Trials completed so far; always equals `results.len()`.
     pub completed: u64,
-    /// Wall-clock milliseconds spent so far — volatile, excluded from
-    /// the merged report.
-    pub wall_ms: f64,
     /// Per-trial results for global trials `lo .. lo + completed`, in
     /// global-trial order.
     pub results: Vec<Json>,
+}
+
+/// How a loaded checkpoint is laid out on disk.
+enum Layout {
+    /// A version-1 document.
+    V1,
+    /// A journal whose intact lines end at this byte offset.
+    Journal(u64),
 }
 
 impl Checkpoint {
@@ -47,113 +76,301 @@ impl Checkpoint {
         self.lo + self.completed == self.hi
     }
 
-    /// The checkpoint as its deterministic JSON document.
+    /// The exact bytes of a journal holding this checkpoint: the
+    /// header line, then one checksummed line per result.
     #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::Str(CHECKPOINT_SCHEMA.to_owned())),
-            ("schema_version", Json::UInt(CHECKPOINT_SCHEMA_VERSION)),
-            ("manifest_digest", Json::Str(self.manifest_digest.clone())),
-            ("shard", Json::UInt(self.shard)),
-            ("lo", Json::UInt(self.lo)),
-            ("hi", Json::UInt(self.hi)),
-            ("completed", Json::UInt(self.completed)),
-            ("wall_ms", Json::Float(self.wall_ms)),
-            ("results", Json::Array(self.results.clone())),
-        ])
+    pub fn to_journal(&self) -> String {
+        let mut out = header_line(&self.manifest_digest, self.shard, self.lo, self.hi);
+        for result in &self.results {
+            push_line(&mut out, result);
+        }
+        out
     }
 
-    /// Parses and validates a checkpoint document.
+    /// Reads a checkpoint file, journal or version-1 document. A torn
+    /// last journal line is dropped, so `completed` counts the intact
+    /// lines.
     ///
     /// # Errors
     ///
-    /// Rejects wrong schema/version, missing or mistyped fields, a
-    /// result count that disagrees with `completed`, and a `completed`
-    /// past the range end.
-    pub fn from_json(value: &Json) -> Result<Checkpoint, String> {
-        let schema = req_str(value, "schema")?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(format!("not a sweep checkpoint: schema `{schema}`"));
-        }
-        let version = req_u64(value, "schema_version")?;
-        if version != CHECKPOINT_SCHEMA_VERSION {
-            return Err(format!("unsupported checkpoint schema version {version}"));
-        }
-        let results = value
-            .get("results")
-            .ok_or("missing field `results`")?
-            .as_array()
-            .ok_or("`results` must be an array")?
-            .to_vec();
-        let cp = Checkpoint {
-            manifest_digest: req_str(value, "manifest_digest")?,
-            shard: req_u64(value, "shard")?,
-            lo: req_u64(value, "lo")?,
-            hi: req_u64(value, "hi")?,
-            completed: req_u64(value, "completed")?,
-            wall_ms: value.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            results,
-        };
-        if cp.results.len() as u64 != cp.completed {
-            return Err(format!(
-                "checkpoint claims {} completed trials but holds {} results",
-                cp.completed,
-                cp.results.len()
-            ));
-        }
-        if cp.lo + cp.completed > cp.hi {
-            return Err(format!(
-                "checkpoint progress {}+{} overruns range end {}",
-                cp.lo, cp.completed, cp.hi
-            ));
-        }
-        Ok(cp)
-    }
-
-    /// Writes the checkpoint atomically with
-    /// [`sim_runtime::write_atomic`]: serialize to `<path>.tmp`, then
-    /// rename over `path`. Creates missing parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the write or rename failure.
-    pub fn save_atomic(&self, path: &str) -> std::io::Result<()> {
-        sim_runtime::write_atomic(path, &self.to_json().to_pretty())
-    }
-
-    /// Reads and parses a checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for an unreadable file, malformed JSON, or an
-    /// invalid document.
+    /// Returns a message for an unreadable file, a torn or malformed
+    /// header, a damaged line with lines after it, a wrong schema or
+    /// version, and progress past the range end.
     pub fn load(path: &str) -> Result<Checkpoint, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
-        let value = sim_observe::parse(&text)
-            .map_err(|e| format!("checkpoint `{path}` is not valid JSON: {e}"))?;
-        Checkpoint::from_json(&value)
+        read(path).map(|(cp, _)| cp)
     }
+}
 
-    /// Best-effort load for resume: `None` when the file is absent
-    /// *or* unusable (corrupt JSON, wrong digest would be caught by
-    /// the caller). A shard that cannot trust its checkpoint restarts
-    /// from scratch rather than dying — the atomic-save protocol makes
-    /// corruption unreachable in normal operation, so this path only
-    /// fires on external damage.
-    #[must_use]
-    pub fn recover(path: &str) -> Option<Checkpoint> {
-        if !std::path::Path::new(path).exists() {
-            return None;
-        }
-        match Checkpoint::load(path) {
-            Ok(cp) => Some(cp),
-            Err(err) => {
-                eprintln!("warning: discarding unusable checkpoint: {err}");
-                None
+/// Reads and validates the checkpoint at `path`, with its layout.
+fn read(path: &str) -> Result<(Checkpoint, Layout), String> {
+    let bytes =
+        std::fs::read(path).map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
+    // A version-1 document is pretty-printed; a journal header is not.
+    if bytes.starts_with(b"{\n") {
+        return from_v1(path, &bytes).map(|cp| (cp, Layout::V1));
+    }
+    let header_end = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| format!("checkpoint `{path}` has a torn header"))?;
+    let header = std::str::from_utf8(&bytes[..header_end])
+        .ok()
+        .and_then(|text| sim_observe::parse(text).ok())
+        .ok_or_else(|| format!("checkpoint `{path}` has a malformed header"))?;
+    check_schema(&header, CHECKPOINT_SCHEMA_VERSION)?;
+    let mut results = Vec::new();
+    let mut intact = header_end + 1;
+    while intact < bytes.len() {
+        let rest = &bytes[intact..];
+        let newline = rest.iter().position(|&b| b == b'\n');
+        let line = &rest[..newline.unwrap_or(rest.len())];
+        match newline.and_then(|_| decode_line(line)) {
+            Some(result) => {
+                results.push(result);
+                intact += line.len() + 1;
+            }
+            // The last line, unterminated or failing its checksum: a
+            // torn append.
+            None if intact + line.len() + 1 >= bytes.len() => break,
+            None => {
+                return Err(format!(
+                    "checkpoint `{path}` is damaged at result line {}",
+                    results.len() + 1
+                ))
             }
         }
     }
+    let cp = Checkpoint {
+        manifest_digest: req_str(&header, "manifest_digest")?,
+        shard: req_u64(&header, "shard")?,
+        lo: req_u64(&header, "lo")?,
+        hi: req_u64(&header, "hi")?,
+        completed: results.len() as u64,
+        results,
+    };
+    check_range(&cp)?;
+    Ok((cp, Layout::Journal(intact as u64)))
+}
+
+/// Parses a version-1 document: the whole prefix in one object, with
+/// `completed` stored beside `results` (and a volatile `wall_ms`,
+/// ignored).
+fn from_v1(path: &str, bytes: &[u8]) -> Result<Checkpoint, String> {
+    let value = std::str::from_utf8(bytes)
+        .map_err(|e| e.to_string())
+        .and_then(|text| sim_observe::parse(text).map_err(|e| e.to_string()))
+        .map_err(|e| format!("checkpoint `{path}` is not valid JSON: {e}"))?;
+    check_schema(&value, 1)?;
+    let results = value
+        .get("results")
+        .ok_or("missing field `results`")?
+        .as_array()
+        .ok_or("`results` must be an array")?
+        .to_vec();
+    let cp = Checkpoint {
+        manifest_digest: req_str(&value, "manifest_digest")?,
+        shard: req_u64(&value, "shard")?,
+        lo: req_u64(&value, "lo")?,
+        hi: req_u64(&value, "hi")?,
+        completed: req_u64(&value, "completed")?,
+        results,
+    };
+    if cp.results.len() as u64 != cp.completed {
+        return Err(format!(
+            "checkpoint claims {} completed trials but holds {} results",
+            cp.completed,
+            cp.results.len()
+        ));
+    }
+    check_range(&cp)?;
+    Ok(cp)
+}
+
+fn check_schema(value: &Json, want: u64) -> Result<(), String> {
+    let schema = req_str(value, "schema")?;
+    if schema != CHECKPOINT_SCHEMA {
+        return Err(format!("not a sweep checkpoint: schema `{schema}`"));
+    }
+    let version = req_u64(value, "schema_version")?;
+    if version != want {
+        return Err(format!("unsupported checkpoint schema version {version}"));
+    }
+    Ok(())
+}
+
+fn check_range(cp: &Checkpoint) -> Result<(), String> {
+    if cp.lo + cp.completed > cp.hi {
+        return Err(format!(
+            "checkpoint progress {}+{} overruns range end {}",
+            cp.lo, cp.completed, cp.hi
+        ));
+    }
+    Ok(())
+}
+
+/// The journal header: the checkpoint's identity, compact, on one line.
+fn header_line(digest: &str, shard: u64, lo: u64, hi: u64) -> String {
+    let mut line = Json::obj(vec![
+        ("schema", Json::Str(CHECKPOINT_SCHEMA.to_owned())),
+        ("schema_version", Json::UInt(CHECKPOINT_SCHEMA_VERSION)),
+        ("manifest_digest", Json::Str(digest.to_owned())),
+        ("shard", Json::UInt(shard)),
+        ("lo", Json::UInt(lo)),
+        ("hi", Json::UInt(hi)),
+    ])
+    .to_compact();
+    line.push('\n');
+    line
+}
+
+/// Appends one result line: checksum, space, compact JSON, newline.
+fn push_line(out: &mut String, result: &Json) {
+    let json = result.to_compact();
+    let _ = writeln!(out, "{:016x} {json}", fnv1a64(json.as_bytes()));
+}
+
+/// The result on a journal line (its newline stripped), or `None` when
+/// the checksum or the JSON does not hold.
+fn decode_line(line: &[u8]) -> Option<Json> {
+    let text = std::str::from_utf8(line).ok()?;
+    let (sum, json) = (text.get(..16)?, text.get(16..)?.strip_prefix(' ')?);
+    if !sum.bytes().all(|b| b.is_ascii_hexdigit())
+        || u64::from_str_radix(sum, 16).ok()? != fnv1a64(json.as_bytes())
+    {
+        return None;
+    }
+    sim_observe::parse(json).ok()
+}
+
+/// Best-effort read for resume: `None` when the file is absent or
+/// unusable (a torn header, damage, a wrong schema). A torn header
+/// only means the shard's first append was cut short, and anything
+/// else is external damage: either way the shard restarts from
+/// scratch rather than dying.
+fn recover(path: &str) -> Option<(Checkpoint, Layout)> {
+    if !std::path::Path::new(path).exists() {
+        return None;
+    }
+    match read(path) {
+        Ok(found) => Some(found),
+        Err(err) => {
+            eprintln!("warning: discarding unusable checkpoint: {err}");
+            None
+        }
+    }
+}
+
+/// The writing side of a shard's journal: the result lines pushed
+/// since the last [`flush`](Journal::flush), and the file they go to.
+/// Nothing is written on drop, so a shard that stops between
+/// boundaries leaves the last boundary's prefix.
+#[derive(Debug)]
+pub(crate) struct Journal {
+    path: String,
+    /// `None` until the first flush of a fresh journal creates the file.
+    file: Option<File>,
+    pending: String,
+}
+
+impl Journal {
+    /// Opens shard `shard`'s journal at `path` for appending and
+    /// returns it with the number of results already on disk. An
+    /// intact prefix is resumed: a journal is truncated to its intact
+    /// lines, a version-1 file is rewritten once as a journal. A
+    /// missing or unusable file starts a fresh journal, which replaces
+    /// it at the first flush.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a checkpoint of another manifest, shard or range, and
+    /// reports a failure to reopen the file.
+    pub(crate) fn open(
+        path: &str,
+        digest: &str,
+        shard: u64,
+        lo: u64,
+        hi: u64,
+    ) -> Result<(Journal, u64), String> {
+        let mut journal = Journal {
+            path: path.to_owned(),
+            file: None,
+            pending: header_line(digest, shard, lo, hi),
+        };
+        let Some((cp, layout)) = recover(path) else {
+            return Ok((journal, 0));
+        };
+        if cp.manifest_digest != digest {
+            return Err(format!(
+                "checkpoint `{path}` belongs to manifest {}, not {digest}",
+                cp.manifest_digest
+            ));
+        }
+        if cp.shard != shard || cp.lo != lo || cp.hi != hi {
+            return Err(format!(
+                "checkpoint `{path}` covers shard {} range {}..{}, expected shard {shard} range {lo}..{hi}",
+                cp.shard, cp.lo, cp.hi
+            ));
+        }
+        let reopen = || -> std::io::Result<File> {
+            if let Layout::V1 = layout {
+                sim_runtime::write_atomic(path, &cp.to_journal())?;
+            }
+            let file = OpenOptions::new().append(true).open(path)?;
+            if let Layout::Journal(intact) = layout {
+                file.set_len(intact)?;
+            }
+            Ok(file)
+        };
+        let file = reopen().map_err(|e| format!("cannot write checkpoint `{path}`: {e}"))?;
+        journal.file = Some(file);
+        journal.pending.clear();
+        Ok((journal, cp.completed))
+    }
+
+    /// Queues one result line for the next flush.
+    pub(crate) fn push(&mut self, result: &Json) {
+        push_line(&mut self.pending, result);
+    }
+
+    /// Appends every queued line in one write. The first flush of a
+    /// fresh journal creates the file, and any missing parent
+    /// directories, with the header in front.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the create or write failure.
+    pub(crate) fn flush(&mut self) -> std::io::Result<()> {
+        if self.file.is_none() {
+            let path = std::path::Path::new(&self.path);
+            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                std::fs::create_dir_all(dir)?;
+            }
+            self.file = Some(File::create(path)?);
+        }
+        if let Some(file) = &mut self.file {
+            file.write_all(self.pending.as_bytes())?;
+        }
+        self.pending.clear();
+        Ok(())
+    }
+}
+
+/// The version-1 document shape: the whole prefix, pretty-printed, as
+/// sweeps before the journal wrote it.
+#[cfg(test)]
+pub(crate) fn v1_text(cp: &Checkpoint) -> String {
+    Json::obj(vec![
+        ("schema", Json::Str(CHECKPOINT_SCHEMA.to_owned())),
+        ("schema_version", Json::UInt(1)),
+        ("manifest_digest", Json::Str(cp.manifest_digest.clone())),
+        ("shard", Json::UInt(cp.shard)),
+        ("lo", Json::UInt(cp.lo)),
+        ("hi", Json::UInt(cp.hi)),
+        ("completed", Json::UInt(cp.completed)),
+        ("wall_ms", Json::Float(12.5)),
+        ("results", Json::Array(cp.results.clone())),
+    ])
+    .to_pretty()
 }
 
 #[cfg(test)]
@@ -167,22 +384,44 @@ mod tests {
             .into_owned()
     }
 
-    fn demo() -> Checkpoint {
+    fn demo_with(completed: u64) -> Checkpoint {
         Checkpoint {
             manifest_digest: "00aa11bb22cc33dd".to_owned(),
             shard: 1,
             lo: 10,
             hi: 20,
-            completed: 3,
-            wall_ms: 12.5,
-            results: vec![Json::UInt(10), Json::UInt(11), Json::UInt(12)],
+            completed,
+            results: (0..completed)
+                .map(|i| Json::obj(vec![("g", Json::UInt(10 + i)), ("x", Json::Float(0.5))]))
+                .collect(),
         }
     }
 
+    fn demo() -> Checkpoint {
+        demo_with(3)
+    }
+
+    fn open(path: &str) -> (Journal, u64) {
+        let cp = demo();
+        Journal::open(path, &cp.manifest_digest, cp.shard, cp.lo, cp.hi).expect("open")
+    }
+
     #[test]
-    fn save_atomic_round_trips_and_leaves_no_tmp() {
+    fn journal_round_trips_and_appends_only_new_lines() {
         let path = tmp_path("roundtrip");
-        demo().save_atomic(&path).expect("save");
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, done) = open(&path);
+        assert_eq!(done, 0);
+        assert!(!std::path::Path::new(&path).exists(), "created at the first flush");
+        let all = demo();
+        for (n, result) in all.results.iter().enumerate() {
+            journal.push(result);
+            journal.flush().expect("flush");
+            let want = demo_with(n as u64 + 1);
+            assert_eq!(std::fs::read_to_string(&path).expect("read"), want.to_journal());
+            assert_eq!(Checkpoint::load(&path).expect("load"), want);
+        }
+        // No temp file is involved in the append protocol.
         assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
         let back = Checkpoint::load(&path).expect("load");
         assert_eq!(back, demo());
@@ -191,22 +430,25 @@ mod tests {
     }
 
     #[test]
-    fn torn_writes_are_invisible_to_readers() {
-        // A kill mid-write leaves garbage in `.tmp`; the real
-        // checkpoint keeps its previous complete contents.
+    fn torn_appends_are_invisible_to_readers() {
+        // A kill mid-append leaves a partial last line; readers see the
+        // previous boundary's prefix.
         let path = tmp_path("torn");
-        demo().save_atomic(&path).expect("save");
-        std::fs::write(format!("{path}.tmp"), "{\"schema\":\"vlsi-sync/swee").expect("torn tmp");
-        let back = Checkpoint::load(&path).expect("load survives torn tmp");
-        assert_eq!(back, demo());
-        // The next atomic save simply overwrites the garbage.
-        let mut cp = demo();
-        cp.completed = 4;
-        cp.results.push(Json::UInt(13));
-        cp.save_atomic(&path).expect("save over torn tmp");
-        assert_eq!(Checkpoint::load(&path).expect("load").completed, 4);
+        let text = demo().to_journal();
+        std::fs::write(&path, format!("{text}0123abcd {{\"g\":1")).expect("torn journal");
+        assert_eq!(Checkpoint::load(&path).expect("load survives a torn line"), demo());
+        // A terminated last line with a bad checksum is torn too.
+        std::fs::write(&path, format!("{text}0000000000000000 {{\"g\":13}}\n")).expect("bad sum");
+        assert_eq!(Checkpoint::load(&path).expect("load"), demo());
+        // Resuming truncates the torn line away before appending.
+        let (mut journal, done) = open(&path);
+        assert_eq!(done, 3);
+        let next = demo_with(4);
+        journal.push(&next.results[3]);
+        journal.flush().expect("append over torn tail");
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), next.to_journal());
+        assert_eq!(Checkpoint::load(&path).expect("load"), next);
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(format!("{path}.tmp"));
     }
 
     #[test]
@@ -214,19 +456,29 @@ mod tests {
         let path = tmp_path("truncated");
         std::fs::write(&path, "{\"schema\":\"vlsi-sync/sweep-checkpoint\",\"res").expect("write");
         assert!(Checkpoint::load(&path).is_err());
-        assert!(Checkpoint::recover(&path).is_none());
+        assert!(recover(&path).is_none());
         let _ = std::fs::remove_file(&path);
-        assert!(Checkpoint::recover(&path).is_none(), "absent file is None");
+        assert!(recover(&path).is_none(), "absent file is None");
     }
 
     #[test]
     fn validation_rejects_inconsistent_documents() {
+        let path = tmp_path("inconsistent");
         let mut lying = demo();
         lying.completed = 5; // holds 3 results
-        assert!(Checkpoint::from_json(&lying.to_json()).is_err());
-        let mut overrun = demo();
-        overrun.completed = 11; // lo 10 + 11 > hi 20
-        overrun.results = (0..11).map(Json::UInt).collect();
-        assert!(Checkpoint::from_json(&overrun.to_json()).is_err());
+        std::fs::write(&path, v1_text(&lying)).expect("write");
+        assert!(Checkpoint::load(&path).expect_err("v1").contains("claims 5"));
+        let overrun = Checkpoint {
+            hi: 12, // lo 10 + 3 > 12
+            ..demo()
+        };
+        for text in [v1_text(&overrun), overrun.to_journal()] {
+            std::fs::write(&path, text).expect("write");
+            assert!(Checkpoint::load(&path).expect_err("overrun").contains("overruns"));
+        }
+        let foreign = demo().to_journal().replace("sweep-checkpoint", "sweep-heartbeat");
+        std::fs::write(&path, foreign).expect("write");
+        assert!(Checkpoint::load(&path).expect_err("schema").contains("not a sweep checkpoint"));
+        let _ = std::fs::remove_file(&path);
     }
 }

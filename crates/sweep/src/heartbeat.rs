@@ -2,9 +2,9 @@
 //!
 //! A checkpoint is the shard's durable state; a heartbeat is its
 //! *vital signs* — trials/sec, ETA, worker utilization — written
-//! atomically after every checkpoint so an operator (or
-//! `sweep_shard --status`) can watch a long sweep without attaching to
-//! the process. Heartbeats are purely observational: removing one
+//! atomically after every checkpoint but the one that completes the
+//! shard, so an operator (or `sweep_shard --status`) can watch a long
+//! sweep without attaching to the process. Heartbeats are purely observational: removing one
 //! never loses work, and a resuming shard overwrites whatever it
 //! finds. The runner deletes the heartbeat when the shard completes
 //! its range, so a *lingering* heartbeat marks a shard that is either
@@ -178,8 +178,8 @@ impl Heartbeat {
         Ok(hb)
     }
 
-    /// Writes the heartbeat atomically (temp file + rename), the same
-    /// protocol as [`Checkpoint::save_atomic`](crate::Checkpoint::save_atomic).
+    /// Writes the heartbeat atomically with
+    /// [`sim_runtime::write_atomic`] (temp file + rename).
     ///
     /// # Errors
     ///

@@ -13,21 +13,25 @@
 //!   topology × size × fault-rate), trial counts, master seed, and the
 //!   shard partition, with a content [digest](Manifest::digest) that
 //!   pins checkpoints to the manifest they belong to;
-//! * [`checkpoint`] — **atomic checkpoint files** ([`Checkpoint`]):
-//!   the completed prefix of a shard's results, written to a temp file
-//!   and renamed into place, so a `kill -9` mid-write can never leave
-//!   a truncated checkpoint and a killed shard resumes exactly where
-//!   it stopped;
+//! * [`checkpoint`] — **append-only checkpoint journals**
+//!   ([`Checkpoint`]): the completed prefix of a shard's results, one
+//!   checksummed line per result after a header line. Each boundary
+//!   appends only the new results, so every result is written once. A
+//!   `kill -9` mid-append leaves at most a torn last line, which
+//!   loading drops and resuming truncates, so a killed shard resumes
+//!   exactly where its last boundary left it. Nothing is fsynced: the
+//!   files survive a killed process, not a power loss;
 //! * [`shard`] — the **shard runner** ([`run_shard`]): one
 //!   barrier-free pass over a shard's disjoint trial range with
 //!   auto-resume and a `stop_after` budget for testing kill/resume;
-//!   the calling thread writes each checkpoint as the in-order prefix
+//!   the calling thread appends to the journal as the in-order prefix
 //!   reaches every N-th trial, while the workers keep running trials
 //!   past it;
 //! * [`heartbeat`] — **live progress files** ([`Heartbeat`]): written
-//!   atomically next to each checkpoint with trials/sec, ETA, and
-//!   worker utilization, removed when the shard finishes, so
-//!   `sweep_shard --status` can watch a sweep from the outside;
+//!   atomically after each checkpoint but the completing one, with
+//!   trials/sec, ETA, and worker utilization, removed when the shard
+//!   finishes, so `sweep_shard --status` can watch a sweep from the
+//!   outside;
 //! * [`merge`] — the **deterministic merge** ([`load_shards`],
 //!   [`merged_report`]): folds shard checkpoints — completed in any
 //!   order — into one report byte-identical to a single-process run;

@@ -1,16 +1,19 @@
 //! Shard runners: execute one shard's disjoint trial range with
-//! periodic atomic checkpoints and automatic resume.
+//! append-only checkpoints and automatic resume.
 //!
 //! A shard is one pass of [`ParallelSweep::stream`] over its range:
 //! the workers never wait at a checkpoint. Results come back to the
-//! calling thread in trial order, and that thread writes the
-//! checkpoint, then the heartbeat, each time the completed prefix
-//! reaches a boundary (the resume point plus a multiple of
-//! `checkpoint_every`, and the end of a `stop_after` budget) while the
-//! workers keep claiming trials past it. A `kill -9` therefore still
-//! leaves the last complete prefix on disk, and the checkpoint at each
-//! boundary holds the same bytes, `wall_ms` aside, for every thread
-//! count.
+//! calling thread in trial order, and that thread queues each one as a
+//! journal line (see [`checkpoint`](crate::checkpoint)). Each time the
+//! completed prefix reaches a boundary (the resume point plus a
+//! multiple of `checkpoint_every`, and the end of a `stop_after`
+//! budget) it appends the queued lines in one write, then writes the
+//! heartbeat, while the workers keep claiming trials past it. The
+//! boundary that completes the range writes no heartbeat: the runner
+//! removes it straight after. A `kill -9` therefore leaves the last
+//! boundary's prefix on disk, plus at most a torn last line that a
+//! resume truncates away, and the journal holds the same bytes for
+//! every thread count.
 //!
 //! Because every trial's RNG stream is `SimRng::for_trial(seed, g)`
 //! with `g` the *global* trial index, the runner produces exactly the
@@ -18,7 +21,7 @@
 //! — regardless of thread count, of which process runs the shard, or
 //! of how many kill/resume cycles it took.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::Journal;
 use crate::heartbeat::{heartbeat_path, remove_heartbeat, Heartbeat};
 use crate::manifest::{GridPoint, Manifest};
 use sim_observe::Json;
@@ -89,9 +92,10 @@ pub fn shard_path(dir: &str, shard: u64) -> String {
 /// those inputs.
 ///
 /// A valid checkpoint for the same manifest digest resumes the shard
-/// exactly where it stopped; an unusable one (external damage) is
-/// discarded and the shard restarts — either way the final results
-/// are identical.
+/// exactly where it stopped: a torn last line is truncated away and a
+/// version-1 file is rewritten once as a journal. An unusable one
+/// (external damage) is discarded and the shard restarts. Either way
+/// the final results are identical.
 ///
 /// # Errors
 ///
@@ -121,23 +125,7 @@ where
     let path = shard_path(dir, shard);
     let hb_path = heartbeat_path(dir, shard);
 
-    let mut results: Vec<Json> = Vec::with_capacity(range.len());
-    if let Some(cp) = Checkpoint::recover(&path) {
-        if cp.manifest_digest != digest {
-            return Err(format!(
-                "checkpoint `{path}` belongs to manifest {}, not {digest}",
-                cp.manifest_digest
-            ));
-        }
-        if cp.shard != shard || cp.lo != lo || cp.hi != hi {
-            return Err(format!(
-                "checkpoint `{path}` covers shard {} range {}..{}, expected shard {shard} range {lo}..{hi}",
-                cp.shard, cp.lo, cp.hi
-            ));
-        }
-        results = cp.results;
-    }
-    let resumed_at = results.len() as u64;
+    let (mut journal, resumed_at) = Journal::open(&path, &digest, shard, lo, hi)?;
     let total = hi - lo;
     // The last trial this invocation runs: the range end, or where the
     // `stop_after` budget runs out.
@@ -145,6 +133,7 @@ where
         .stop_after
         .map_or(total, |budget| total.min(resumed_at.saturating_add(budget)));
     let started = Instant::now();
+    let mut done = resumed_at;
     let mut checkpoints: u64 = 0;
     let mut failure = None;
     // The tick continues from any lingering heartbeat so a resumed
@@ -155,8 +144,8 @@ where
 
     // One pass over the range: results arrive here in trial order while
     // the workers run ahead, and every `checkpoint_every` trials past
-    // the resume point (and at `end`) the prefix so far becomes the
-    // checkpoint.
+    // the resume point (and at `end`) the lines queued since the last
+    // boundary are appended to the journal.
     ParallelSweep::new(opts.threads).stream(
         (lo + resumed_at) as usize..(lo + end) as usize,
         manifest.seed,
@@ -168,27 +157,19 @@ where
             trial(pi, &manifest.points[pi], t, rng)
         },
         |result, _, stats| {
-            results.push(result);
-            let done = results.len() as u64;
+            journal.push(&result);
+            done += 1;
             if !(done - resumed_at).is_multiple_of(manifest.checkpoint_every) && done != end {
                 return ControlFlow::Continue(());
             }
-            let cp = Checkpoint {
-                manifest_digest: digest.clone(),
-                shard,
-                lo,
-                hi,
-                completed: done,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                results: std::mem::take(&mut results),
-            };
-            let saved = cp.save_atomic(&path);
-            results = cp.results;
-            if let Err(e) = saved {
+            if let Err(e) = journal.flush() {
                 failure = Some(format!("cannot write checkpoint `{path}`: {e}"));
                 return ControlFlow::Break(());
             }
             checkpoints += 1;
+            if done == total {
+                return ControlFlow::Continue(());
+            }
             // Heartbeat rides behind the checkpoint: the durable state
             // is already safe, so a heartbeat write failure is not
             // fatal — progress reporting must never kill a sweep.
@@ -213,9 +194,10 @@ where
         return Err(msg);
     }
 
-    // A finished shard needs no vital signs: the heartbeat disappears
-    // so its presence always means "running or interrupted".
-    if results.len() as u64 == total {
+    // A finished shard needs no vital signs: the heartbeat an earlier,
+    // interrupted leg left disappears, so its presence always means
+    // "running or interrupted".
+    if done == total {
         remove_heartbeat(&hb_path);
     }
 
@@ -224,7 +206,7 @@ where
         lo,
         hi,
         resumed_at,
-        completed: results.len() as u64,
+        completed: done,
         interrupted: end < total,
         checkpoints,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -247,6 +229,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::manifest::GridPoint;
     use sim_runtime::Rng;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -409,6 +392,11 @@ mod tests {
             hb2.tick
         );
         assert_eq!(hb2.tick, hb.tick + st2.checkpoints);
+        // The completing leg writes no heartbeat at its last boundary
+        // but still removes the one the interrupted legs left.
+        let st3 = run_shard(&m, 0, &dir, &ShardOpts::default(), toy_trial).expect("last leg");
+        assert_eq!((st3.completed, st3.checkpoints), (st3.hi - st3.lo, 1));
+        assert!(!std::path::Path::new(&heartbeat_path(&dir, 0)).exists());
         let _ = std::fs::remove_dir_all(std::path::Path::new(&dir));
     }
 
@@ -429,22 +417,27 @@ mod tests {
         .expect("valid manifest")
     }
 
-    /// Asserts the checkpoint file holds exactly the bytes the reference
-    /// run gives for a `completed`-trial prefix, its `wall_ms` aside.
-    fn assert_checkpoint_is_prefix(m: &Manifest, dir: &str, completed: u64, case: &str) {
-        let path = shard_path(dir, 0);
-        let text = std::fs::read_to_string(&path).expect("checkpoint on disk");
-        let on_disk = Checkpoint::load(&path).expect("valid checkpoint");
-        let want = Checkpoint {
+    /// The checkpoint the reference run gives for a `completed`-trial
+    /// prefix of `m`'s single shard.
+    fn reference_prefix(m: &Manifest, completed: u64) -> Checkpoint {
+        Checkpoint {
             manifest_digest: m.digest(),
             shard: 0,
             lo: 0,
             hi: m.total_trials() as u64,
             completed,
-            wall_ms: on_disk.wall_ms,
             results: run_single(m, 1, toy_trial)[..completed as usize].to_vec(),
-        };
-        assert_eq!(text, want.to_json().to_pretty(), "{case}");
+        }
+    }
+
+    /// Asserts the checkpoint file decodes to the reference run's
+    /// `completed`-trial prefix and holds exactly its journal bytes.
+    fn assert_checkpoint_is_prefix(m: &Manifest, dir: &str, completed: u64, case: &str) {
+        let path = shard_path(dir, 0);
+        let want = reference_prefix(m, completed);
+        assert_eq!(Checkpoint::load(&path).expect("valid checkpoint"), want, "{case}");
+        let bytes = std::fs::read_to_string(&path).expect("checkpoint on disk");
+        assert_eq!(bytes, want.to_journal(), "{case}");
     }
 
     fn budget(threads: usize, stop_after: Option<u64>) -> ShardOpts {
@@ -492,6 +485,70 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn a_resume_from_every_truncation_finishes_the_reference_bytes() {
+        // A kill can stop an append at any byte: each prefix of the
+        // finished journal is a state a crash may leave on disk.
+        let m = long_manifest();
+        let total = m.total_trials() as u64;
+        let full = reference_prefix(&m, total).to_journal();
+        let header = full.find('\n').expect("header line") + 1;
+        let dir = fresh_dir("every_offset");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let path = shard_path(&dir, 0);
+        for cut in 0..full.len() {
+            std::fs::write(&path, &full[..cut]).expect("truncated journal");
+            let intact = full[..cut].matches('\n').count().saturating_sub(1) as u64;
+            match Checkpoint::load(&path) {
+                Ok(cp) => assert_eq!(cp, reference_prefix(&m, intact), "offset {cut}"),
+                Err(err) => assert!(cut < header && err.contains("header"), "offset {cut}: {err}"),
+            }
+            let st = run_shard(&m, 0, &dir, &budget(2, None), toy_trial).expect("resume");
+            let resumed = if cut < header { 0 } else { intact };
+            assert_eq!((st.resumed_at, st.completed), (resumed, total), "offset {cut}");
+            assert_checkpoint_is_prefix(&m, &dir, total, &format!("offset {cut}"));
+            assert_eq!(
+                crate::merge::load_shards(&m, &dir).expect("merge"),
+                run_single(&m, 1, toy_trial),
+                "offset {cut}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_middle_line_restarts_the_shard() {
+        let m = long_manifest();
+        let total = m.total_trials() as u64;
+        let dir = fresh_dir("damaged");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let mut text = reference_prefix(&m, 6).to_journal();
+        // Corrupt the checksum of the third result line.
+        let third = text.match_indices('\n').nth(2).expect("three lines").0 + 1;
+        text.replace_range(third..third + 1, if &text[third..=third] == "0" { "1" } else { "0" });
+        std::fs::write(shard_path(&dir, 0), &text).expect("damaged journal");
+        let err = Checkpoint::load(&shard_path(&dir, 0)).expect_err("damage is refused");
+        assert!(err.contains("damaged at result line 3"), "{err}");
+        let st = run_shard(&m, 0, &dir, &budget(2, None), toy_trial).expect("restart");
+        assert_eq!((st.resumed_at, st.completed), (0, total));
+        assert_checkpoint_is_prefix(&m, &dir, total, "after restart");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_resumes_and_finishes_identically() {
+        let m = long_manifest();
+        let total = m.total_trials() as u64;
+        let dir = fresh_dir("v1");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let v1 = crate::checkpoint::v1_text(&reference_prefix(&m, 7));
+        std::fs::write(shard_path(&dir, 0), v1).expect("v1 checkpoint");
+        let st = run_shard(&m, 0, &dir, &budget(2, None), toy_trial).expect("resume");
+        assert_eq!((st.resumed_at, st.completed), (7, total));
+        assert_checkpoint_is_prefix(&m, &dir, total, "resumed from version 1");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -73,10 +73,11 @@ run scripts/topo_smoke.sh target/release
 # stdin close.
 run scripts/serve_smoke.sh target/release
 # Sweep smoke: the checkpointed mega-sweep workflow with a mid-run
-# kill -9 — shard, kill, inject a torn temp file, resume, merge — the
+# kill -9 — shard, kill, append a torn half-line, resume, merge — the
 # merged report must be byte-identical to the uninterrupted
-# single-process baseline; the CLI contract (--help 0, usage 2) on all
-# nine binaries rides along.
+# single-process baseline; a doubling guard (twice the trials under
+# 2.5x the time) keeps checkpoint cost linear in shard length, and the
+# CLI contract (--help 0, usage 2) on all nine binaries rides along.
 run scripts/sweep_smoke.sh target/release
 # Sweep micro-bench: digests and merge==single invariant exact, wall
 # clocks structural, vs the committed baseline.

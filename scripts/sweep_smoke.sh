@@ -2,11 +2,13 @@
 # Sweep smoke: the checkpointed mega-sweep workflow end to end, with a
 # mid-run kill. Emit a sharded manifest, take a single-process baseline
 # report, run two shards to completion, kill -9 the third mid-range
-# (and inject a torn temp file next to its checkpoint), resume it, and
-# verify the merged report is byte-identical to the baseline. Also
-# checks the CLI contract of all nine workspace binaries (--help exits
-# 0; unknown flags, missing values, garbage or out-of-range numerics
-# and unknown names exit 2 before any work starts).
+# (and append a torn half-line to its checkpoint journal, the shape a
+# kill mid-append leaves), resume it, and verify the merged report is
+# byte-identical to the baseline. A doubling guard then checks that
+# checkpoint cost grows linearly with shard length. Also checks the
+# CLI contract of all nine workspace binaries (--help exits 0; unknown
+# flags, missing values, garbage or out-of-range numerics and unknown
+# names exit 2 before any work starts).
 #
 # Usage: scripts/sweep_smoke.sh [BIN_DIR]
 #   BIN_DIR   directory holding the workspace binaries (default
@@ -84,7 +86,7 @@ run "$BIN/sweep_shard" --manifest "$MANIFEST" --single --out "$OUT/single.json" 
     --threads 4
 
 # Shards 0 and 2 run to completion; shard 1 is throttled, killed -9
-# mid-range, sabotaged with a torn temp file, and resumed. Shard 1 runs
+# mid-range, given a torn last line, and resumed. Shard 1 runs
 # two workers, so the kill lands while they are ahead of its last
 # checkpoint: the resume must start from that checkpoint all the same.
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 0 --dir "$OUT/shards" --threads 2
@@ -107,7 +109,10 @@ done
 [ -s "$HB" ] || fail "shard 1 never wrote a heartbeat"
 kill -9 "$SHARD_PID" 2>/dev/null || true
 wait "$SHARD_PID" 2>/dev/null || true
-echo "torn half-written garbage" >"$CKPT.tmp"
+# Half of a result line with no newline: what a kill in the middle of
+# an append leaves at the end of the journal.
+INTACT_BYTES=$(wc -c <"$CKPT")
+printf '%s' '0123456789abcdef {"torn_append' >>"$CKPT"
 
 # The killed shard leaves its heartbeat behind: live vital signs for
 # an operator, and the --status view must call the shard out. Its
@@ -131,12 +136,14 @@ fi
 grep -q "incomplete" "$OUT/premature.err" || fail "premature merge must name the incomplete shard"
 echo "==> premature merge correctly refused"
 
-# Resume: picks up from the checkpoint (not trial 0), ignores the torn
-# temp file, and completes the range.
+# Resume: picks up from the checkpoint (not trial 0), truncates the
+# torn line away, and completes the range.
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 1 --dir "$OUT/shards" \
     | tee "$OUT/shard1_resume.log"
 grep -q "resumed at" "$OUT/shard1_resume.log" \
     || fail "resumed shard must report its checkpoint position"
+grep -q "torn_append" "$CKPT" && fail "resume must truncate the torn last line"
+[ "$(wc -c <"$CKPT")" -gt "$INTACT_BYTES" ] || fail "resume must append past the intact prefix"
 
 # Completion removes the heartbeat — its presence always means
 # "running or interrupted" — and --status now shows everything done.
@@ -159,5 +166,33 @@ echo "==> merged report is byte-identical to the single-process baseline"
 
 grep -q '"vlsi-sync/frontier-report"' "$OUT/frontier.json" \
     || fail "frontier report missing its schema marker"
+
+# Doubling guard: each checkpoint appends only its new results, so one
+# shard's cost grows linearly with its length. A shard of twice the
+# trials, checkpointed every 16, must take under 2.5x the time (median
+# of 3 runs each; a whole-prefix rewrite at every boundary measured
+# 3.2-4.2x on a 2-vCPU VM).
+median_ms() {
+    local manifest="$1" dir="$2" times=()
+    for _ in 1 2 3; do
+        rm -rf "$dir"
+        local t0 t1
+        t0=$(date +%s%N)
+        "$BIN/sweep_shard" --manifest "$manifest" --shard 0 --dir "$dir" --threads 2 \
+            >/dev/null || fail "doubling-guard shard failed"
+        t1=$(date +%s%N)
+        times+=($(((t1 - t0) / 1000000)))
+    done
+    printf '%s\n' "${times[@]}" | sort -n | sed -n 2p
+}
+for trials in 200 400; do
+    "$BIN/explore" --fast --seed 7 --trials "$trials" --shards 1 --checkpoint-every 16 \
+        --emit-manifest "$OUT/doubling_$trials.json" >/dev/null
+done
+SHORT_MS=$(median_ms "$OUT/doubling_200.json" "$OUT/doubling_short")
+LONG_MS=$(median_ms "$OUT/doubling_400.json" "$OUT/doubling_long")
+echo "==> doubling guard: 200/point ${SHORT_MS} ms, 400/point ${LONG_MS} ms"
+[ $((LONG_MS * 10)) -lt $((SHORT_MS * 25)) ] \
+    || fail "twice the trials took ${LONG_MS} ms against ${SHORT_MS} ms (limit 2.5x)"
 
 echo "==> sweep smoke passed"

@@ -102,12 +102,11 @@ fn killed_and_resumed_shard_is_invisible_in_the_merged_bytes() {
     let err = load_shards(&m, &dir).expect_err("incomplete shard set");
     assert!(err.contains("incomplete"), "got: {err}");
 
-    // A torn temp file from the kill must not poison the resume.
-    std::fs::write(
-        format!("{}.tmp", shard_path(&dir, 1)),
-        "torn half-written garbage",
-    )
-    .expect("inject torn temp file");
+    // A kill mid-append leaves half a result line at the end of the
+    // journal: the resume must truncate it, not trip over it.
+    let mut journal = std::fs::read_to_string(shard_path(&dir, 1)).expect("journal on disk");
+    journal.push_str("0123456789abcdef {\"o\":\"ok\",\"r");
+    std::fs::write(shard_path(&dir, 1), journal).expect("inject torn last line");
 
     let resumed = run_grid_shard(&m, 1, &dir, &ShardOpts::default());
     assert!(
