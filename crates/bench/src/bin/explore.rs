@@ -101,12 +101,12 @@ fn run(opts: &Opts) -> Result<(), String> {
     let frontier = grid::sweep_frontier(&report)?;
 
     if let Some(path) = &opts.json {
-        sim_runtime::write_with_parents(path, &report.to_pretty())
+        sim_runtime::write_atomic(path, &report.to_pretty())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         eprintln!("sweep report: {path}");
     }
     if let Some(path) = &opts.frontier_json {
-        sim_runtime::write_with_parents(path, &frontier.to_pretty())
+        sim_runtime::write_atomic(path, &frontier.to_pretty())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         eprintln!("frontier report: {path}");
     }

@@ -16,17 +16,17 @@
 //! 0` means the same. The thread count never changes a result or a
 //! checkpoint's deterministic bytes.
 //!
-//! `--status` reads the checkpoint and heartbeat files under `--dir`
-//! and prints one line per shard: done / active / interrupted /
-//! pending, with live trials/sec, ETA, and worker utilization taken
-//! from the heartbeats the shard runner writes after every
-//! checkpoint. A lingering heartbeat alone cannot distinguish a
-//! running shard from one that was killed mid-range, so `--status`
-//! reads each heartbeat twice, `--probe-ms` apart: a `tick` that
-//! advances means `active`, one that holds still means `interrupted`
-//! (so does a mid-range checkpoint with no heartbeat at all). Either
-//! way the checkpoint resumes the shard. Pick a probe longer than the
-//! shard's checkpoint cadence to avoid flagging a slow-but-live shard.
+//! `--status` reads the checkpoint and vitals files under `--dir` and
+//! prints one line per shard: done / active / interrupted / pending,
+//! with trials/sec, ETA, and worker utilization taken from the last
+//! line of the vitals journal the shard runner appends to at every
+//! checkpoint. Vitals alone cannot tell a running shard from one that
+//! was killed mid-range, so `--status` counts each unfinished shard's
+//! vitals lines twice, `--probe-ms` apart: a count that grows means
+//! `active`, one that holds still means `interrupted` (so does a
+//! mid-range checkpoint with no vitals at all). Either way the
+//! checkpoint resumes the shard. Pick a probe longer than the shard's
+//! checkpoint cadence to avoid flagging a slow-but-live shard.
 //!
 //! Exit codes: 0 success, 2 usage error, 3 shard stopped by its
 //! `--stop-after` budget (checkpointed, resumable), 1 runtime failure.
@@ -122,7 +122,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
 }
 
 fn write_json(path: &str, doc: &Json) -> Result<(), String> {
-    sim_runtime::write_with_parents(path, &doc.to_pretty())
+    sim_runtime::write_atomic(path, &doc.to_pretty())
         .map_err(|e| format!("cannot write `{path}`: {e}"))
 }
 
@@ -215,32 +215,20 @@ fn status_mode(opts: &Opts) -> Result<i32, String> {
         m.shards,
         m.total_trials()
     );
-    let load_hb = |shard: u64| match Heartbeat::load(&heartbeat_path(dir, shard)) {
-        Ok(hb) if hb.manifest_digest == digest => Some(hb),
+    let vitals_of = |shard: u64| match Vitals::load(&vitals_path(dir, shard)) {
+        Ok((last, lines)) if last.manifest_digest == digest => Some((last, lines)),
         _ => None,
     };
-    // First probe: snapshot each lingering heartbeat's tick, then wait
-    // and read again. A live shard's tick advances (the runner bumps
-    // it on every heartbeat write); a killed shard's heartbeat is
-    // frozen, so an unchanged tick downgrades `active` to
-    // `interrupted`. The delay is only paid when a heartbeat exists,
-    // and `--probe-ms 0` restores the old single-read behaviour.
-    let first_ticks: Vec<Option<u64>> =
-        (0..m.shards).map(|shard| load_hb(shard).map(|hb| hb.tick)).collect();
-    let probed = opts.probe_ms > 0 && first_ticks.iter().any(Option::is_some);
-    if probed {
-        std::thread::sleep(std::time::Duration::from_millis(opts.probe_ms));
-    }
-    println!(
-        "{:<6} {:>12} {:>10} {:>8} {:>12} {:>10} {:>6} state",
-        "shard", "range", "done", "pct", "trials/sec", "eta", "util"
-    );
-    let mut completed_total: u64 = 0;
+    // First pass: each shard's checkpoint progress and vitals line
+    // count. A live shard appends a vitals line at every checkpoint; a
+    // killed one's count holds still, so a count unchanged after
+    // `--probe-ms` downgrades `active` to `interrupted`. The delay is
+    // only paid when an unfinished shard has vitals, and `--probe-ms 0`
+    // reads once.
+    let mut first = Vec::new();
     for shard in 0..m.shards {
-        let range = m.shard_range(shard);
-        let (lo, hi) = (range.start as u64, range.end as u64);
-        let cp = match Checkpoint::load(&shard_path(dir, shard)) {
-            Ok(cp) if cp.manifest_digest == digest => Some(cp),
+        let progress = match Checkpoint::load(&shard_path(dir, shard)) {
+            Ok(cp) if cp.manifest_digest == digest => Some((cp.completed, cp.is_complete())),
             Ok(cp) => {
                 return Err(format!(
                     "shard {shard} checkpoint belongs to manifest {}, not {digest}",
@@ -249,8 +237,25 @@ fn status_mode(opts: &Opts) -> Result<i32, String> {
             }
             Err(_) => None,
         };
-        let hb = load_hb(shard);
-        let completed = cp.as_ref().map_or(0, |cp| cp.completed);
+        first.push((progress, vitals_of(shard).map(|(_, lines)| lines)));
+    }
+    let probed = opts.probe_ms > 0
+        && first
+            .iter()
+            .any(|(progress, lines)| lines.is_some() && !progress.is_some_and(|(_, done)| done));
+    if probed {
+        std::thread::sleep(std::time::Duration::from_millis(opts.probe_ms));
+    }
+    println!(
+        "{:<6} {:>12} {:>10} {:>8} {:>12} {:>10} {:>6} state",
+        "shard", "range", "done", "pct", "trials/sec", "eta", "util"
+    );
+    let mut completed_total: u64 = 0;
+    for (shard, (progress, first_lines)) in (0..m.shards).zip(first) {
+        let range = m.shard_range(shard);
+        let (lo, hi) = (range.start as u64, range.end as u64);
+        let vitals = vitals_of(shard);
+        let completed = progress.map_or(0, |(completed, _)| completed);
         completed_total += completed;
         let total = hi - lo;
         let pct = if total == 0 {
@@ -258,29 +263,23 @@ fn status_mode(opts: &Opts) -> Result<i32, String> {
         } else {
             completed as f64 / total as f64 * 100.0
         };
-        let state = match (&cp, &hb) {
-            (Some(cp), _) if cp.is_complete() => "done",
-            (_, Some(hb)) => {
-                if probed && first_ticks[shard as usize] == Some(hb.tick) {
-                    "interrupted"
-                } else {
-                    "active"
-                }
-            }
-            // Mid-range checkpoint with no vital signs: the runner
-            // writes a heartbeat after every mid-range checkpoint and
-            // only removes it on completion, so whoever wrote this
+        let state = match (progress, &vitals) {
+            (Some((_, true)), _) => "done",
+            (_, Some((_, lines))) if probed && first_lines == Some(*lines) => "interrupted",
+            (_, Some(_)) => "active",
+            // Mid-range checkpoint with no vitals: the runner appends
+            // vitals at every checkpoint, so whoever wrote this
             // checkpoint is gone.
             (Some(_), None) => "interrupted",
             (None, None) => "pending",
         };
-        let (tps, eta, util) = hb.as_ref().map_or_else(
+        let (tps, eta, util) = vitals.as_ref().map_or_else(
             || ("-".to_owned(), "-".to_owned(), "-".to_owned()),
-            |hb| {
+            |(last, _)| {
                 (
-                    format!("{:.0}", hb.trials_per_sec),
-                    format!("{:.1}s", hb.eta_ms / 1e3),
-                    format!("{:.0}%", hb.utilization * 100.0),
+                    format!("{:.0}", last.trials_per_sec),
+                    format!("{:.1}s", last.eta_ms / 1e3),
+                    format!("{:.0}%", last.utilization * 100.0),
                 )
             },
         );

@@ -196,31 +196,19 @@ thread_local! {
 
 /// Writes a user-requested artifact (a `--vcd` dump, say) from inside
 /// an experiment body, reporting the result on stderr so stdout stays
-/// byte-identical with and without the flag. Missing parent
-/// directories are created first — `--json out/run7/e5.json` works on
-/// a fresh checkout instead of failing with a raw I/O error. On
-/// failure it prints a uniform `error: …` line and marks the run so
-/// the CLI driver exits nonzero — experiment bodies return a
-/// [`Report`], not an exit code.
+/// byte-identical with and without the flag. The write goes through
+/// [`write_atomic`], so missing parent directories are created first
+/// and a killed run never leaves a torn artifact. On failure it prints
+/// a uniform `error: …` line and marks the run so the CLI driver exits
+/// nonzero — experiment bodies return a [`Report`], not an exit code.
 pub fn write_artifact(label: &str, path: &str, contents: &str) {
-    match write_with_parents(path, contents) {
+    match write_atomic(path, contents) {
         Ok(()) => eprintln!("{label}: {path}"),
         Err(err) => {
             eprintln!("error: failed to write {label} to `{path}`: {err}");
             ARTIFACT_FAILED.with(|f| f.set(true));
         }
     }
-}
-
-/// `std::fs::write` preceded by `create_dir_all` on the parent, so a
-/// path into a not-yet-existing directory succeeds.
-///
-/// # Errors
-///
-/// Propagates the directory-creation or write failure.
-pub fn write_with_parents(path: &str, contents: &str) -> std::io::Result<()> {
-    create_parent(Path::new(path))?;
-    std::fs::write(path, contents)
 }
 
 /// Replaces `path` with `contents` atomically: writes the sibling
@@ -236,18 +224,13 @@ pub fn write_with_parents(path: &str, contents: &str) -> std::io::Result<()> {
 /// keeps its old contents.
 pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
     let path = path.as_ref();
-    create_parent(path)?;
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
-}
-
-fn create_parent(path: &Path) -> std::io::Result<()> {
-    match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
-        _ => Ok(()),
-    }
 }
 
 /// Drains the thread's artifact-failure flag: true if any

@@ -74,8 +74,12 @@ pub use dist::{
 };
 pub use experiment::{
     check_trials, run_cli_args, run_experiment, take_artifact_failure, write_artifact,
-    write_atomic, write_with_parents, ExpConfig, Experiment, Registry,
+    write_atomic, ExpConfig, Experiment, Registry,
 };
+/// Former name of [`write_atomic`], kept for callers outside this
+/// workspace's crates that still use it.
+#[doc(hidden)]
+pub use experiment::write_atomic as write_with_parents;
 pub use report::{
     json_core, json_full, Report, RunInfo, TableSection, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
 };

@@ -73,7 +73,7 @@ impl Checkpoint {
     /// Whether the shard has finished its whole range.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.lo + self.completed == self.hi
+        self.hi.checked_sub(self.lo) == Some(self.completed)
     }
 
     /// The exact bytes of a journal holding this checkpoint: the
@@ -118,28 +118,8 @@ fn read(path: &str) -> Result<(Checkpoint, Layout), String> {
         .and_then(|text| sim_observe::parse(text).ok())
         .ok_or_else(|| format!("checkpoint `{path}` has a malformed header"))?;
     check_schema(&header, CHECKPOINT_SCHEMA_VERSION)?;
-    let mut results = Vec::new();
-    let mut intact = header_end + 1;
-    while intact < bytes.len() {
-        let rest = &bytes[intact..];
-        let newline = rest.iter().position(|&b| b == b'\n');
-        let line = &rest[..newline.unwrap_or(rest.len())];
-        match newline.and_then(|_| decode_line(line)) {
-            Some(result) => {
-                results.push(result);
-                intact += line.len() + 1;
-            }
-            // The last line, unterminated or failing its checksum: a
-            // torn append.
-            None if intact + line.len() + 1 >= bytes.len() => break,
-            None => {
-                return Err(format!(
-                    "checkpoint `{path}` is damaged at result line {}",
-                    results.len() + 1
-                ))
-            }
-        }
-    }
+    let (results, intact) = decode_lines(&bytes[header_end + 1..])
+        .map_err(|n| format!("checkpoint `{path}` is damaged at result line {n}"))?;
     let cp = Checkpoint {
         manifest_digest: req_str(&header, "manifest_digest")?,
         shard: req_u64(&header, "shard")?,
@@ -148,8 +128,8 @@ fn read(path: &str) -> Result<(Checkpoint, Layout), String> {
         completed: results.len() as u64,
         results,
     };
-    check_range(&cp)?;
-    Ok((cp, Layout::Journal(intact as u64)))
+    check_progress("checkpoint", cp.lo, cp.completed, cp.hi)?;
+    Ok((cp, Layout::Journal((header_end + 1 + intact) as u64)))
 }
 
 /// Parses a version-1 document: the whole prefix in one object, with
@@ -182,7 +162,7 @@ fn from_v1(path: &str, bytes: &[u8]) -> Result<Checkpoint, String> {
             cp.results.len()
         ));
     }
-    check_range(&cp)?;
+    check_progress("checkpoint", cp.lo, cp.completed, cp.hi)?;
     Ok(cp)
 }
 
@@ -198,11 +178,12 @@ fn check_schema(value: &Json, want: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn check_range(cp: &Checkpoint) -> Result<(), String> {
-    if cp.lo + cp.completed > cp.hi {
+/// Refuses `completed` trials from `lo` that run past `hi`, without
+/// overflowing on a hostile `lo`.
+pub(crate) fn check_progress(what: &str, lo: u64, completed: u64, hi: u64) -> Result<(), String> {
+    if lo.checked_add(completed).is_none_or(|end| end > hi) {
         return Err(format!(
-            "checkpoint progress {}+{} overruns range end {}",
-            cp.lo, cp.completed, cp.hi
+            "{what} progress {lo}+{completed} overruns range end {hi}"
         ));
     }
     Ok(())
@@ -223,13 +204,38 @@ fn header_line(digest: &str, shard: u64, lo: u64, hi: u64) -> String {
     line
 }
 
-/// Appends one result line: checksum, space, compact JSON, newline.
-fn push_line(out: &mut String, result: &Json) {
+/// Appends one journal line: checksum, space, compact JSON, newline.
+pub(crate) fn push_line(out: &mut String, result: &Json) {
     let json = result.to_compact();
     let _ = writeln!(out, "{:016x} {json}", fnv1a64(json.as_bytes()));
 }
 
-/// The result on a journal line (its newline stripped), or `None` when
+/// Decodes a run of checksummed lines under the journal's torn-line
+/// rule, for checkpoints and vitals alike. A bad last line,
+/// unterminated or failing its checksum, is a torn append and is
+/// dropped. Returns the decoded lines and the byte length of the
+/// intact ones, or the 1-based number of a bad line with lines after
+/// it, which no torn append leaves.
+pub(crate) fn decode_lines(bytes: &[u8]) -> Result<(Vec<Json>, usize), usize> {
+    let mut lines = Vec::new();
+    let mut intact = 0;
+    while intact < bytes.len() {
+        let rest = &bytes[intact..];
+        let newline = rest.iter().position(|&b| b == b'\n');
+        let line = &rest[..newline.unwrap_or(rest.len())];
+        match newline.and_then(|_| decode_line(line)) {
+            Some(value) => {
+                lines.push(value);
+                intact += line.len() + 1;
+            }
+            None if intact + line.len() + 1 >= bytes.len() => break,
+            None => return Err(lines.len() + 1),
+        }
+    }
+    Ok((lines, intact))
+}
+
+/// The value on a journal line (its newline stripped), or `None` when
 /// the checksum or the JSON does not hold.
 fn decode_line(line: &[u8]) -> Option<Json> {
     let text = std::str::from_utf8(line).ok()?;
@@ -476,7 +482,19 @@ mod tests {
             std::fs::write(&path, text).expect("write");
             assert!(Checkpoint::load(&path).expect_err("overrun").contains("overruns"));
         }
-        let foreign = demo().to_journal().replace("sweep-checkpoint", "sweep-heartbeat");
+        // A hostile `lo` is refused, not added into an overflow.
+        let hostile = demo_with(1)
+            .to_journal()
+            .replacen("\"lo\":10", &format!("\"lo\":{}", u64::MAX), 1);
+        std::fs::write(&path, hostile).expect("write");
+        assert!(Checkpoint::load(&path).expect_err("lo overflow").contains("overruns"));
+        let wrapped = Checkpoint {
+            lo: u64::MAX,
+            hi: 0,
+            ..demo_with(1)
+        };
+        assert!(!wrapped.is_complete());
+        let foreign = demo().to_journal().replace("sweep-checkpoint", "sweep-manifest");
         std::fs::write(&path, foreign).expect("write");
         assert!(Checkpoint::load(&path).expect_err("schema").contains("not a sweep checkpoint"));
         let _ = std::fs::remove_file(&path);

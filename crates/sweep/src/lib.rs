@@ -27,11 +27,11 @@
 //!   the calling thread appends to the journal as the in-order prefix
 //!   reaches every N-th trial, while the workers keep running trials
 //!   past it;
-//! * [`heartbeat`] — **live progress files** ([`Heartbeat`]): written
-//!   atomically after each checkpoint but the completing one, with
-//!   trials/sec, ETA, and worker utilization, removed when the shard
-//!   finishes, so `sweep_shard --status` can watch a sweep from the
-//!   outside;
+//! * [`vitals`] — **live progress journals** ([`Vitals`]): one
+//!   checksummed line appended after every checkpoint, in the
+//!   checkpoint journal's line codec, with trials/sec, ETA, and worker
+//!   utilization, so `sweep_shard --status` can watch a sweep from the
+//!   outside and tell a stalled shard by a line count that holds still;
 //! * [`merge`] — the **deterministic merge** ([`load_shards`],
 //!   [`merged_report`]): folds shard checkpoints — completed in any
 //!   order — into one report byte-identical to a single-process run;
@@ -61,26 +61,24 @@
 
 pub mod checkpoint;
 pub mod frontier;
-pub mod heartbeat;
 pub mod manifest;
 pub mod merge;
 pub mod shard;
+pub mod vitals;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA, CHECKPOINT_SCHEMA_VERSION};
-pub use heartbeat::{
-    heartbeat_path, remove_heartbeat, Heartbeat, HEARTBEAT_SCHEMA, HEARTBEAT_SCHEMA_VERSION,
-};
 pub use frontier::{frontier_report, Objective, FRONTIER_SCHEMA, FRONTIER_SCHEMA_VERSION};
 pub use manifest::{GridPoint, Manifest, MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION};
 pub use merge::{load_shards, merged_report, SWEEP_REPORT_SCHEMA, SWEEP_REPORT_SCHEMA_VERSION};
 pub use shard::{run_shard, run_single, shard_path, ShardOpts, ShardStatus};
+pub use vitals::{vitals_path, Vitals};
 
 /// One-stop imports for sweep-driving code.
 pub mod prelude {
     pub use crate::checkpoint::Checkpoint;
     pub use crate::frontier::{frontier_report, Objective};
-    pub use crate::heartbeat::{heartbeat_path, remove_heartbeat, Heartbeat};
     pub use crate::manifest::{GridPoint, Manifest};
     pub use crate::merge::{load_shards, merged_report};
     pub use crate::shard::{run_shard, run_single, shard_path, ShardOpts, ShardStatus};
+    pub use crate::vitals::{vitals_path, Vitals};
 }

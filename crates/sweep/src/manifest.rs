@@ -112,7 +112,8 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// Rejects an empty grid and zero trial/shard/checkpoint counts.
+    /// Rejects an empty grid, zero trial/shard/checkpoint counts, and a
+    /// total trial count that overflows `usize`.
     pub fn new(
         name: impl Into<String>,
         seed: u64,
@@ -145,6 +146,16 @@ impl Manifest {
         }
         if self.checkpoint_every == 0 {
             return Err("`checkpoint_every` must be positive".to_owned());
+        }
+        let total = usize::try_from(self.trials_per_point)
+            .ok()
+            .and_then(|tpp| self.points.len().checked_mul(tpp));
+        if total.is_none() {
+            return Err(format!(
+                "{} points x {} trials per point overflows the trial count",
+                self.points.len(),
+                self.trials_per_point
+            ));
         }
         Ok(())
     }
@@ -275,14 +286,15 @@ impl Manifest {
         .digest()
     }
 
-    /// Writes the manifest (pretty JSON) to `path`, creating missing
-    /// parent directories.
+    /// Writes the manifest (pretty JSON) to `path` with
+    /// [`sim_runtime::write_atomic`], so a reader sees the old file or
+    /// the new one, never a torn mix.
     ///
     /// # Errors
     ///
     /// Propagates the I/O failure.
     pub fn save(&self, path: &str) -> std::io::Result<()> {
-        sim_runtime::write_with_parents(path, &self.to_json().to_pretty())
+        sim_runtime::write_atomic(path, &self.to_json().to_pretty())
     }
 
     /// Reads and parses a manifest file.
@@ -411,11 +423,33 @@ mod tests {
         assert!(Manifest::new("x", 0, 1, 0, 1, vec![GridPoint::new("a", "b", 1, 0.0)]).is_err());
         assert!(Manifest::new("x", 0, 1, 1, 0, vec![GridPoint::new("a", "b", 1, 0.0)]).is_err());
         assert!(Manifest::new("x", 0, 1, 1, 1, vec![]).is_err());
+        let two = vec![GridPoint::new("a", "b", 1, 0.0); 2];
+        let err = Manifest::new("x", 0, u64::MAX, 1, 1, two).expect_err("overflow");
+        assert!(err.contains("overflows"), "{err}");
         let mut j = demo().to_json();
         if let Json::Object(pairs) = &mut j {
             pairs[0].1 = Json::Str("something/else".to_owned());
         }
         assert!(Manifest::from_json(&j).is_err());
+    }
+
+    #[test]
+    fn every_truncation_of_a_saved_manifest_loads_whole_or_not_at_all() {
+        let path = std::env::temp_dir()
+            .join(format!("sim_sweep_manifest_{}.json", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        demo().save(&path).expect("save");
+        let full = std::fs::read(&path).expect("saved manifest");
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).expect("truncated manifest");
+            match Manifest::load(&path) {
+                Ok(m) => assert_eq!(m, demo(), "offset {cut}"),
+                Err(_) => assert!(cut < full.len(), "the whole file loads"),
+            }
+        }
+        assert!(!std::path::Path::new(&format!("{path}.tmp")).exists());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

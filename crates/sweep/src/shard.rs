@@ -7,13 +7,12 @@
 //! journal line (see [`checkpoint`](crate::checkpoint)). Each time the
 //! completed prefix reaches a boundary (the resume point plus a
 //! multiple of `checkpoint_every`, and the end of a `stop_after`
-//! budget) it appends the queued lines in one write, then writes the
-//! heartbeat, while the workers keep claiming trials past it. The
-//! boundary that completes the range writes no heartbeat: the runner
-//! removes it straight after. A `kill -9` therefore leaves the last
-//! boundary's prefix on disk, plus at most a torn last line that a
-//! resume truncates away, and the journal holds the same bytes for
-//! every thread count.
+//! budget) it appends the queued lines in one write, then appends one
+//! line to the shard's [vitals](crate::vitals), while the workers keep
+//! claiming trials past it. A `kill -9` therefore leaves the last
+//! boundary's prefix on disk, plus at most a torn last line in each
+//! file that a resume truncates away, and the journal holds the same
+//! bytes for every thread count.
 //!
 //! Because every trial's RNG stream is `SimRng::for_trial(seed, g)`
 //! with `g` the *global* trial index, the runner produces exactly the
@@ -22,8 +21,8 @@
 //! of how many kill/resume cycles it took.
 
 use crate::checkpoint::Journal;
-use crate::heartbeat::{heartbeat_path, remove_heartbeat, Heartbeat};
 use crate::manifest::{GridPoint, Manifest};
+use crate::vitals::{vitals_path, Vitals, VitalsLog};
 use sim_observe::Json;
 use sim_runtime::{ParallelSweep, SimRng};
 use std::ops::ControlFlow;
@@ -123,9 +122,10 @@ where
     let (lo, hi) = (range.start as u64, range.end as u64);
     let digest = manifest.digest();
     let path = shard_path(dir, shard);
-    let hb_path = heartbeat_path(dir, shard);
+    let vitals_file = vitals_path(dir, shard);
 
     let (mut journal, resumed_at) = Journal::open(&path, &digest, shard, lo, hi)?;
+    let mut vitals = VitalsLog::open(&vitals_file);
     let total = hi - lo;
     // The last trial this invocation runs: the range end, or where the
     // `stop_after` budget runs out.
@@ -136,11 +136,6 @@ where
     let mut done = resumed_at;
     let mut checkpoints: u64 = 0;
     let mut failure = None;
-    // The tick continues from any lingering heartbeat so a resumed
-    // shard never rewinds the counter — otherwise an observer probing
-    // across a kill/resume boundary could read the same tick twice
-    // from a shard that is in fact making progress.
-    let mut tick = Heartbeat::load(&hb_path).map_or(0, |hb| hb.tick);
 
     // One pass over the range: results arrive here in trial order while
     // the workers run ahead, and every `checkpoint_every` trials past
@@ -167,38 +162,19 @@ where
                 return ControlFlow::Break(());
             }
             checkpoints += 1;
-            if done == total {
-                return ControlFlow::Continue(());
-            }
-            // Heartbeat rides behind the checkpoint: the durable state
-            // is already safe, so a heartbeat write failure is not
-            // fatal — progress reporting must never kill a sweep.
-            tick += 1;
-            let hb = Heartbeat::from_stats(
-                &digest,
-                shard,
-                lo,
-                hi,
-                done,
-                started.elapsed().as_secs_f64() * 1e3,
-                stats,
-            )
-            .with_tick(tick);
-            if let Err(e) = hb.save_atomic(&hb_path) {
-                eprintln!("warning: cannot write heartbeat `{hb_path}`: {e}");
+            // Vitals ride behind the checkpoint: the durable state is
+            // already safe, so a vitals write failure is not fatal —
+            // progress reporting must never kill a sweep.
+            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+            let line = Vitals::from_stats(&digest, shard, lo, hi, done, wall_ms, stats);
+            if let Err(e) = vitals.append(&line) {
+                eprintln!("warning: cannot write vitals `{vitals_file}`: {e}");
             }
             ControlFlow::Continue(())
         },
     );
     if let Some(msg) = failure {
         return Err(msg);
-    }
-
-    // A finished shard needs no vital signs: the heartbeat an earlier,
-    // interrupted leg left disappears, so its presence always means
-    // "running or interrupted".
-    if done == total {
-        remove_heartbeat(&hb_path);
     }
 
     Ok(ShardStatus {
@@ -337,28 +313,26 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_lingers_on_interrupt_and_vanishes_on_completion() {
+    fn vitals_track_an_interrupted_shard_and_its_completion() {
         let m = toy_manifest(2);
-        let dir = fresh_dir("heartbeat");
+        let dir = fresh_dir("vitals");
         let opts = ShardOpts {
             stop_after: Some(3),
             ..ShardOpts::default()
         };
         let st = run_shard(&m, 0, &dir, &opts, toy_trial).expect("first leg");
         assert!(st.interrupted);
-        let hb_path = heartbeat_path(&dir, 0);
-        let hb = Heartbeat::load(&hb_path).expect("interrupted shard leaves a heartbeat");
-        assert_eq!(hb.manifest_digest, m.digest());
-        assert_eq!((hb.shard, hb.lo, hb.hi), (st.shard, st.lo, st.hi));
-        assert_eq!(hb.completed, st.completed);
-        assert!(hb.completed < hb.hi - hb.lo, "mid-range snapshot");
-        assert!(hb.trials_per_sec > 0.0);
-        // Finish the shard: the heartbeat must disappear.
+        let path = vitals_path(&dir, 0);
+        let (last, _) = Vitals::load(&path).expect("interrupted shard leaves vitals");
+        assert_eq!(last.manifest_digest, m.digest());
+        assert_eq!((last.shard, last.lo, last.hi), (st.shard, st.lo, st.hi));
+        assert_eq!(last.completed, st.completed);
+        assert!(last.completed < last.hi - last.lo, "mid-range snapshot");
+        assert!(last.trials_per_sec > 0.0);
+        // Finish the shard: the last line records the whole range.
         run_shard(&m, 0, &dir, &ShardOpts::default(), toy_trial).expect("second leg");
-        assert!(
-            !std::path::Path::new(&hb_path).exists(),
-            "completed shard removes its heartbeat"
-        );
+        let (last, _) = Vitals::load(&path).expect("finished shard keeps its vitals");
+        assert_eq!(last.completed, last.hi - last.lo, "completing boundary appends");
         assert!(
             Checkpoint::load(&shard_path(&dir, 0)).expect("checkpoint").is_complete(),
             "the checkpoint itself survives"
@@ -367,36 +341,32 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_tick_advances_and_survives_resume() {
+    fn vitals_grow_one_line_per_checkpoint_across_resumes() {
         let m = toy_manifest(2);
-        let dir = fresh_dir("tick");
+        let dir = fresh_dir("lines");
         let budget = |n| ShardOpts {
             stop_after: Some(n),
             ..ShardOpts::default()
         };
-        // First leg: budget 2 of the shard's 4 trials -> one boundary,
-        // one heartbeat write.
+        let lines = || Vitals::load(&vitals_path(&dir, 0)).expect("vitals").1;
+        // Budget 2 of the shard's 4 trials: one boundary, one line.
         let st = run_shard(&m, 0, &dir, &budget(2), toy_trial).expect("first leg");
         assert!(st.interrupted);
-        let hb = Heartbeat::load(&heartbeat_path(&dir, 0)).expect("lingers");
-        assert_eq!(hb.tick, st.checkpoints, "one tick per heartbeat write");
-        // Resume with another budget: the tick continues upward from
-        // the lingering heartbeat instead of restarting at 1.
+        assert_eq!(lines(), st.checkpoints, "one line per checkpoint");
+        // A resumed leg appends instead of starting the count over.
         let st2 = run_shard(&m, 0, &dir, &budget(1), toy_trial).expect("second leg");
         assert!(st2.interrupted);
-        let hb2 = Heartbeat::load(&heartbeat_path(&dir, 0)).expect("still lingers");
-        assert!(
-            hb2.tick > hb.tick,
-            "resumed shard must not rewind the tick: {} -> {}",
-            hb.tick,
-            hb2.tick
-        );
-        assert_eq!(hb2.tick, hb.tick + st2.checkpoints);
-        // The completing leg writes no heartbeat at its last boundary
-        // but still removes the one the interrupted legs left.
+        assert_eq!(lines(), st.checkpoints + st2.checkpoints);
+        // The completing boundary appends too.
         let st3 = run_shard(&m, 0, &dir, &ShardOpts::default(), toy_trial).expect("last leg");
         assert_eq!((st3.completed, st3.checkpoints), (st3.hi - st3.lo, 1));
-        assert!(!std::path::Path::new(&heartbeat_path(&dir, 0)).exists());
+        assert_eq!(lines(), st.checkpoints + st2.checkpoints + st3.checkpoints);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .expect("shard dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["shard-0.json", "shard-0.vitals"], "nothing else is left");
         let _ = std::fs::remove_dir_all(std::path::Path::new(&dir));
     }
 
@@ -600,7 +570,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let dir = fresh_dir(&format!("unwritable{threads}"));
             // A directory where the checkpoint file should go: the
-            // rename onto it fails at the first boundary.
+            // create fails at the first boundary.
             std::fs::create_dir_all(shard_path(&dir, 0)).expect("blocking dir");
             // Trials far slower than a failed write: workers could only
             // overrun the bound if the calling thread went unscheduled

@@ -6,7 +6,7 @@
 # span, plus its episode trace back through the checker) and the
 # *process* layer (a sweep shard over the episode-bearing design-space
 # grid is killed -9 mid-run, `--status` must call it `interrupted` via
-# the frozen heartbeat tick, and the resumed + merged report must be
+# its frozen vitals line count, and the resumed + merged report must be
 # byte-identical to an uninterrupted single-process run).
 #
 # Usage: scripts/chaos_smoke.sh [BIN_DIR]
@@ -58,39 +58,46 @@ run "$BIN/sweep_shard" --manifest "$MANIFEST" --single --out "$OUT/single.json" 
     --threads 4
 
 # Shard 0 runs to completion; shard 1 is throttled and killed -9 as
-# soon as its first heartbeat lands.
+# soon as its first vitals line lands.
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 0 --dir "$OUT/shards" --threads 2
 echo "==> starting throttled shard 1 and killing it mid-range"
 "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 1 --dir "$OUT/shards" \
     --throttle-ms 30 >"$OUT/shard1_first.log" 2>&1 &
 SHARD_PID=$!
-HB="$OUT/shards/shard-1.hb.json"
+VITALS="$OUT/shards/shard-1.vitals"
 for _ in $(seq 1 200); do
-    [ -s "$HB" ] && break
-    kill -0 "$SHARD_PID" 2>/dev/null || fail "shard 1 exited before its first heartbeat"
+    [ -s "$VITALS" ] && break
+    kill -0 "$SHARD_PID" 2>/dev/null || fail "shard 1 exited before its first vitals line"
     sleep 0.05
 done
-[ -s "$HB" ] || fail "shard 1 never wrote a heartbeat"
+[ -s "$VITALS" ] || fail "shard 1 never wrote its vitals"
 kill -9 "$SHARD_PID" 2>/dev/null || true
 wait "$SHARD_PID" 2>/dev/null || true
 
-# The killed shard's heartbeat tick is frozen: the --status double
-# read (two heartbeat reads --probe-ms apart) must downgrade it from
+# The killed shard's vitals line count is frozen: the --status double
+# read (two line counts --probe-ms apart) must downgrade it from
 # active to interrupted.
-grep -q '"tick"' "$HB" || fail "heartbeat is missing its tick counter"
+LAST_VITALS=$(tail -n 1 "$VITALS")
+grep -q '"trials_per_sec"' <<<"$LAST_VITALS" || fail "last vitals line is missing trials_per_sec"
+grep -q '"eta_ms"' <<<"$LAST_VITALS" || fail "last vitals line is missing eta_ms"
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --status --dir "$OUT/shards" \
     --probe-ms 200 | tee "$OUT/status_mid.log"
 grep -Eq "^1 .* interrupted$" "$OUT/status_mid.log" \
     || fail "--status must show the killed shard as interrupted"
-echo "==> frozen heartbeat tick reported as interrupted"
+echo "==> frozen vitals line count reported as interrupted"
 
-# Resume from the checkpoint and finish; completion removes the
-# heartbeat so --status shows a fully done sweep.
+# Resume from the checkpoint and finish; the last vitals line covers
+# the range, no temp file or old heartbeat is left, and --status shows
+# a fully done sweep.
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 1 --dir "$OUT/shards" \
     | tee "$OUT/shard1_resume.log"
 grep -q "resumed at" "$OUT/shard1_resume.log" \
     || fail "resumed shard must report its checkpoint position"
-[ ! -e "$HB" ] || fail "completed shard must remove its heartbeat"
+read -r LO HI DONE < <(tail -n 1 "$VITALS" \
+    | sed -E 's/.*"lo":([0-9]+),"hi":([0-9]+),"completed":([0-9]+).*/\1 \2 \3/')
+[ "$DONE" -eq "$((HI - LO))" ] || fail "last vitals line must cover shard 1's range"
+STRAYS=$(find "$OUT/shards" -name '*.tmp' -o -name '*.hb.json')
+[ -z "$STRAYS" ] || fail "finished shards left stray files: $STRAYS"
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --status --dir "$OUT/shards" \
     | tee "$OUT/status_done.log"
 grep -q "(100.0%)" "$OUT/status_done.log" \

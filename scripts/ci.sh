@@ -59,8 +59,8 @@ run target/release/trace_check target/bench/e12_trace.json
 # Chaos smoke: e13's fault-episode recovery asserts (rigid never
 # recovers, TRIX/PALS heal every span) with its episode trace through
 # the checker, then a sweep shard of the episode grid killed -9
-# mid-run — --status must report it interrupted off the frozen
-# heartbeat tick — resumed, and merged byte-identically.
+# mid-run — --status must report it interrupted off its frozen
+# vitals line count — resumed, and merged byte-identically.
 run scripts/chaos_smoke.sh target/release
 # Topology smoke: e14's realistic-topology scorecard (quadrant trees
 # strictly dominate the equalized H-tree; the SDF fixture corpus

@@ -97,16 +97,16 @@ echo "==> starting throttled shard 1 and killing it mid-range"
     --threads 2 --throttle-ms 30 >"$OUT/shard1_first.log" 2>&1 &
 SHARD_PID=$!
 CKPT="$OUT/shards/shard-1.json"
-HB="$OUT/shards/shard-1.hb.json"
-# The heartbeat lands right after each checkpoint; waiting for it
+VITALS="$OUT/shards/shard-1.vitals"
+# The vitals line lands right after each checkpoint; waiting for it
 # guarantees both files exist when the kill hits.
 for _ in $(seq 1 200); do
-    [ -s "$HB" ] && break
+    [ -s "$VITALS" ] && break
     kill -0 "$SHARD_PID" 2>/dev/null || fail "shard 1 exited before its first checkpoint"
     sleep 0.05
 done
 [ -s "$CKPT" ] || fail "shard 1 never wrote a checkpoint"
-[ -s "$HB" ] || fail "shard 1 never wrote a heartbeat"
+[ -s "$VITALS" ] || fail "shard 1 never wrote its vitals"
 kill -9 "$SHARD_PID" 2>/dev/null || true
 wait "$SHARD_PID" 2>/dev/null || true
 # Half of a result line with no newline: what a kill in the middle of
@@ -114,19 +114,18 @@ wait "$SHARD_PID" 2>/dev/null || true
 INTACT_BYTES=$(wc -c <"$CKPT")
 printf '%s' '0123456789abcdef {"torn_append' >>"$CKPT"
 
-# The killed shard leaves its heartbeat behind: live vital signs for
-# an operator, and the --status view must call the shard out. Its
-# heartbeat tick is frozen, so the double-read probe downgrades it
-# from active to interrupted.
-grep -q '"vlsi-sync/sweep-heartbeat"' "$HB" \
-    || fail "heartbeat file is missing its schema marker"
-grep -q '"trials_per_sec"' "$HB" || fail "heartbeat is missing trials_per_sec"
-grep -q '"eta_ms"' "$HB" || fail "heartbeat is missing eta_ms"
+# The killed shard leaves its vitals behind: live vital signs for an
+# operator, and the --status view must call the shard out. Its vitals
+# line count is frozen, so the double-read probe downgrades it from
+# active to interrupted.
+LAST_VITALS=$(tail -n 1 "$VITALS")
+grep -q '"trials_per_sec"' <<<"$LAST_VITALS" || fail "last vitals line is missing trials_per_sec"
+grep -q '"eta_ms"' <<<"$LAST_VITALS" || fail "last vitals line is missing eta_ms"
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --status --dir "$OUT/shards" \
     | tee "$OUT/status_mid.log"
 grep -Eq "^1 .* interrupted$" "$OUT/status_mid.log" \
     || fail "--status must show the killed shard as interrupted"
-echo "==> killed shard left a heartbeat and --status reports it interrupted"
+echo "==> killed shard left its vitals and --status reports it interrupted"
 
 # The merge must refuse while shard 1 is incomplete.
 if "$BIN/sweep_shard" --manifest "$MANIFEST" --merge --dir "$OUT/shards" \
@@ -145,16 +144,17 @@ grep -q "resumed at" "$OUT/shard1_resume.log" \
 grep -q "torn_append" "$CKPT" && fail "resume must truncate the torn last line"
 [ "$(wc -c <"$CKPT")" -gt "$INTACT_BYTES" ] || fail "resume must append past the intact prefix"
 
-# Completion removes the heartbeat — its presence always means
-# "running or interrupted" — and --status now shows everything done.
-[ ! -e "$HB" ] || fail "completed shard must remove its heartbeat"
+# Completion appends a last vitals line and leaves no temp file or
+# old heartbeat behind; --status now shows everything done.
+STRAYS=$(find "$OUT/shards" -name '*.tmp' -o -name '*.hb.json')
+[ -z "$STRAYS" ] || fail "finished shards left stray files: $STRAYS"
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --status --dir "$OUT/shards" \
     | tee "$OUT/status_done.log"
 grep -q "(100.0%)" "$OUT/status_done.log" \
     || fail "--status must report the sweep 100% complete"
 ! grep -Eq " (active|interrupted|pending)$" "$OUT/status_done.log" \
     || fail "--status must show no live or interrupted shards after completion"
-echo "==> heartbeat removed on completion and --status reports 100%"
+echo "==> no stray files after completion and --status reports 100%"
 
 # Merge and compare: killed + resumed + out-of-order shards must merge
 # byte-identically to the uninterrupted single-process run.

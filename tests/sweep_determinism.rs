@@ -13,8 +13,7 @@
 use bench::grid;
 use sim_observe::Json;
 use sim_sweep::{
-    heartbeat_path, load_shards, run_shard, shard_path, Heartbeat, Manifest, ShardOpts,
-    HEARTBEAT_SCHEMA, HEARTBEAT_SCHEMA_VERSION,
+    load_shards, run_shard, shard_path, vitals_path, Checkpoint, Manifest, ShardOpts, Vitals,
 };
 
 /// The shared workload: the fast grid (54 points, including the
@@ -125,12 +124,13 @@ fn killed_and_resumed_shard_is_invisible_in_the_merged_bytes() {
 }
 
 #[test]
-fn heartbeat_files_carry_the_pinned_schema_and_track_the_shard() {
+fn vitals_lines_carry_the_pinned_schema_and_track_the_shard() {
     let m = manifest(3);
-    let dir = temp_dir("heartbeat");
+    let dir = temp_dir("vitals");
 
-    // Interrupt shard 1 mid-range: the heartbeat must linger with the
-    // checkpointed progress and live rate fields.
+    // Interrupt shard 1 mid-range: its vitals journal must hold one
+    // line per checkpoint, the last with the checkpointed progress and
+    // live rate fields.
     let stopped = run_grid_shard(
         &m,
         1,
@@ -142,9 +142,11 @@ fn heartbeat_files_carry_the_pinned_schema_and_track_the_shard() {
     );
     assert!(stopped.interrupted);
 
-    let hb_file = heartbeat_path(&dir, 1);
-    let text = std::fs::read_to_string(&hb_file).expect("heartbeat exists on disk");
-    let doc = sim_observe::parse(&text).expect("heartbeat is valid JSON");
+    let vitals_file = vitals_path(&dir, 1);
+    let text = std::fs::read_to_string(&vitals_file).expect("vitals exist on disk");
+    let last_line = text.lines().last().expect("at least one line");
+    let (_, json) = last_line.split_once(' ').expect("checksum, space, JSON");
+    let doc = sim_observe::parse(json).expect("vitals line is valid JSON");
 
     // Schema pin: exactly these keys, in this order — operators and
     // dashboards key on them.
@@ -157,8 +159,6 @@ fn heartbeat_files_carry_the_pinned_schema_and_track_the_shard() {
     assert_eq!(
         keys,
         [
-            "schema",
-            "schema_version",
             "manifest_digest",
             "shard",
             "lo",
@@ -169,31 +169,34 @@ fn heartbeat_files_carry_the_pinned_schema_and_track_the_shard() {
             "eta_ms",
             "utilization",
             "wall_ms",
-            "tick",
         ],
-        "heartbeat document schema drifted"
-    );
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some(HEARTBEAT_SCHEMA));
-    assert_eq!(
-        doc.get("schema_version"),
-        Some(&Json::UInt(HEARTBEAT_SCHEMA_VERSION))
+        "vitals line schema drifted"
     );
 
-    // The parsed heartbeat agrees with the checkpointed ground truth.
-    let hb = Heartbeat::load(&hb_file).expect("parses through the library");
-    assert_eq!(hb.manifest_digest, m.digest());
-    assert_eq!((hb.shard, hb.lo, hb.hi), (1, stopped.lo, stopped.hi));
-    assert_eq!(hb.completed, stopped.completed);
-    assert!(hb.completed < hb.hi - hb.lo, "interrupted mid-range");
-    assert!(hb.trials_per_sec > 0.0, "rate is measured, not defaulted");
-    assert!((0.0..=1.0).contains(&hb.utilization));
-    assert!(hb.tick >= 1, "tick advances on every heartbeat save");
+    // The parsed vitals agree with the checkpointed ground truth.
+    let cp = Checkpoint::load(&shard_path(&dir, 1)).expect("checkpoint");
+    let (last, lines) = Vitals::load(&vitals_file).expect("parses through the library");
+    assert_eq!(last.manifest_digest, cp.manifest_digest);
+    assert_eq!((last.shard, last.lo, last.hi), (cp.shard, cp.lo, cp.hi));
+    assert_eq!(last.completed, cp.completed);
+    assert_eq!(last.completed, stopped.completed);
+    assert!(last.completed < last.hi - last.lo, "interrupted mid-range");
+    assert!(last.trials_per_sec > 0.0, "rate is measured, not defaulted");
+    assert!((0.0..=1.0).contains(&last.utilization));
+    assert_eq!(lines, stopped.checkpoints, "one line per checkpoint");
 
-    // Finishing the shard removes the heartbeat but keeps the
-    // checkpoint: presence of a heartbeat always means unfinished.
-    run_grid_shard(&m, 1, &dir, &ShardOpts::default());
-    assert!(!std::path::Path::new(&hb_file).exists());
-    assert!(std::path::Path::new(&shard_path(&dir, 1)).exists());
+    // Finishing the shard appends a line per checkpoint, the last one
+    // covering the whole range, and leaves only the two journals.
+    let finished = run_grid_shard(&m, 1, &dir, &ShardOpts::default());
+    let (last, more) = Vitals::load(&vitals_file).expect("finished shard keeps its vitals");
+    assert_eq!(more, lines + finished.checkpoints);
+    assert_eq!(last.completed, last.hi - last.lo);
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("shard dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["shard-1.json", "shard-1.vitals"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
