@@ -85,120 +85,6 @@ impl FaultRates {
             && self.handshake_drop == 0.0
             && self.handshake_delay == 0.0
     }
-
-    /// The canonical field order of the JSON form — also the
-    /// declaration order of the struct. [`FaultRates::to_json`] emits
-    /// exactly these keys and [`FaultRates::from_json`] accepts no
-    /// others, so two semantically identical rate sets always
-    /// serialize to identical bytes (what `sim-serve` content-hashes).
-    pub const FIELDS: [&'static str; 9] = [
-        "gate_stuck",
-        "gate_transient",
-        "gate_delay",
-        "delay_spread",
-        "buffer_dead",
-        "buffer_degraded",
-        "degrade_spread",
-        "handshake_drop",
-        "handshake_delay",
-    ];
-
-    fn field(&self, name: &str) -> f64 {
-        match name {
-            "gate_stuck" => self.gate_stuck,
-            "gate_transient" => self.gate_transient,
-            "gate_delay" => self.gate_delay,
-            "delay_spread" => self.delay_spread,
-            "buffer_dead" => self.buffer_dead,
-            "buffer_degraded" => self.buffer_degraded,
-            "degrade_spread" => self.degrade_spread,
-            "handshake_drop" => self.handshake_drop,
-            "handshake_delay" => self.handshake_delay,
-            _ => unreachable!("unknown FaultRates field `{name}`"),
-        }
-    }
-
-    fn field_mut(&mut self, name: &str) -> &mut f64 {
-        match name {
-            "gate_stuck" => &mut self.gate_stuck,
-            "gate_transient" => &mut self.gate_transient,
-            "gate_delay" => &mut self.gate_delay,
-            "delay_spread" => &mut self.delay_spread,
-            "buffer_dead" => &mut self.buffer_dead,
-            "buffer_degraded" => &mut self.buffer_degraded,
-            "degrade_spread" => &mut self.degrade_spread,
-            "handshake_drop" => &mut self.handshake_drop,
-            "handshake_delay" => &mut self.handshake_delay,
-            _ => unreachable!("unknown FaultRates field `{name}`"),
-        }
-    }
-
-    /// Serializes every field, in [`FaultRates::FIELDS`] order, as a
-    /// JSON object — the canonical wire form.
-    #[must_use]
-    pub fn to_json(&self) -> sim_observe::Json {
-        sim_observe::Json::obj(
-            Self::FIELDS
-                .iter()
-                .map(|&name| (name, sim_observe::Json::Float(self.field(name))))
-                .collect(),
-        )
-    }
-
-    /// Parses a (possibly partial) JSON object into rates: absent
-    /// fields keep their [`FaultRates::none`] defaults, so
-    /// `{}` round-trips to `FaultRates::none()` and a request that
-    /// spells out the defaults normalizes to the same value.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-object input, unknown keys, non-numeric values,
-    /// and any rate set that fails [`FaultRates::validate`].
-    pub fn from_json(doc: &sim_observe::Json) -> Result<Self, String> {
-        let pairs = doc
-            .as_object()
-            .ok_or_else(|| "fault_rates must be a JSON object".to_owned())?;
-        let mut rates = FaultRates::none();
-        for (key, value) in pairs {
-            if !Self::FIELDS.contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown fault_rates field `{key}` (known: {})",
-                    Self::FIELDS.join(", ")
-                ));
-            }
-            let v = value
-                .as_f64()
-                .ok_or_else(|| format!("fault_rates.{key} must be a number"))?;
-            *rates.field_mut(key) = v;
-        }
-        rates.validate()?;
-        Ok(rates)
-    }
-
-    /// Checks every probability lies in `[0, 1]` and every spread is
-    /// finite and non-negative.
-    ///
-    /// # Errors
-    ///
-    /// Names the first offending field and its value.
-    pub fn validate(&self) -> Result<(), String> {
-        for name in Self::FIELDS {
-            let v = self.field(name);
-            let is_spread = name.ends_with("_spread");
-            let ok = if is_spread {
-                v.is_finite() && v >= 0.0
-            } else {
-                v.is_finite() && (0.0..=1.0).contains(&v)
-            };
-            if !ok {
-                return Err(format!(
-                    "fault_rates.{name} = {v} is out of range ({})",
-                    if is_spread { "spreads must be >= 0" } else { "rates must be in [0, 1]" }
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A fault drawn for one gate (or inverter, or generic net driver).
@@ -441,66 +327,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rates_json_round_trips_and_defaults_fill() {
-        let rates = FaultRates::uniform(0.25);
-        let back = FaultRates::from_json(&rates.to_json()).expect("round-trips");
-        assert_eq!(back, rates);
-        // {} default-fills to none(): the normalization sim-serve
-        // relies on for identical content hashes.
-        let empty = sim_observe::json::parse("{}").unwrap();
-        assert_eq!(FaultRates::from_json(&empty).unwrap(), FaultRates::none());
-        assert_eq!(
-            FaultRates::from_json(&FaultRates::none().to_json()).unwrap(),
-            FaultRates::none()
-        );
-        // Partial objects keep defaults for the rest.
-        let partial = sim_observe::json::parse(r#"{"handshake_drop":0.1}"#).unwrap();
-        let parsed = FaultRates::from_json(&partial).unwrap();
-        assert_eq!(parsed.handshake_drop, 0.1);
-        assert_eq!(parsed.delay_spread, FaultRates::none().delay_spread);
-        // Canonical bytes: field order is FIELDS order regardless of
-        // input order.
-        let reordered = sim_observe::json::parse(
-            r#"{"handshake_delay":0.0,"gate_stuck":0.0625,"gate_transient":0.25}"#,
-        )
-        .unwrap();
-        let expected = FaultRates {
-            gate_stuck: 0.0625,
-            gate_transient: 0.25,
-            handshake_delay: 0.0,
-            ..FaultRates::none()
-        };
-        assert_eq!(
-            FaultRates::from_json(&reordered).unwrap().to_json().to_compact(),
-            expected.to_json().to_compact()
-        );
-    }
-
-    #[test]
-    fn rates_json_rejects_unknown_fields_bad_types_and_ranges() {
-        for (doc, needle) in [
-            (r#"{"gate_stick":0.1}"#, "unknown fault_rates field"),
-            (r#"{"gate_stuck":"high"}"#, "must be a number"),
-            (r#"{"gate_stuck":1.5}"#, "out of range"),
-            (r#"{"gate_stuck":-0.1}"#, "out of range"),
-            (r#"{"delay_spread":-1.0}"#, "out of range"),
-            (r#"[]"#, "must be a JSON object"),
-        ] {
-            let parsed = sim_observe::json::parse(doc).unwrap();
-            let err = FaultRates::from_json(&parsed)
-                .expect_err(&format!("{doc} must be rejected"));
-            assert!(err.contains(needle), "{doc}: {err}");
-        }
-        // validate() on a hand-built struct catches the same classes.
-        let bad = FaultRates {
-            buffer_dead: f64::NAN,
-            ..FaultRates::none()
-        };
-        assert!(bad.validate().unwrap_err().contains("buffer_dead"));
-        assert!(FaultRates::uniform(1.0).validate().is_ok());
-    }
 
     #[test]
     fn queries_are_pure_and_order_independent() {

@@ -436,11 +436,11 @@ impl Netlist {
             max_delay = max_delay.max(reach);
         }
 
-        let levels = if self.registers.is_empty() {
-            Levels::of(&self.gates, &self.driven, &fanout_offsets, &rows)
-        } else {
-            None
-        };
+        let sources = (n_wires - self.gates.len()) as u32;
+        let levelizable = self.registers.is_empty()
+            && self.gates.iter().zip(sources..).all(|(g, out)| {
+                g.out == out && g.in_a < out && (g.in_b == NONE || g.in_b < out)
+            });
         let mut registers = self.registers;
         registers.sort_unstable_by_key(|r| r.q);
         SealedNetlist {
@@ -450,151 +450,7 @@ impl Netlist {
             fanout_offsets,
             rows,
             max_delay_ps: max_delay,
-            levels,
-        }
-    }
-}
-
-/// The gate order of a levelized run, fixed once at seal time for a
-/// *levelizable* netlist: acyclic and register-free. (A register's
-/// setup/hold checks are recorded in global detection order, which a
-/// wire-by-wire pass does not reproduce, so registers keep the event
-/// loop.)
-///
-/// The run *produces* the sources first, then each gate's output in
-/// gate order, and drops a wire's transitions once its last consumer
-/// has run.
-#[derive(Debug, Clone)]
-pub(crate) enum Levels {
-    /// Wires `0..sources` are externally driven and gate `g` drives
-    /// wire `sources + g` from lower wires — what the chain and mesh
-    /// builders emit. Production order is then wire order, a wire's
-    /// last consumer is the last entry of its fanout row, and no table
-    /// is stored.
-    InOrder { sources: u32 },
-    /// Any other levelizable netlist.
-    Sorted(Box<SortedLevels>),
-}
-
-/// The explicit tables of [`Levels::Sorted`].
-#[derive(Debug, Clone)]
-pub(crate) struct SortedLevels {
-    /// Externally driven wires, in id order.
-    sources: Vec<u32>,
-    /// Every gate, each after the drivers of its inputs.
-    order: Vec<u32>,
-    /// Per wire: its production position.
-    pos: Vec<u32>,
-    /// Per production position: one past the position in `order` of
-    /// the wire's last consumer, 0 for a wire nothing reads.
-    last_use: Vec<u32>,
-}
-
-impl Levels {
-    /// The gate order, or `None` when the gates form a cycle.
-    fn of(gates: &[Gate], driven: &[bool], offsets: &[u32], rows: &[Fanout]) -> Option<Levels> {
-        let n_wires = driven.len();
-        let k = (n_wires - gates.len()) as u32;
-        let in_order = gates.iter().zip(k..).all(|(g, out)| {
-            g.out == out && g.in_a < out && (g.in_b == NONE || g.in_b < out)
-        });
-        if in_order {
-            return Some(Levels::InOrder { sources: k });
-        }
-        // Kahn's algorithm over driven inputs, seeded in id order.
-        let mut driver = vec![NONE; n_wires];
-        for (i, g) in gates.iter().enumerate() {
-            driver[g.out as usize] = i as u32;
-        }
-        let pending_inputs = |g: &Gate| {
-            u8::from(driven[g.in_a as usize]) + u8::from(g.in_b != NONE && driven[g.in_b as usize])
-        };
-        let mut waiting: Vec<u8> = gates.iter().map(pending_inputs).collect();
-        let mut order: Vec<u32> = (0..gates.len() as u32)
-            .filter(|&g| waiting[g as usize] == 0)
-            .collect();
-        let mut next = 0;
-        while next < order.len() {
-            let out = gates[order[next] as usize].out as usize;
-            next += 1;
-            for f in &rows[offsets[out] as usize..offsets[out + 1] as usize] {
-                let g = driver[f.out as usize];
-                waiting[g as usize] -= 1;
-                if waiting[g as usize] == 0 {
-                    order.push(g);
-                }
-            }
-        }
-        if order.len() < gates.len() {
-            return None;
-        }
-        let sources: Vec<u32> = (0..n_wires as u32).filter(|&w| !driven[w as usize]).collect();
-        let mut pos = vec![0u32; n_wires];
-        let outputs = order.iter().map(|&g| gates[g as usize].out);
-        for (p, w) in sources.iter().copied().chain(outputs).enumerate() {
-            pos[w as usize] = p as u32;
-        }
-        let mut last_use = vec![0u32; n_wires];
-        for (i, &g) in order.iter().enumerate() {
-            let g = &gates[g as usize];
-            last_use[pos[g.in_a as usize] as usize] = i as u32 + 1;
-            if g.in_b != NONE {
-                last_use[pos[g.in_b as usize] as usize] = i as u32 + 1;
-            }
-        }
-        Some(Levels::Sorted(Box::new(SortedLevels {
-            sources,
-            order,
-            pos,
-            last_use,
-        })))
-    }
-
-    /// Number of sources.
-    pub fn n_sources(&self) -> usize {
-        match self {
-            Levels::InOrder { sources } => *sources as usize,
-            Levels::Sorted(s) => s.sources.len(),
-        }
-    }
-
-    /// The `i`-th source wire.
-    pub fn source(&self, i: usize) -> u32 {
-        match self {
-            Levels::InOrder { .. } => i as u32,
-            Levels::Sorted(s) => s.sources[i],
-        }
-    }
-
-    /// The gate at position `i` of the gate order.
-    pub fn gate(&self, i: usize) -> usize {
-        match self {
-            Levels::InOrder { .. } => i,
-            Levels::Sorted(s) => s.order[i] as usize,
-        }
-    }
-
-    /// Wire `w`'s production position.
-    pub fn pos(&self, w: u32) -> usize {
-        match self {
-            Levels::InOrder { .. } => w as usize,
-            Levels::Sorted(s) => s.pos[w as usize] as usize,
-        }
-    }
-
-    /// One past the gate position of the last consumer of the wire at
-    /// production position `p`, 0 if nothing reads it.
-    pub fn last_use(&self, nl: &SealedNetlist, p: usize) -> usize {
-        match self {
-            Levels::InOrder { sources } => {
-                let (start, end) = (nl.fanout_offsets[p], nl.fanout_offsets[p + 1]);
-                if start == end {
-                    0
-                } else {
-                    (nl.rows[end as usize - 1].out - sources + 1) as usize
-                }
-            }
-            Levels::Sorted(s) => s.last_use[p] as usize,
+            levelizable,
         }
     }
 }
@@ -614,20 +470,25 @@ pub struct SealedNetlist {
     /// gate schedules (delay-fault scaling excluded) — the calendar
     /// wheel's sizing input.
     pub(crate) max_delay_ps: u64,
-    /// The levelized run's tables; `None` when the netlist is not
-    /// levelizable (see [`SealedNetlist::is_levelizable`]).
-    pub(crate) levels: Option<Levels>,
+    /// See [`SealedNetlist::is_levelizable`].
+    pub(crate) levelizable: bool,
 }
 
 impl SealedNetlist {
-    /// Whether the netlist is *levelizable* — acyclic and free of
-    /// registers — so that an untraced
+    /// Whether the netlist is *levelizable*, so that an untraced
     /// [`NetSim::run_to_quiescence`](crate::NetSim::run_to_quiescence)
-    /// evaluates each wire once in topological order instead of
-    /// running the event loop. Decided once, at seal time.
+    /// evaluates each wire once in wire order instead of running the
+    /// event loop. Decided once, at seal time: the netlist has no
+    /// registers and is *in order* — wires `0..sources` are externally
+    /// driven and gate `i` drives wire `sources + i` from lower wires,
+    /// as the chain and mesh builders emit. Wire order is then a
+    /// topological order, and a wire's last consumer is the last entry
+    /// of its fanout row. (A register's setup/hold checks are recorded
+    /// in global detection order, which a wire-by-wire pass does not
+    /// reproduce.) Any other netlist runs the event loop.
     #[must_use]
     pub fn is_levelizable(&self) -> bool {
-        self.levels.is_some()
+        self.levelizable
     }
 
     /// Number of wires.

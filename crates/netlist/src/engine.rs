@@ -54,20 +54,21 @@
 //! **Two ways a run executes.** The event loop above is one. The other
 //! is a *levelized* pass, taken by [`NetSim::run_to_quiescence`] alone,
 //! and only when tracing is off and the netlist is *levelizable* —
-//! acyclic and register-free, one predicate decided once by
+//! register-free, with each gate driving the next wire from lower
+//! ones, one predicate decided once by
 //! [`Netlist::seal`](crate::Netlist::seal) (see
 //! [`SealedNetlist::is_levelizable`]). The pass visits each wire once
-//! in topological order, starting from the simulator's current state,
+//! in wire order, starting from the simulator's current state,
 //! and reproduces the event loop exactly: every wire's value and last
 //! change, watched waveforms, every [`EngineStats`] field and `now`.
 //! It gives up, and the event loop runs from the untouched state,
 //! when the run would pass its limit or meets a same-instant tie that
 //! its dispatch key cannot order and whose two orders disagree. [`NetSim::run_until`],
-//! [`NetSim::run_budgeted`], traced runs and cyclic netlists
-//! (stoppable clocks, Muller pipelines, the gate-element pair) always
-//! take the event loop, which stays the oracle: it is pinned to the
-//! frozen reference fingerprints, and the levelized pass is checked
-//! against it.
+//! [`NetSim::run_budgeted`], traced runs, cyclic netlists (stoppable
+//! clocks, Muller pipelines, the gate-element pair) and acyclic ones
+//! whose gates are out of wire order always take the event loop, which
+//! stays the oracle: it is pinned to the frozen reference
+//! fingerprints, and the levelized pass is checked against it.
 
 use crate::arena::{Fanout, GateKind, SealedNetlist, WireId, NONE, TWO_INPUT};
 use crate::time::{SimTime, TimeOp, TimeOverflowError};

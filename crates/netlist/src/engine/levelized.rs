@@ -3,8 +3,9 @@
 //!
 //! On an acyclic, register-free netlist a wire's transitions depend
 //! only on its driver's input transitions, its own pending events,
-//! upsets and fault state. So the pass visits the sources and then
-//! every gate in the [`Levels`] order, and for each gate replays the
+//! upsets and fault state. So the pass visits the wires in wire order
+//! — the sources, then each gate's output, which an in-order netlist
+//! drives from lower wires — and for each gate replays the
 //! event loop's rules — inertial cancellation, one-shot pulses,
 //! C-element hold, stuck pins, delay scales — on a merge of its input
 //! transitions, its own in-flight events and its own upsets. A wire's
@@ -41,7 +42,7 @@
 //! past the time horizon (the event loop then panics as usual).
 
 use super::{NetSim, WireState, SCHEDULED, STUCK, WATCHED};
-use crate::arena::{truth, GateKind, Levels, SealedNetlist, NONE, TWO_INPUT};
+use crate::arena::{truth, GateKind, SealedNetlist, NONE, TWO_INPUT};
 use std::collections::VecDeque;
 
 /// The pass gave up; the event loop takes over from the saved state.
@@ -198,7 +199,9 @@ struct Mark {
 /// One levelized pass over a simulator's state.
 struct Levelized<'a> {
     nl: &'a SealedNetlist,
-    lv: &'a Levels,
+    /// Externally driven wires `0..sources`; gate `i` drives wire
+    /// `sources + i`.
+    sources: usize,
     wires: &'a mut [WireState],
     watches: &'a mut [(u32, Vec<(u64, bool)>)],
     /// The wheel's horizon minus one: a push further ahead goes to the
@@ -210,12 +213,12 @@ struct Levelized<'a> {
     ring: Vec<Tr>,
     base: usize,
     /// Logical start and count of the transitions of each produced,
-    /// unretired wire, in production order from `retired`.
+    /// unretired wire, in wire order from `retired`.
     live: VecDeque<(u32, u32)>,
-    /// Produced wires already retired, in production order.
+    /// Produced wires already retired, in wire order.
     retired: usize,
-    /// [`Levels::last_use`] of the oldest unretired wire, `usize::MAX`
-    /// until looked up.
+    /// [`Levelized::last_use`] of the oldest unretired wire,
+    /// `usize::MAX` until looked up.
     head_use: usize,
     inflight: Vec<Own>,
     /// The earliest in-flight time.
@@ -248,7 +251,7 @@ impl NetSim {
     /// simulator untouched when the event loop must run instead.
     pub(super) fn run_levelized(&mut self, limit: u64) -> Option<u64> {
         let nl = std::sync::Arc::clone(&self.nl);
-        let lv = nl.levels.as_ref()?;
+        debug_assert!(nl.is_levelizable());
         let upsets = &self.upsets[self.next_upset..];
         let depth0 = self.pending_events() as u64;
         if depth0 == 0 && upsets.is_empty() {
@@ -297,7 +300,7 @@ impl NetSim {
         let logged: Vec<usize> = self.watches.iter().map(|(_, log)| log.len()).collect();
         let mut pass = Levelized {
             nl: &nl,
-            lv,
+            sources: nl.n_wires() - nl.n_gates(),
             wires: &mut self.wires,
             watches: &mut self.watches,
             mask: self.wheel.horizon_ps() - 1,
@@ -370,13 +373,12 @@ impl NetSim {
 
 impl Levelized<'_> {
     fn run(&mut self) -> Pass<()> {
-        let lv = self.lv;
-        for i in 0..lv.n_sources() {
-            self.wire(lv.source(i), NONE, NONE)?;
+        for w in 0..self.sources as u32 {
+            self.wire(w, NONE, NONE)?;
         }
         for i in 0..self.nl.gates.len() {
             self.retire(i);
-            let g = self.nl.gates[lv.gate(i)];
+            let g = self.nl.gates[i];
             self.wire(g.out, g.in_a, g.in_b)?;
         }
         self.retire(usize::MAX);
@@ -413,14 +415,26 @@ impl Levelized<'_> {
         }
     }
 
-    /// Retires, in production order, every wire whose consumers all
-    /// sit before gate position `pos`: its transitions' depth steps are
-    /// final, and the ring space is reclaimed.
+    /// One past the index of the last gate reading wire `w`, 0 if
+    /// nothing reads it: the last entry of its fanout row, since rows
+    /// keep gate order.
+    fn last_use(&self, w: usize) -> usize {
+        let (start, end) = (self.nl.fanout_offsets[w], self.nl.fanout_offsets[w + 1]);
+        if start == end {
+            0
+        } else {
+            self.nl.rows[end as usize - 1].out as usize - self.sources + 1
+        }
+    }
+
+    /// Retires, in wire order, every wire whose consumers all sit
+    /// before gate `pos`: its transitions' depth steps are final, and
+    /// the ring space is reclaimed.
     fn retire(&mut self, pos: usize) {
-        let made = self.lv.n_sources() + pos.min(self.nl.gates.len());
+        let made = self.sources + pos.min(self.nl.gates.len());
         while self.retired < made {
             if self.head_use == usize::MAX {
-                self.head_use = self.lv.last_use(self.nl, self.retired);
+                self.head_use = self.last_use(self.retired);
             }
             if self.head_use > pos {
                 break;
@@ -479,7 +493,7 @@ impl Levelized<'_> {
             if w == NONE {
                 (0, 0)
             } else {
-                self.live[self.lv.pos(w) - self.retired]
+                self.live[w as usize - self.retired]
             }
         };
         let ((sa, na), (sb, nb)) = (input(a), input(b));
@@ -1058,10 +1072,8 @@ mod tests {
         };
         let chip = InverterString::fabricate(spec);
         let sealed = Arc::new(chip.netlist().seal());
-        assert!(matches!(
-            sealed.levels,
-            Some(Levels::InOrder { sources: 1 })
-        ));
+        assert!(sealed.is_levelizable());
+        assert_eq!(sealed.n_wires() - sealed.n_gates(), 1, "one source");
         let period = 2 * chip.worst_prefix_shrinkage_ps().unsigned_abs() + 8 * 8_000;
         takes_the_pass(
             || {
@@ -1094,10 +1106,11 @@ mod tests {
         }
     }
 
-    /// Gates added out of dependency order get an explicit order, and
-    /// the pass still runs them after their inputs.
+    /// Gates added out of wire order make an acyclic netlist that is
+    /// not levelizable: `run_to_quiescence` takes the event loop and
+    /// matches `run_budgeted` field for field.
     #[test]
-    fn shuffled_gates_get_a_sorted_order() {
+    fn shuffled_gates_take_the_event_loop() {
         let mut nl = Netlist::new();
         let w: Vec<crate::WireId> = (0..5).map(|_| nl.add_wire()).collect();
         nl.add_inverter(w[3], w[4], ps(7), ps(9));
@@ -1105,23 +1118,27 @@ mod tests {
         nl.add_buffer(w[0], w[1], ps(3), ps(4));
         nl.add_one_shot(w[0], w[2], ps(2), ps(6));
         let sealed = Arc::new(nl.seal());
-        let levels = sealed.levels.as_ref().expect("a DAG is levelizable");
-        assert!(
-            matches!(levels, Levels::Sorted(_)),
-            "out-of-order gates need a sorted order"
-        );
-        let order: Vec<usize> = (0..4).map(|i| levels.gate(i)).collect();
-        assert_eq!((levels.n_sources(), order), (1, vec![2, 3, 1, 0]));
-        takes_the_pass(
-            || {
-                let mut sim = NetSim::new(Arc::clone(&sealed));
-                for (k, t) in [10u64, 40, 70, 71].into_iter().enumerate() {
-                    sim.schedule_input(w[0], ps(t), k % 2 == 0);
-                }
-                sim
-            },
-            u64::MAX,
-        );
+        assert!(!sealed.is_levelizable(), "out-of-order gates");
+        let build = || {
+            let mut sim = NetSim::new(Arc::clone(&sealed));
+            sim.watch(w[4]);
+            for (k, t) in [10u64, 40, 70, 71].into_iter().enumerate() {
+                sim.schedule_input(w[0], ps(t), k % 2 == 0);
+            }
+            sim
+        };
+        let (mut quiet, mut budgeted) = (build(), build());
+        let at = quiet.run_to_quiescence(ps(10_000)).expect("quiesces");
+        let halt = budgeted.run_budgeted(RunBudget::new(ps(10_000), u64::MAX));
+        assert_eq!(halt, crate::engine::Halt::Quiescent { at });
+        assert_eq!(quiet.stats(), budgeted.stats());
+        assert_eq!(quiet.now(), budgeted.now());
+        assert_eq!(quiet.transitions_ps(w[4]), budgeted.transitions_ps(w[4]));
+        assert!(quiet.stats().events_processed > 0);
+        for w in 0..sealed.n_wires() {
+            let (a, b) = (quiet.wires[w], budgeted.wires[w]);
+            assert_eq!((a.value, a.change_ps), (b.value, b.change_ps), "wire {w}");
+        }
     }
 
     /// The windowed peak against one sort of every step.

@@ -132,7 +132,7 @@ fn custom_limits_are_honoured_exactly() {
 #[test]
 fn valid_documents_still_parse_under_network_limits() {
     // The hardening must not reject the protocol's own traffic.
-    let request = r#"{"experiment":"e2","seed":42,"trials":null,"params":{"fast":true},"fault_rates":{"gate_stuck":0.0}}"#;
+    let request = r#"{"experiment":"e2","seed":42,"trials":null,"params":{"fast":true}}"#;
     let doc = parse_with_limits(request, ParseLimits::network()).expect("valid request");
     assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("e2"));
     // Round-trip through the serializer is unchanged by limits.

@@ -3,7 +3,7 @@
 //! ```text
 //! sim_serve [--addr HOST] [--port P] [--workers N] [--queue N]
 //!           [--cache-bytes N] [--job-threads N] [--job-timeout-secs N]
-//!           [--port-file PATH] [--drain-on-stdin-close] [--no-telemetry]
+//!           [--port-file PATH] [--drain-on-stdin-close]
 //! ```
 //!
 //! Binds `HOST:P` (default `127.0.0.1:7071`; `--port 0` picks an
@@ -13,9 +13,9 @@
 //! how a supervising script triggers a graceful drain without
 //! signals. Draining finishes every accepted job before exiting.
 //!
-//! `--no-telemetry` turns off the live telemetry plane (the `metrics`
-//! op answers `bad_request`, `stats` reports `"slo": null`) and
-//! reduces the request path's telemetry cost to a single branch.
+//! The live telemetry plane is always on: the `metrics` op and the
+//! `slo` section of `stats` account every request against the default
+//! SLO policy.
 //!
 //! Exit codes follow the workspace convention: 0 on a clean drain,
 //! 1 on runtime failure (bind error), 2 on usage errors; `--help`
@@ -30,7 +30,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: sim_serve [--addr HOST] [--port P] [--workers N] [--queue N] \
 [--cache-bytes N] [--job-threads N] [--job-timeout-secs N] [--port-file PATH] \
-[--drain-on-stdin-close] [--no-telemetry]";
+[--drain-on-stdin-close]";
 
 struct Opts {
     addr: String,
@@ -63,7 +63,6 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
             }
             "--port-file" => opts.port_file = Some(args.value("--port-file")?),
             "--drain-on-stdin-close" => opts.drain_on_stdin_close = true,
-            "--no-telemetry" => opts.engine.telemetry = false,
             other => return Err(cli::unknown(other)),
         }
     }
@@ -97,14 +96,13 @@ fn main() {
     }
     eprintln!(
         "sim_serve: listening on {addr} ({} workers, queue {}, cache {} bytes, \
-         job timeout {}, telemetry {})",
+         job timeout {})",
         opts.engine.workers,
         opts.engine.queue_cap,
         opts.engine.cache_bytes,
         opts.engine
             .job_timeout
             .map_or("none".to_owned(), |t| format!("{}s", t.as_secs())),
-        if opts.engine.telemetry { "on" } else { "off" },
     );
     if opts.drain_on_stdin_close {
         let stop = server.stop_flag();

@@ -12,8 +12,7 @@
 //! what the smoke scripts scrape.
 //!
 //! Exits 0 on success, 1 when the server is unreachable or answers
-//! with an error (including telemetry-disabled servers), 2 on usage
-//! errors.
+//! with an error, 2 on usage errors.
 
 use sim_observe::{parse_with_limits, Json, ParseLimits};
 use sim_runtime::cli::{self, Args, CliError};

@@ -18,6 +18,10 @@
 //!    running and still populates the cache — a slow experiment is
 //!    paid for once, then served from cache forever.
 //!
+//! Every `run` and `frontier` call, served or refused, is timed into
+//! the engine's [`EngineTelemetry`], which is always on: the `metrics`
+//! op and the `slo` section of `stats` report it.
+//!
 //! Lock discipline: the cache mutex and the in-flight mutex are never
 //! held at the same time. The price is a benign race — a job that
 //! finishes between a cache miss and the in-flight check may be
@@ -33,7 +37,6 @@ use crate::cache::{Cache, CacheStats};
 use crate::pool::{Pool, PoolStats, SubmitError};
 use crate::request::{FrontierRequest, Request};
 use crate::telemetry::{EngineTelemetry, GaugeSnapshot};
-use sim_faults::FaultRates;
 use sim_observe::timeseries::SloPolicy;
 use sim_observe::duration_ns;
 use sim_runtime::{check_trials, json_core, run_experiment, Registry};
@@ -54,7 +57,7 @@ pub enum ServeError {
     /// result will be cached; a retry will usually hit.
     Timeout,
     /// The request is well-formed JSON but semantically unservable
-    /// (unknown experiment, unsupported fault rates, …).
+    /// (unknown experiment, too few trials, …).
     BadRequest(String),
     /// The experiment ran but failed (panicked).
     Failed(String),
@@ -123,11 +126,6 @@ pub struct EngineConfig {
     pub job_threads: usize,
     /// Waiter-side deadline per request; `None` waits indefinitely.
     pub job_timeout: Option<Duration>,
-    /// Live telemetry (`metrics` op, SLO accounting). Disabling it
-    /// reduces the request path's telemetry cost to a single branch.
-    pub telemetry: bool,
-    /// SLO budgets the telemetry accounts against.
-    pub slo: SloPolicy,
 }
 
 impl Default for EngineConfig {
@@ -138,8 +136,6 @@ impl Default for EngineConfig {
             cache_bytes: 16 * 1024 * 1024,
             job_threads: 1,
             job_timeout: Some(Duration::from_secs(60)),
-            telemetry: true,
-            slo: SloPolicy::default(),
         }
     }
 }
@@ -154,9 +150,9 @@ pub struct Engine {
     coalesced: AtomicU64,
     job_threads: usize,
     job_timeout: Option<Duration>,
-    /// `None` = telemetry disabled; the request path then pays exactly
-    /// one branch (no clock read, no lock).
-    telemetry: Option<Mutex<EngineTelemetry>>,
+    /// Live telemetry (`metrics` op, SLO accounting against
+    /// [`SloPolicy::default`]).
+    telemetry: Mutex<EngineTelemetry>,
     /// Telemetry tick origin (ticks are milliseconds since this).
     started: Instant,
 }
@@ -183,9 +179,7 @@ impl Engine {
             coalesced: AtomicU64::new(0),
             job_threads: cfg.job_threads.max(1),
             job_timeout: cfg.job_timeout,
-            telemetry: cfg
-                .telemetry
-                .then(|| Mutex::new(EngineTelemetry::new(cfg.slo))),
+            telemetry: Mutex::new(EngineTelemetry::new(SloPolicy::default())),
             started: Instant::now(),
         }
     }
@@ -196,7 +190,7 @@ impl Engine {
     ///
     /// See [`ServeError`]; `Busy` and `Timeout` are retryable.
     pub fn run(self: &Arc<Self>, req: &Request) -> Result<Outcome, ServeError> {
-        let t0 = self.telemetry_start();
+        let t0 = Instant::now();
         let result = self.run_inner(req);
         self.telemetry_record("run", t0, result.is_ok());
         result
@@ -210,14 +204,6 @@ impl Engine {
                 self.registry.names().join(", ")
             )));
         };
-        if req.fault_rates != FaultRates::none() {
-            return Err(ServeError::BadRequest(
-                "nonzero fault_rates are reserved: no experiment consumes external \
-                 rates yet (e12 sweeps its fault grid internally); submit e12 with \
-                 default rates instead"
-                    .to_owned(),
-            ));
-        }
         let cfg = req.exp_config(self.job_threads);
         check_trials(exp, &cfg).map_err(ServeError::BadRequest)?;
         let registry = Arc::clone(&self.registry);
@@ -240,7 +226,7 @@ impl Engine {
     ///
     /// See [`ServeError`]; `Busy` and `Timeout` are retryable.
     pub fn frontier(self: &Arc<Self>, req: &FrontierRequest) -> Result<Outcome, ServeError> {
-        let t0 = self.telemetry_start();
+        let t0 = Instant::now();
         let result = self.frontier_inner(req);
         self.telemetry_record("frontier", t0, result.is_ok());
         result
@@ -384,22 +370,11 @@ impl Engine {
         }
     }
 
-    /// Telemetry entry gate: the *entire* disabled path is this one
-    /// branch — no clock read, no lock, no allocation.
-    fn telemetry_start(&self) -> Option<Instant> {
-        if self.telemetry.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Telemetry exit: records latency/outcome for `op` and samples
+    /// Records latency/outcome for `op`, started at `t0`, and samples
     /// the queue/in-flight/cache gauges. Gauges are read *before*
     /// taking the telemetry lock — it is never held together with the
     /// pool, cache, or in-flight locks.
-    fn telemetry_record(&self, op: &str, t0: Option<Instant>, ok: bool) {
-        let Some(t0) = t0 else { return };
+    fn telemetry_record(&self, op: &str, t0: Instant, ok: bool) {
         let latency_ns = duration_ns(t0.elapsed());
         let tick_ms = duration_ns(self.started.elapsed()) / 1_000_000;
         let pool = self.pool_stats();
@@ -408,29 +383,22 @@ impl Engine {
             in_flight: self.inflight.lock().expect("inflight mutex").len() as u64,
             cache_hit_rate: self.cache_stats().hit_rate(),
         };
-        if let Some(tel) = &self.telemetry {
-            tel.lock()
-                .expect("telemetry mutex")
-                .record(op, tick_ms, latency_ns, ok, gauges);
-        }
+        self.telemetry
+            .lock()
+            .expect("telemetry mutex")
+            .record(op, tick_ms, latency_ns, ok, gauges);
     }
 
-    /// The `metrics` op's JSON body ([`crate::telemetry`] document);
-    /// `None` when telemetry is disabled.
+    /// The `metrics` op's JSON body ([`crate::telemetry`] document).
     #[must_use]
-    pub fn metrics_json(&self) -> Option<sim_observe::Json> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.lock().expect("telemetry mutex").to_json())
+    pub fn metrics_json(&self) -> sim_observe::Json {
+        self.telemetry.lock().expect("telemetry mutex").to_json()
     }
 
-    /// The `metrics` op's Prometheus-text body; `None` when telemetry
-    /// is disabled.
+    /// The `metrics` op's Prometheus-text body.
     #[must_use]
-    pub fn metrics_prometheus(&self) -> Option<String> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.lock().expect("telemetry mutex").to_prometheus())
+    pub fn metrics_prometheus(&self) -> String {
+        self.telemetry.lock().expect("telemetry mutex").to_prometheus()
     }
 
     /// Cache counters.
@@ -452,16 +420,12 @@ impl Engine {
     }
 
     /// The `stats` op payload: cache snapshot, pool counters, and SLO
-    /// state — a fixed deterministic shape with volatile values
-    /// (`slo` is `null` when telemetry is disabled).
+    /// state — a fixed deterministic shape with volatile values.
     #[must_use]
     pub fn stats_json(&self) -> sim_observe::Json {
         use sim_observe::Json;
         let pool = self.pool_stats();
-        let slo = self
-            .telemetry
-            .as_ref()
-            .map_or(Json::Null, |t| t.lock().expect("telemetry mutex").slo_json());
+        let slo = self.telemetry.lock().expect("telemetry mutex").slo_json();
         Json::obj(vec![
             ("cache", self.cache.lock().expect("cache mutex").stats_json()),
             (
@@ -551,17 +515,11 @@ mod tests {
     }
 
     #[test]
-    fn unknown_experiment_and_fault_rates_are_bad_requests() {
+    fn unknown_experiments_and_too_few_trials_are_bad_requests() {
         let eng = engine(&EngineConfig::default());
         let err = eng.run(&Request::new("e99")).expect_err("unknown name");
         assert!(matches!(err, ServeError::BadRequest(_)));
         assert!(err.to_string().contains("e99"), "{err}");
-
-        let mut req = fast_request("e2", 1);
-        req.fault_rates.gate_stuck = 0.5;
-        let err = eng.run(&req).expect_err("nonzero rates are reserved");
-        assert!(matches!(err, ServeError::BadRequest(_)));
-        assert!(err.to_string().contains("e12"), "{err}");
         assert_eq!(err.status(), "bad_request");
 
         // Fewer trials than e5's capture check needs: refused up front,
@@ -674,7 +632,7 @@ mod tests {
         eng.run(&fast_request("e2", 3)).expect("cold run");
         eng.run(&fast_request("e2", 3)).expect("cache hit");
         let _ = eng.run(&Request::new("e99")).expect_err("bad request");
-        let doc = eng.metrics_json().expect("telemetry on by default");
+        let doc = eng.metrics_json();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some(crate::telemetry::METRICS_SCHEMA)
@@ -687,22 +645,9 @@ mod tests {
             Some(&Json::UInt(3)),
             "SLO accounting sees every request, hits and errors included"
         );
-        let prom = eng.metrics_prometheus().expect("exposition available");
+        let prom = eng.metrics_prometheus();
         assert!(prom.contains("serve_requests_total{op=\"run\"} 3"), "{prom}");
         assert!(prom.contains("serve_errors_total{op=\"run\"} 1"), "{prom}");
-    }
-
-    #[test]
-    fn disabled_telemetry_serves_but_reports_nothing() {
-        let eng = engine(&EngineConfig {
-            workers: 1,
-            telemetry: false,
-            ..EngineConfig::default()
-        });
-        eng.run(&fast_request("e2", 5)).expect("serves without telemetry");
-        assert!(eng.metrics_json().is_none());
-        assert!(eng.metrics_prometheus().is_none());
-        assert_eq!(eng.stats_json().get("slo"), Some(&Json::Null));
     }
 
     use sim_observe::Json;

@@ -8,7 +8,7 @@
 //! normalization happens in exactly one place:
 //!
 //! * absent fields are default-filled (`seed` 1, `trials` null,
-//!   `params.fast` false, `fault_rates` all-defaults), so
+//!   `params.fast` false), so
 //!   `{"experiment":"e2"}` and `{"experiment":"e2","seed":1}` are the
 //!   same request;
 //! * field order is fixed by [`Request::canonical_json`] regardless of
@@ -21,14 +21,14 @@
 //! a hash collision can never serve the wrong body — the hex key is a
 //! compact handle, not a trusted identity.
 
-use sim_faults::FaultRates;
 use sim_observe::Json;
 use sim_runtime::ExpConfig;
 
 /// Version of the request wire schema, embedded in the canonical form
 /// (bump on any incompatible change — old and new requests must not
-/// collide in a shared cache).
-pub const REQUEST_SCHEMA_VERSION: u64 = 1;
+/// collide in a shared cache). Version 2 dropped the reserved
+/// fault-rate override field.
+pub const REQUEST_SCHEMA_VERSION: u64 = 2;
 
 /// A validated, default-filled experiment request.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,11 +41,6 @@ pub struct Request {
     pub trials: Option<usize>,
     /// Reduced-size smoke mode (the CLI's `--fast`).
     pub fast: bool,
-    /// Fault-injection rate overrides. Normalized and content-hashed;
-    /// the engine currently accepts only the all-default value (e12
-    /// sweeps its fault grid internally) and rejects others with a
-    /// structured error rather than silently ignoring them.
-    pub fault_rates: FaultRates,
 }
 
 impl Request {
@@ -57,7 +52,6 @@ impl Request {
             seed: 1,
             trials: None,
             fast: false,
-            fault_rates: FaultRates::none(),
         }
     }
 
@@ -122,11 +116,10 @@ impl Request {
                         }
                     }
                 }
-                "fault_rates" => req.fault_rates = FaultRates::from_json(value)?,
                 other => {
                     return Err(format!(
                         "unknown request field `{other}` \
-                         (known: experiment, seed, trials, params, fault_rates)"
+                         (known: experiment, seed, trials, params)"
                     ))
                 }
             }
@@ -148,7 +141,6 @@ impl Request {
                 self.trials.map_or(Json::Null, |t| Json::UInt(t as u64)),
             ),
             ("params", Json::obj(vec![("fast", Json::Bool(self.fast))])),
-            ("fault_rates", self.fault_rates.to_json()),
         ])
     }
 
@@ -311,8 +303,7 @@ mod tests {
     fn defaults_fill_and_explicit_defaults_normalize_identically() {
         let minimal = req(r#"{"experiment":"e2"}"#).unwrap();
         let spelled = req(
-            r#"{"experiment":"e2","seed":1,"trials":null,
-                "params":{"fast":false},"fault_rates":{}}"#,
+            r#"{"experiment":"e2","seed":1,"trials":null,"params":{"fast":false}}"#,
         )
         .unwrap();
         assert_eq!(minimal, spelled);
@@ -325,13 +316,6 @@ mod tests {
         let a = req(r#"{"experiment":"e3","seed":9,"params":{"fast":true}}"#).unwrap();
         let b = req(r#"{"params":{"fast":true},"seed":9,"experiment":"e3"}"#).unwrap();
         assert_eq!(a.canonical(), b.canonical());
-        // And spelling out a fault_rates default changes nothing.
-        let c = req(
-            r#"{"experiment":"e3","seed":9,"params":{"fast":true},
-                "fault_rates":{"gate_stuck":0.0}}"#,
-        )
-        .unwrap();
-        assert_eq!(a.canonical(), c.canonical());
     }
 
     #[test]
@@ -342,7 +326,6 @@ mod tests {
             r#"{"experiment":"e3","seed":42}"#,
             r#"{"experiment":"e2","seed":42,"trials":5}"#,
             r#"{"experiment":"e2","seed":42,"params":{"fast":true}}"#,
-            r#"{"experiment":"e2","seed":42,"fault_rates":{"gate_stuck":0.5}}"#,
         ] {
             let o = req(other).unwrap();
             assert_ne!(base.canonical(), o.canonical(), "{other}");
@@ -355,7 +338,7 @@ mod tests {
         let r = req(r#"{"experiment":"e2","seed":42,"params":{"fast":true}}"#).unwrap();
         assert_eq!(
             r.canonical(),
-            r#"{"v":1,"experiment":"e2","seed":42,"trials":null,"params":{"fast":true},"fault_rates":{"gate_stuck":0.0,"gate_transient":0.0,"gate_delay":0.0,"delay_spread":0.5,"buffer_dead":0.0,"buffer_degraded":0.0,"degrade_spread":1.0,"handshake_drop":0.0,"handshake_delay":0.0}}"#
+            r#"{"v":2,"experiment":"e2","seed":42,"trials":null,"params":{"fast":true}}"#
         );
         // The canonical form is a wire format, not a request: its `v`
         // marker is rejected if fed straight back in...
@@ -363,7 +346,7 @@ mod tests {
         assert!(err.contains("unknown request field `v`"), "{err}");
         // ...but with the marker stripped it round-trips to an equal
         // request.
-        let back = req(&r.canonical().replace(r#""v":1,"#, "")).unwrap();
+        let back = req(&r.canonical().replace(r#""v":2,"#, "")).unwrap();
         assert_eq!(back, r);
     }
 
@@ -380,8 +363,6 @@ mod tests {
             (r#"{"experiment":"e2","params":{"fast":1}}"#, "`params.fast`"),
             (r#"{"experiment":"e2","params":{"threads":4}}"#, "unknown params field"),
             (r#"{"experiment":"e2","sead":1}"#, "unknown request field `sead`"),
-            (r#"{"experiment":"e2","fault_rates":{"x":1}}"#, "unknown fault_rates"),
-            (r#"{"experiment":"e2","fault_rates":{"gate_stuck":2.0}}"#, "out of range"),
             (r#"[1]"#, "must be a JSON object"),
         ] {
             let err = req(doc).expect_err(&format!("{doc} must be rejected"));
@@ -414,14 +395,14 @@ mod tests {
         assert_eq!(minimal, spelled);
         assert_eq!(
             minimal.canonical(),
-            r#"{"v":1,"op":"frontier","seed":1,"trials":null,"fast":false}"#
+            r#"{"v":2,"op":"frontier","seed":1,"trials":null,"fast":false}"#
         );
         assert_eq!(minimal.key(), spelled.key());
         // Different parameters address different cache entries.
         let other = freq(r#"{"op":"frontier","seed":2}"#).unwrap();
         assert_ne!(minimal.canonical(), other.canonical());
         // And a frontier request never collides with a run request.
-        assert!(!minimal.canonical().starts_with(r#"{"v":1,"experiment""#));
+        assert!(!minimal.canonical().starts_with(r#"{"v":2,"experiment""#));
         // Malformed payloads name the offending field.
         for (doc, needle) in [
             (r#"{"op":"frontier","trials":0}"#, "at least 1"),

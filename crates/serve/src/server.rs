@@ -222,23 +222,12 @@ fn serve_line(
             let body = if prom {
                 engine.metrics_prometheus()
             } else {
-                engine.metrics_json().map(|doc| doc.to_compact())
+                engine.metrics_json().to_compact()
             };
-            match body {
-                Some(body) => writer
-                    .write_all(proto::payload_header("metrics", body.len()).as_bytes())
-                    .and_then(|()| writer.write_all(body.as_bytes()))
-                    .is_ok(),
-                None => writer
-                    .write_all(
-                        proto::error_header(
-                            "bad_request",
-                            "telemetry is disabled on this server",
-                        )
-                        .as_bytes(),
-                    )
-                    .is_ok(),
-            }
+            writer
+                .write_all(proto::payload_header("metrics", body.len()).as_bytes())
+                .and_then(|()| writer.write_all(body.as_bytes()))
+                .is_ok()
         }
         Op::Shutdown => {
             let _ = writer.write_all(proto::ok_header("shutdown").as_bytes());
@@ -423,20 +412,6 @@ mod tests {
         assert!(text.contains("# TYPE serve_requests_total counter"), "{text}");
         assert!(text.contains("serve_slo_attainment{op=\"run\"}"), "{text}");
 
-        // A telemetry-free server answers with a protocol error, not
-        // a hangup.
-        stop.store(true, Ordering::SeqCst);
-        drop(client);
-        handle.join().expect("drain");
-        let (addr, stop, handle) = start_server(&EngineConfig {
-            telemetry: false,
-            ..EngineConfig::default()
-        });
-        let mut client = Client::connect(addr).expect("connect");
-        let (h, _) = client.roundtrip(r#"{"op":"metrics"}"#).expect("answered");
-        assert_eq!(h.status, "bad_request");
-        let (h, _) = client.roundtrip(r#"{"op":"ping"}"#).expect("ping");
-        assert!(h.is_ok(), "connection survives the refusal");
         stop.store(true, Ordering::SeqCst);
         drop(client);
         handle.join().expect("drain");

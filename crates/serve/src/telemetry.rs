@@ -18,10 +18,9 @@
 //!   document is byte-identical across thread counts and machines;
 //!   only values inside the volatile `run` section move.
 //!
-//! The engine holds an `Option<Mutex<EngineTelemetry>>`; with
-//! telemetry disabled the request path pays exactly one branch
-//! (`telemetry_overhead` bench pins the same discipline the trace
-//! hooks follow).
+//! The engine always holds one `Mutex<EngineTelemetry>`, accounting
+//! against [`SloPolicy::default`]; the `telemetry_overhead` bench
+//! prices a sample, a cache-hit request and a scrape.
 
 use sim_observe::timeseries::{Exposition, SloPolicy, SloTracker, TimeSeries, WindowedHistogram};
 use sim_observe::{Json, LogHistogram};
@@ -100,7 +99,7 @@ pub struct GaugeSnapshot {
 }
 
 /// The engine's windowed telemetry state (behind the engine's
-/// `Option<Mutex<..>>`).
+/// `Mutex`).
 #[derive(Debug)]
 pub struct EngineTelemetry {
     policy: SloPolicy,

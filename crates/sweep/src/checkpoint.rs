@@ -24,8 +24,8 @@
 //! come from a torn append: it is damage, and the file is refused.
 //!
 //! Version-1 files (one pretty-printed document, rewritten whole at
-//! every boundary) still load. A resume rewrites one once as a
-//! journal, through [`sim_runtime::write_atomic`], and appends to that.
+//! every boundary) are refused like any other unsupported version: a
+//! resuming shard discards one and restarts.
 
 use crate::manifest::{req_str, req_u64};
 use sim_observe::{fnv1a64, Json};
@@ -33,11 +33,9 @@ use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 
-/// Schema identifier of the checkpoint header (and of a version-1
-/// checkpoint document).
+/// Schema identifier of the checkpoint header.
 pub const CHECKPOINT_SCHEMA: &str = "vlsi-sync/sweep-checkpoint";
 /// Current checkpoint schema version: 2, the append-only journal.
-/// Version-1 documents still load.
 pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
 
 /// One shard's persisted progress: identity (which manifest, which
@@ -61,14 +59,6 @@ pub struct Checkpoint {
     pub results: Vec<Json>,
 }
 
-/// How a loaded checkpoint is laid out on disk.
-enum Layout {
-    /// A version-1 document.
-    V1,
-    /// A journal whose intact lines end at this byte offset.
-    Journal(u64),
-}
-
 impl Checkpoint {
     /// Whether the shard has finished its whole range.
     #[must_use]
@@ -87,9 +77,8 @@ impl Checkpoint {
         out
     }
 
-    /// Reads a checkpoint file, journal or version-1 document. A torn
-    /// last journal line is dropped, so `completed` counts the intact
-    /// lines.
+    /// Reads a checkpoint journal. A torn last line is dropped, so
+    /// `completed` counts the intact lines.
     ///
     /// # Errors
     ///
@@ -101,23 +90,25 @@ impl Checkpoint {
     }
 }
 
-/// Reads and validates the checkpoint at `path`, with its layout.
-fn read(path: &str) -> Result<(Checkpoint, Layout), String> {
+/// Reads and validates the checkpoint at `path`, with the byte length
+/// of its intact lines.
+fn read(path: &str) -> Result<(Checkpoint, u64), String> {
     let bytes =
         std::fs::read(path).map_err(|e| format!("cannot read checkpoint `{path}`: {e}"))?;
-    // A version-1 document is pretty-printed; a journal header is not.
-    if bytes.starts_with(b"{\n") {
-        return from_v1(path, &bytes).map(|cp| (cp, Layout::V1));
-    }
     let header_end = bytes
         .iter()
         .position(|&b| b == b'\n')
         .ok_or_else(|| format!("checkpoint `{path}` has a torn header"))?;
-    let header = std::str::from_utf8(&bytes[..header_end])
-        .ok()
-        .and_then(|text| sim_observe::parse(text).ok())
-        .ok_or_else(|| format!("checkpoint `{path}` has a malformed header"))?;
-    check_schema(&header, CHECKPOINT_SCHEMA_VERSION)?;
+    let json = |b: &[u8]| std::str::from_utf8(b).ok().and_then(|t| sim_observe::parse(t).ok());
+    let Some(header) = json(&bytes[..header_end]) else {
+        // A whole pretty-printed document, as version 1 wrote, is
+        // refused by its own schema fields.
+        let refusal = json(&bytes).and_then(|doc| check_schema(&doc).err());
+        return Err(
+            refusal.unwrap_or_else(|| format!("checkpoint `{path}` has a malformed header")),
+        );
+    };
+    check_schema(&header)?;
     let (results, intact) = decode_lines(&bytes[header_end + 1..])
         .map_err(|n| format!("checkpoint `{path}` is damaged at result line {n}"))?;
     let cp = Checkpoint {
@@ -129,50 +120,16 @@ fn read(path: &str) -> Result<(Checkpoint, Layout), String> {
         results,
     };
     check_progress("checkpoint", cp.lo, cp.completed, cp.hi)?;
-    Ok((cp, Layout::Journal((header_end + 1 + intact) as u64)))
+    Ok((cp, (header_end + 1 + intact) as u64))
 }
 
-/// Parses a version-1 document: the whole prefix in one object, with
-/// `completed` stored beside `results` (and a volatile `wall_ms`,
-/// ignored).
-fn from_v1(path: &str, bytes: &[u8]) -> Result<Checkpoint, String> {
-    let value = std::str::from_utf8(bytes)
-        .map_err(|e| e.to_string())
-        .and_then(|text| sim_observe::parse(text).map_err(|e| e.to_string()))
-        .map_err(|e| format!("checkpoint `{path}` is not valid JSON: {e}"))?;
-    check_schema(&value, 1)?;
-    let results = value
-        .get("results")
-        .ok_or("missing field `results`")?
-        .as_array()
-        .ok_or("`results` must be an array")?
-        .to_vec();
-    let cp = Checkpoint {
-        manifest_digest: req_str(&value, "manifest_digest")?,
-        shard: req_u64(&value, "shard")?,
-        lo: req_u64(&value, "lo")?,
-        hi: req_u64(&value, "hi")?,
-        completed: req_u64(&value, "completed")?,
-        results,
-    };
-    if cp.results.len() as u64 != cp.completed {
-        return Err(format!(
-            "checkpoint claims {} completed trials but holds {} results",
-            cp.completed,
-            cp.results.len()
-        ));
-    }
-    check_progress("checkpoint", cp.lo, cp.completed, cp.hi)?;
-    Ok(cp)
-}
-
-fn check_schema(value: &Json, want: u64) -> Result<(), String> {
+fn check_schema(value: &Json) -> Result<(), String> {
     let schema = req_str(value, "schema")?;
     if schema != CHECKPOINT_SCHEMA {
         return Err(format!("not a sweep checkpoint: schema `{schema}`"));
     }
     let version = req_u64(value, "schema_version")?;
-    if version != want {
+    if version != CHECKPOINT_SCHEMA_VERSION {
         return Err(format!("unsupported checkpoint schema version {version}"));
     }
     Ok(())
@@ -249,11 +206,11 @@ fn decode_line(line: &[u8]) -> Option<Json> {
 }
 
 /// Best-effort read for resume: `None` when the file is absent or
-/// unusable (a torn header, damage, a wrong schema). A torn header
-/// only means the shard's first append was cut short, and anything
-/// else is external damage: either way the shard restarts from
-/// scratch rather than dying.
-fn recover(path: &str) -> Option<(Checkpoint, Layout)> {
+/// unusable (a torn header, damage, a wrong schema or version). A torn
+/// header only means the shard's first append was cut short, and
+/// anything else is external damage or a format this reader no longer
+/// takes: either way the shard restarts from scratch rather than dying.
+fn recover(path: &str) -> Option<(Checkpoint, u64)> {
     if !std::path::Path::new(path).exists() {
         return None;
     }
@@ -266,10 +223,11 @@ fn recover(path: &str) -> Option<(Checkpoint, Layout)> {
     }
 }
 
-/// The writing side of a shard's journal: the result lines pushed
-/// since the last [`flush`](Journal::flush), and the file they go to.
-/// Nothing is written on drop, so a shard that stops between
-/// boundaries leaves the last boundary's prefix.
+/// An append-only journal file: the lines pushed since the last
+/// [`flush`](Journal::flush), and the file they go to. Checkpoints and
+/// vitals both write through one. Nothing is written on drop, so a
+/// shard that stops between boundaries leaves the last boundary's
+/// lines.
 #[derive(Debug)]
 pub(crate) struct Journal {
     path: String,
@@ -279,10 +237,35 @@ pub(crate) struct Journal {
 }
 
 impl Journal {
-    /// Opens shard `shard`'s journal at `path` for appending and
+    /// A journal that replaces whatever is at `path` at its first
+    /// flush, which writes `head` first.
+    pub(crate) fn fresh(path: &str, head: String) -> Journal {
+        Journal {
+            path: path.to_owned(),
+            file: None,
+            pending: head,
+        }
+    }
+
+    /// Reopens the journal at `path` for appending, cut to its first
+    /// `intact` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the open or truncate failure.
+    pub(crate) fn resume(path: &str, intact: u64) -> std::io::Result<Journal> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(intact)?;
+        Ok(Journal {
+            path: path.to_owned(),
+            file: Some(file),
+            pending: String::new(),
+        })
+    }
+
+    /// Opens shard `shard`'s checkpoint at `path` for appending and
     /// returns it with the number of results already on disk. An
-    /// intact prefix is resumed: a journal is truncated to its intact
-    /// lines, a version-1 file is rewritten once as a journal. A
+    /// intact prefix is resumed, truncated to its intact lines. A
     /// missing or unusable file starts a fresh journal, which replaces
     /// it at the first flush.
     ///
@@ -290,20 +273,15 @@ impl Journal {
     ///
     /// Refuses a checkpoint of another manifest, shard or range, and
     /// reports a failure to reopen the file.
-    pub(crate) fn open(
+    pub(crate) fn open_checkpoint(
         path: &str,
         digest: &str,
         shard: u64,
         lo: u64,
         hi: u64,
     ) -> Result<(Journal, u64), String> {
-        let mut journal = Journal {
-            path: path.to_owned(),
-            file: None,
-            pending: header_line(digest, shard, lo, hi),
-        };
-        let Some((cp, layout)) = recover(path) else {
-            return Ok((journal, 0));
+        let Some((cp, intact)) = recover(path) else {
+            return Ok((Journal::fresh(path, header_line(digest, shard, lo, hi)), 0));
         };
         if cp.manifest_digest != digest {
             return Err(format!(
@@ -317,66 +295,38 @@ impl Journal {
                 cp.shard, cp.lo, cp.hi
             ));
         }
-        let reopen = || -> std::io::Result<File> {
-            if let Layout::V1 = layout {
-                sim_runtime::write_atomic(path, &cp.to_journal())?;
-            }
-            let file = OpenOptions::new().append(true).open(path)?;
-            if let Layout::Journal(intact) = layout {
-                file.set_len(intact)?;
-            }
-            Ok(file)
-        };
-        let file = reopen().map_err(|e| format!("cannot write checkpoint `{path}`: {e}"))?;
-        journal.file = Some(file);
-        journal.pending.clear();
+        let journal = Journal::resume(path, intact)
+            .map_err(|e| format!("cannot write checkpoint `{path}`: {e}"))?;
         Ok((journal, cp.completed))
     }
 
-    /// Queues one result line for the next flush.
-    pub(crate) fn push(&mut self, result: &Json) {
-        push_line(&mut self.pending, result);
+    /// Queues one line for the next flush.
+    pub(crate) fn push(&mut self, value: &Json) {
+        push_line(&mut self.pending, value);
     }
 
     /// Appends every queued line in one write. The first flush of a
     /// fresh journal creates the file, and any missing parent
-    /// directories, with the header in front.
+    /// directories.
     ///
     /// # Errors
     ///
-    /// Propagates the create or write failure.
+    /// Propagates the create or write failure; the queued lines are
+    /// dropped either way.
     pub(crate) fn flush(&mut self) -> std::io::Result<()> {
-        if self.file.is_none() {
-            let path = std::path::Path::new(&self.path);
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)?;
+        let pending = std::mem::take(&mut self.pending);
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                let path = std::path::Path::new(&self.path);
+                if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                    std::fs::create_dir_all(dir)?;
+                }
+                self.file.insert(File::create(path)?)
             }
-            self.file = Some(File::create(path)?);
-        }
-        if let Some(file) = &mut self.file {
-            file.write_all(self.pending.as_bytes())?;
-        }
-        self.pending.clear();
-        Ok(())
+        };
+        file.write_all(pending.as_bytes())
     }
-}
-
-/// The version-1 document shape: the whole prefix, pretty-printed, as
-/// sweeps before the journal wrote it.
-#[cfg(test)]
-pub(crate) fn v1_text(cp: &Checkpoint) -> String {
-    Json::obj(vec![
-        ("schema", Json::Str(CHECKPOINT_SCHEMA.to_owned())),
-        ("schema_version", Json::UInt(1)),
-        ("manifest_digest", Json::Str(cp.manifest_digest.clone())),
-        ("shard", Json::UInt(cp.shard)),
-        ("lo", Json::UInt(cp.lo)),
-        ("hi", Json::UInt(cp.hi)),
-        ("completed", Json::UInt(cp.completed)),
-        ("wall_ms", Json::Float(12.5)),
-        ("results", Json::Array(cp.results.clone())),
-    ])
-    .to_pretty()
 }
 
 #[cfg(test)]
@@ -409,7 +359,7 @@ mod tests {
 
     fn open(path: &str) -> (Journal, u64) {
         let cp = demo();
-        Journal::open(path, &cp.manifest_digest, cp.shard, cp.lo, cp.hi).expect("open")
+        Journal::open_checkpoint(path, &cp.manifest_digest, cp.shard, cp.lo, cp.hi).expect("open")
     }
 
     #[test]
@@ -470,18 +420,12 @@ mod tests {
     #[test]
     fn validation_rejects_inconsistent_documents() {
         let path = tmp_path("inconsistent");
-        let mut lying = demo();
-        lying.completed = 5; // holds 3 results
-        std::fs::write(&path, v1_text(&lying)).expect("write");
-        assert!(Checkpoint::load(&path).expect_err("v1").contains("claims 5"));
         let overrun = Checkpoint {
             hi: 12, // lo 10 + 3 > 12
             ..demo()
         };
-        for text in [v1_text(&overrun), overrun.to_journal()] {
-            std::fs::write(&path, text).expect("write");
-            assert!(Checkpoint::load(&path).expect_err("overrun").contains("overruns"));
-        }
+        std::fs::write(&path, overrun.to_journal()).expect("write");
+        assert!(Checkpoint::load(&path).expect_err("overrun").contains("overruns"));
         // A hostile `lo` is refused, not added into an overflow.
         let hostile = demo_with(1)
             .to_journal()

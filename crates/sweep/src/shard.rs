@@ -22,7 +22,7 @@
 
 use crate::checkpoint::Journal;
 use crate::manifest::{GridPoint, Manifest};
-use crate::vitals::{vitals_path, Vitals, VitalsLog};
+use crate::vitals::{vitals_path, Vitals};
 use sim_observe::Json;
 use sim_runtime::{ParallelSweep, SimRng};
 use std::ops::ControlFlow;
@@ -91,17 +91,17 @@ pub fn shard_path(dir: &str, shard: u64) -> String {
 /// those inputs.
 ///
 /// A valid checkpoint for the same manifest digest resumes the shard
-/// exactly where it stopped: a torn last line is truncated away and a
-/// version-1 file is rewritten once as a journal. An unusable one
-/// (external damage) is discarded and the shard restarts. Either way
-/// the final results are identical.
+/// exactly where it stopped, with a torn last line truncated away. An
+/// unusable one (external damage, or a version-1 file) is discarded
+/// and the shard restarts. Either way the final results are identical.
 ///
 /// # Errors
 ///
-/// Returns a message when a checkpoint cannot be written — the workers
-/// stop claiming trials at once, so the error comes back after the
-/// trials in flight, not at the end of the range — or when an existing
-/// checkpoint belongs to a different manifest or shard.
+/// Returns a message when `shard` is not below `manifest.shards`
+/// (nothing is run or written), when a checkpoint cannot be written —
+/// the workers stop claiming trials at once, so the error comes back
+/// after the trials in flight, not at the end of the range — or when
+/// an existing checkpoint belongs to a different manifest or shard.
 ///
 /// # Panics
 ///
@@ -118,14 +118,20 @@ pub fn run_shard<F>(
 where
     F: Fn(usize, &GridPoint, u64, &mut SimRng) -> Json + Sync,
 {
+    if shard >= manifest.shards {
+        return Err(format!(
+            "shard {shard} is past the manifest's {} shard(s)",
+            manifest.shards
+        ));
+    }
     let range = manifest.shard_range(shard);
     let (lo, hi) = (range.start as u64, range.end as u64);
     let digest = manifest.digest();
     let path = shard_path(dir, shard);
     let vitals_file = vitals_path(dir, shard);
 
-    let (mut journal, resumed_at) = Journal::open(&path, &digest, shard, lo, hi)?;
-    let mut vitals = VitalsLog::open(&vitals_file);
+    let (mut journal, resumed_at) = Journal::open_checkpoint(&path, &digest, shard, lo, hi)?;
+    let mut vitals = Journal::open_vitals(&vitals_file);
     let total = hi - lo;
     // The last trial this invocation runs: the range end, or where the
     // `stop_after` budget runs out.
@@ -167,7 +173,8 @@ where
             // progress reporting must never kill a sweep.
             let wall_ms = started.elapsed().as_secs_f64() * 1e3;
             let line = Vitals::from_stats(&digest, shard, lo, hi, done, wall_ms, stats);
-            if let Err(e) = vitals.append(&line) {
+            vitals.push(&line.to_json());
+            if let Err(e) = vitals.flush() {
                 eprintln!("warning: cannot write vitals `{vitals_file}`: {e}");
             }
             ControlFlow::Continue(())
@@ -508,17 +515,43 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_checkpoint_resumes_and_finishes_identically() {
+    fn a_version_1_checkpoint_restarts_the_shard() {
+        // The whole-document layout sweeps wrote before the journal.
         let m = long_manifest();
         let total = m.total_trials() as u64;
         let dir = fresh_dir("v1");
         std::fs::create_dir_all(&dir).expect("dir");
-        let v1 = crate::checkpoint::v1_text(&reference_prefix(&m, 7));
-        std::fs::write(shard_path(&dir, 0), v1).expect("v1 checkpoint");
-        let st = run_shard(&m, 0, &dir, &budget(2, None), toy_trial).expect("resume");
-        assert_eq!((st.resumed_at, st.completed), (7, total));
-        assert_checkpoint_is_prefix(&m, &dir, total, "resumed from version 1");
+        let cp = reference_prefix(&m, 7);
+        let v1 = Json::obj(vec![
+            ("schema", Json::Str(crate::CHECKPOINT_SCHEMA.to_owned())),
+            ("schema_version", Json::UInt(1)),
+            ("manifest_digest", Json::Str(cp.manifest_digest)),
+            ("shard", Json::UInt(cp.shard)),
+            ("lo", Json::UInt(cp.lo)),
+            ("hi", Json::UInt(cp.hi)),
+            ("completed", Json::UInt(cp.completed)),
+            ("results", Json::Array(cp.results)),
+        ]);
+        std::fs::write(shard_path(&dir, 0), v1.to_pretty()).expect("v1 checkpoint");
+        let err = Checkpoint::load(&shard_path(&dir, 0)).expect_err("version 1 is refused");
+        assert!(err.contains("version 1"), "{err}");
+        let st = run_shard(&m, 0, &dir, &budget(2, None), toy_trial).expect("restart");
+        assert_eq!((st.resumed_at, st.completed), (0, total));
+        assert_checkpoint_is_prefix(&m, &dir, total, "restarted from version 1");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_past_the_manifest_is_an_error_and_writes_nothing() {
+        let m = toy_manifest(2);
+        let dir = fresh_dir("past");
+        for shard in [m.shards, 99] {
+            let err = run_shard(&m, shard, &dir, &ShardOpts::default(), toy_trial)
+                .expect_err("no such shard");
+            assert!(err.contains("3 shard(s)"), "{err}");
+        }
+        assert!(!std::path::Path::new(&dir).exists(), "nothing is created");
+        assert!(m.shard_range(99).is_empty());
     }
 
     #[test]

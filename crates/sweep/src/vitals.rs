@@ -19,12 +19,10 @@
 //! the moment); the identity fields (`manifest_digest`, `shard`, `lo`,
 //! `hi`) are deterministic and let `--status` refuse to mix sweeps.
 
-use crate::checkpoint::{check_progress, decode_lines, push_line};
+use crate::checkpoint::{check_progress, decode_lines, Journal};
 use crate::manifest::{req_f64, req_str, req_u64};
 use sim_observe::Json;
 use sim_runtime::SweepStats;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 
 /// One shard's progress at one checkpoint boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,61 +154,28 @@ pub fn vitals_path(dir: &str, shard: u64) -> String {
     format!("{dir}/shard-{shard}.vitals")
 }
 
-/// The appending side of a shard's vitals journal.
-#[derive(Debug)]
-pub(crate) struct VitalsLog {
-    path: String,
-    /// `None` until the first append creates a missing file.
-    file: Option<File>,
-}
-
-impl VitalsLog {
+impl Journal {
     /// Opens the vitals journal at `path` for appending. A torn last
     /// line is cut away first, so the next line starts clean; a
-    /// damaged file starts over.
-    pub(crate) fn open(path: &str) -> VitalsLog {
-        let file = std::fs::read(path).ok().and_then(|bytes| {
-            let intact = decode_lines(&bytes).map_or_else(
-                |n| {
-                    eprintln!("warning: restarting vitals `{path}`, damaged at line {n}");
-                    0
-                },
-                |(_, intact)| intact,
-            );
-            let file = OpenOptions::new().append(true).open(path).ok()?;
-            file.set_len(intact as u64).ok()?;
-            Some(file)
+    /// damaged or unreadable file starts over.
+    pub(crate) fn open_vitals(path: &str) -> Journal {
+        let intact = std::fs::read(path).ok().and_then(|bytes| match decode_lines(&bytes) {
+            Ok((_, intact)) => Some(intact as u64),
+            Err(n) => {
+                eprintln!("warning: restarting vitals `{path}`, damaged at line {n}");
+                None
+            }
         });
-        VitalsLog {
-            path: path.to_owned(),
-            file,
-        }
-    }
-
-    /// Appends one line in one write, creating the file if need be.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the open or write failure.
-    pub(crate) fn append(&mut self, vitals: &Vitals) -> std::io::Result<()> {
-        let file = match &mut self.file {
-            Some(file) => file,
-            None => self.file.insert(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            ),
-        };
-        let mut line = String::new();
-        push_line(&mut line, &vitals.to_json());
-        file.write_all(line.as_bytes())
+        intact
+            .and_then(|intact| Journal::resume(path, intact).ok())
+            .unwrap_or_else(|| Journal::fresh(path, String::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::push_line;
     use sim_runtime::ParallelSweep;
 
     fn tmp_path(name: &str) -> String {
@@ -235,6 +200,12 @@ mod tests {
         }
     }
 
+    /// Appends one line, as a runner does at a boundary.
+    fn append(log: &mut Journal, vitals: &Vitals) {
+        log.push(&vitals.to_json());
+        log.flush().expect("append");
+    }
+
     /// A journal of `n` lines, as a runner appends them.
     fn journal(n: u64) -> String {
         let mut text = String::new();
@@ -248,10 +219,10 @@ mod tests {
     fn appends_round_trip_and_leave_no_tmp() {
         let path = tmp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let mut log = VitalsLog::open(&path);
+        let mut log = Journal::open_vitals(&path);
         assert!(!std::path::Path::new(&path).exists(), "created at the first append");
         for completed in 1..=3 {
-            log.append(&demo(completed)).expect("append");
+            append(&mut log, &demo(completed));
             assert_eq!(Vitals::load(&path).expect("load"), (demo(completed), completed));
         }
         assert_eq!(std::fs::read_to_string(&path).expect("read"), journal(3));
@@ -282,7 +253,7 @@ mod tests {
         let path = tmp_path("torn");
         std::fs::write(&path, format!("{}0123abcd {{\"shard\":2", journal(2))).expect("torn");
         assert_eq!(Vitals::load(&path).expect("torn tail dropped").1, 2);
-        VitalsLog::open(&path).append(&demo(3)).expect("append");
+        append(&mut Journal::open_vitals(&path), &demo(3));
         assert_eq!(std::fs::read_to_string(&path).expect("read"), journal(3));
         // Damage ahead of intact lines cannot come from a torn append:
         // readers refuse it, and the next run starts the file over.
@@ -290,7 +261,7 @@ mod tests {
         damaged.replace_range(0..1, if damaged.starts_with('0') { "1" } else { "0" });
         std::fs::write(&path, damaged).expect("damaged");
         assert!(Vitals::load(&path).expect_err("damage").contains("damaged at line 1"));
-        VitalsLog::open(&path).append(&demo(1)).expect("append");
+        append(&mut Journal::open_vitals(&path), &demo(1));
         assert_eq!(std::fs::read_to_string(&path).expect("read"), journal(1));
         let _ = std::fs::remove_file(&path);
     }

@@ -17,10 +17,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline -p bench --bin bench_regress
 
-# Overhead guard first: the request path with telemetry disabled must
-# cost a single branch, and the enabled path a small multiple. The
-# bench prints ns/iter for eyeballing; it has no baseline file because
-# absolute timings are machine-bound.
+# Overhead guard first: what a telemetry sample, a cache-hit request
+# with telemetry, and a metrics scrape cost. The bench prints ns/iter
+# for eyeballing; it has no baseline file because absolute timings are
+# machine-bound.
 cargo bench --offline -p sim-serve --bench telemetry_overhead
 
 exec target/release/bench_regress --fast --out target/bench --baselines baselines "$@"

@@ -97,6 +97,20 @@ echo "$PROM" | grep -q '^serve_slo_attainment{op="run"} ' \
     || fail "sim_top table render is missing its gauges line"
 echo "==> telemetry plane scrapes cleanly (SLO fields present)"
 
+# Requests carry no fault_rates field: a run line that sends one is
+# answered with the unknown-field error, and the same connection keeps
+# serving.
+echo "==> run line with a fault_rates field"
+exec 8<>"/dev/tcp/127.0.0.1/$PORT"
+printf '%s\n' '{"op":"run","experiment":"e2","fault_rates":{}}' >&8
+read -r -t 30 REFUSAL <&8 || fail "no answer to the fault_rates run line"
+echo "$REFUSAL" | grep -qF 'unknown request field `fault_rates`' \
+    || fail "fault_rates answer does not name the unknown field: $REFUSAL"
+printf '%s\n' '{"op":"ping"}' >&8
+read -r -t 30 PONG <&8 || fail "no answer to ping after the refusal"
+echo "$PONG" | grep -qF '"status":"ok"' || fail "server stopped serving: $PONG"
+exec 8>&-
+
 # Snapshot through the same regression gate the experiments use:
 # config/mix exact, run structural.
 echo "==> bench_regress --compare BENCH_serve.json"

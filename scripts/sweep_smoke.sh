@@ -55,6 +55,9 @@ rc=0; "$BIN/explore" --trials banana 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "explore must exit 2 on garbage --trials (got $rc)"
 rc=0; "$BIN/sweep_shard" --manifest x --shard -3 --dir y 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "sweep_shard must exit 2 on garbage --shard (got $rc)"
+# Telemetry is always on: the old off switch is an unknown flag.
+rc=0; "$BIN/sim_serve" --no-telemetry >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "sim_serve must exit 2 on --no-telemetry (got $rc)"
 # A floor or tolerance that no measurement can cross disarms its gate.
 for bad in "NaN" "-1"; do
     rc=0; "$BIN/bench_regress" --wall-tol "$bad" >/dev/null 2>&1 || rc=$?
@@ -80,6 +83,12 @@ run() {
 }
 run "$BIN/explore" --fast --seed 7 --trials 12 --shards 3 --checkpoint-every 4 \
     --emit-manifest "$MANIFEST"
+
+# A shard index past the manifest's count is an error, not an empty
+# success, and leaves no file behind.
+rc=0; "$BIN/sweep_shard" --manifest "$MANIFEST" --shard 99 --dir "$OUT/past" 2>/dev/null || rc=$?
+[ "$rc" -ne 0 ] || fail "sweep_shard must fail on --shard 99 of a 3-shard manifest"
+[ ! -e "$OUT/past" ] || fail "sweep_shard wrote files for a shard past the manifest"
 
 # Uninterrupted single-process baseline.
 run "$BIN/sweep_shard" --manifest "$MANIFEST" --single --out "$OUT/single.json" \

@@ -1,8 +1,9 @@
 //! Differential suite: the levelized `run_to_quiescence` against the
 //! event loop.
 //!
-//! On a levelizable netlist (acyclic, register-free) an untraced
-//! `run_to_quiescence` evaluates each wire once in topological order;
+//! On a levelizable netlist (register-free, each gate driving the next
+//! wire from lower ones) an untraced `run_to_quiescence` evaluates each
+//! wire once in wire order;
 //! `run_budgeted` with an unlimited event budget keeps dispatching one
 //! event at a time. Every case here builds the same circuit, stimulus
 //! and faults twice, runs one copy each way, and asserts that the two
@@ -21,13 +22,13 @@
 //! picoseconds drawn from a small set, so equal-delay paths into XOR
 //! and XNOR gates tie at one instant, pulses narrow enough to cancel
 //! are common, and limits are sometimes drawn short enough to end a
-//! run early. Gates are added in shuffled order, so ids are not
-//! topological. A bounded count runs in tier-1; `heavy-tests` runs
+//! run early. Gates are added in wire order, so every case reaches the
+//! levelized pass. A bounded count runs in tier-1; `heavy-tests` runs
 //! many more.
 
 use netlist::prelude::*;
 use sim_faults::{FaultPlan, FaultRates};
-use sim_runtime::{Rng, SimRng, SliceRandom};
+use sim_runtime::{Rng, SimRng};
 use std::sync::Arc;
 
 fn ps(v: u64) -> SimTime {
@@ -109,7 +110,7 @@ const KINDS: [GateKind; 10] = [
 ];
 
 /// A random levelizable DAG. Wire `k`'s driver reads only wires below
-/// `k`, and the gates are added in shuffled order.
+/// `k`, and the gates are added in wire order.
 fn random_case(seed: u64) -> Case {
     let mut rng = SimRng::seed_from_u64(seed);
     let n_sources = rng.gen_range(1..4usize);
@@ -120,21 +121,13 @@ fn random_case(seed: u64) -> Case {
     // ties, common.
     let delays = [1u64, 2, 3, 5, 5, 8];
     let pick_delay = |rng: &mut SimRng| ps(delays[rng.gen_range(0..delays.len())]);
-    // Gate `i` drives wire `n_sources + i` and reads only wires below
-    // it: `(kind, a, b, rise, fall)`.
-    let gates: Vec<(GateKind, usize, usize, SimTime, SimTime)> = (n_sources..wires.len())
-        .map(|k| {
-            let kind = KINDS[rng.gen_range(0..KINDS.len())];
-            let a = rng.gen_range(0..k);
-            let b = rng.gen_range(0..k);
-            (kind, a, b, pick_delay(&mut rng), pick_delay(&mut rng))
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..gates.len()).collect();
-    order.shuffle(&mut rng);
-    for &i in &order {
-        let (kind, a, b, rise, fall) = gates[i];
-        let out = wires[n_sources + i];
+    // Gate `k - n_sources` drives wire `k` and reads only wires below
+    // it.
+    for k in n_sources..wires.len() {
+        let kind = KINDS[rng.gen_range(0..KINDS.len())];
+        let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+        let (rise, fall) = (pick_delay(&mut rng), pick_delay(&mut rng));
+        let out = wires[k];
         let two = kind.is_two_input() || kind == GateKind::CElement;
         if two && a == b {
             nl.add_buffer(wires[a], out, rise, fall);
@@ -151,7 +144,7 @@ fn random_case(seed: u64) -> Case {
     let sealed = Arc::new(nl.seal());
     assert!(
         sealed.is_levelizable(),
-        "seed {seed}: a DAG must be levelizable"
+        "seed {seed}: an in-order DAG must be levelizable"
     );
     let mut watched: Vec<WireId> = wires
         .iter()
