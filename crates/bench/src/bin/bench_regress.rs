@@ -29,10 +29,10 @@
 //! benchmark rides the same regression gate as the experiments.
 
 use bench::regress::diff_reports;
-use sim_observe::{parse, SpanTimer};
+use sim_observe::{parse, Json, SpanTimer};
 use sim_runtime::cli::{self, Args, CliError};
 use sim_runtime::{json_full, run_experiment, ExpConfig, RunInfo};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: bench_regress [--fast] [--seed S] [--threads T] [--trials N] \
 [--only NAMES] [--out DIR] [--baselines DIR] [--update] [--wall-tol PCT] | \
@@ -86,6 +86,49 @@ fn snapshot_name(exp_name: &str) -> String {
     format!("BENCH_{exp_name}.json")
 }
 
+/// The one baseline comparison both modes share: under `--update`,
+/// install `text` as the baseline at `base_path`; otherwise diff `doc`
+/// against that baseline and print what drifted, naming `label`.
+/// Returns the `--compare` exit code: 0 on a match or an update, 1 on
+/// a missing baseline, drift or a failed write, 2 on an unparsable
+/// baseline.
+fn against_baseline(label: &str, doc: &Json, text: &str, base_path: &Path, opts: &Opts) -> i32 {
+    if opts.update {
+        if let Err(e) = sim_runtime::write_atomic(base_path, text) {
+            eprintln!("cannot write {}: {e}", base_path.display());
+            return 1;
+        }
+        println!("{label}: baseline updated ({})", base_path.display());
+        return 0;
+    }
+    let Ok(baseline_text) = std::fs::read_to_string(base_path) else {
+        eprintln!(
+            "{label}: no baseline at {} (run with --update to create it)",
+            base_path.display()
+        );
+        return 1;
+    };
+    let baseline = match parse(&baseline_text) {
+        Ok(doc) => doc,
+        Err(e) => {
+            eprintln!("{}: baseline is not valid JSON: {e}", base_path.display());
+            return 2;
+        }
+    };
+    let drifts = diff_reports(&baseline, doc, opts.wall_tol_pct);
+    if drifts.is_empty() {
+        println!("{label}: matches {}", base_path.display());
+        return 0;
+    }
+    eprintln!("{label}: {} drift(s) vs {}:", drifts.len(), base_path.display());
+    for d in &drifts {
+        eprintln!("  {d}");
+    }
+    1
+}
+
+/// Runs one experiment, writes its snapshot under `--out`, and checks
+/// it against its baseline. `Ok(false)` (or `Err`) is a failure.
 fn check_one(
     registry: &sim_runtime::Registry,
     name: &str,
@@ -108,42 +151,16 @@ fn check_one(
     std::fs::write(&out_path, &rendered)
         .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
 
+    let label = format!("{name} ({:.0} ms)", run.wall_ms);
     let base_path = opts.baselines.join(snapshot_name(name));
-    if opts.update {
-        sim_runtime::write_atomic(&base_path, &rendered)
-            .map_err(|e| format!("cannot write {}: {e}", base_path.display()))?;
-        println!("{name}: baseline updated ({})", base_path.display());
-        return Ok(true);
-    }
-    let baseline_text = match std::fs::read_to_string(&base_path) {
-        Ok(text) => text,
-        Err(_) => {
-            eprintln!(
-                "{name}: no baseline at {} (run with --update to create it)",
-                base_path.display()
-            );
-            return Ok(false);
-        }
-    };
-    let baseline = parse(&baseline_text)
-        .map_err(|e| format!("{}: baseline is not valid JSON: {e:?}", base_path.display()))?;
-    let drifts = diff_reports(&baseline, &doc, opts.wall_tol_pct);
-    if drifts.is_empty() {
-        println!("{name}: ok ({:.0} ms)", run.wall_ms);
-        Ok(true)
-    } else {
-        eprintln!("{name}: {} drift(s) vs {}:", drifts.len(), base_path.display());
-        for d in &drifts {
-            eprintln!("  {d}");
-        }
-        Ok(false)
-    }
+    Ok(against_baseline(&label, &doc, &rendered, &base_path, opts) == 0)
 }
 
 /// The `--compare FILE` mode: diff one externally produced snapshot
 /// against `baselines/<basename>`, or install it as the baseline under
-/// `--update`. Returns the process exit code.
-fn compare_file(path: &std::path::Path, opts: &Opts) -> i32 {
+/// `--update`. Returns the process exit code (2 when FILE itself is
+/// unreadable or not JSON).
+fn compare_file(path: &Path, opts: &Opts) -> i32 {
     let Some(file_name) = path.file_name() else {
         eprintln!("--compare needs a file path, got {}", path.display());
         return 2;
@@ -162,53 +179,8 @@ fn compare_file(path: &std::path::Path, opts: &Opts) -> i32 {
             return 2;
         }
     };
-    let base_path = opts.baselines.join(file_name);
-    if opts.update {
-        if let Err(e) = sim_runtime::write_atomic(&base_path, &current_text) {
-            eprintln!("cannot write {}: {e}", base_path.display());
-            return 1;
-        }
-        println!("{}: baseline updated", base_path.display());
-        return 0;
-    }
-    let baseline_text = match std::fs::read_to_string(&base_path) {
-        Ok(text) => text,
-        Err(_) => {
-            eprintln!(
-                "{}: no baseline at {} (run with --update to create it)",
-                path.display(),
-                base_path.display()
-            );
-            return 1;
-        }
-    };
-    let baseline = match parse(&baseline_text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("{}: baseline is not valid JSON: {e}", base_path.display());
-            return 2;
-        }
-    };
-    let drifts = diff_reports(&baseline, &current, opts.wall_tol_pct);
-    if drifts.is_empty() {
-        println!(
-            "{}: matches {}",
-            path.display(),
-            base_path.display()
-        );
-        0
-    } else {
-        eprintln!(
-            "{}: {} drift(s) vs {}:",
-            path.display(),
-            drifts.len(),
-            base_path.display()
-        );
-        for d in &drifts {
-            eprintln!("  {d}");
-        }
-        1
-    }
+    let label = path.display().to_string();
+    against_baseline(&label, &current, &current_text, &opts.baselines.join(file_name), opts)
 }
 
 fn main() {

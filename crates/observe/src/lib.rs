@@ -7,7 +7,7 @@
 //! schema-stable report through it, and the `bench_regress` gate diffs
 //! those reports against committed baselines.
 //!
-//! Three layers, all `std`-only (the tier-1 gate builds offline):
+//! Its modules, all `std`-only (the tier-1 gate builds offline):
 //!
 //! * [`json`] — a deterministic JSON value/serializer/parser
 //!   ([`Json`]). Objects are insertion-ordered pair lists, numbers use
@@ -19,11 +19,9 @@
 //!   sorted-key snapshots.
 //! * [`timer`] — [`SpanTimer`] monotonic spans for the volatile
 //!   (wall-clock) side of a report.
-//! * [`timeseries`] — the *live* side: fixed-capacity [`TimeSeries`]
-//!   rings, sliding-window [`WindowedHistogram`] quantiles,
-//!   [`SloPolicy`]/[`SloTracker`] budget accounting, and the
-//!   [`Exposition`] Prometheus-text formatter the serve `metrics` op
-//!   renders through.
+//! * [`timeseries`] — the *live* side: sliding-window
+//!   [`WindowedHistogram`] quantiles and [`SloPolicy`]/[`SloTracker`]
+//!   budget accounting, which the serve `metrics` op reports.
 //! * [`vcd`] — [`VcdWriter`], value-change dumps for waveform viewers,
 //!   fed by simulated wires and analytic models alike.
 //! * [`trace`] + [`check`] — `sim-trace`: typed per-event tracing into
@@ -70,7 +68,7 @@ pub use hist::LogHistogram;
 pub use json::{fmt_f64, fnv1a64, parse, parse_with_limits, Json, JsonError, ParseLimits};
 pub use metrics::Metrics;
 pub use timer::{duration_ns, timed, SpanTimer};
-pub use timeseries::{Exposition, Sample, SloPolicy, SloTracker, TimeSeries, WindowedHistogram};
+pub use timeseries::{SloPolicy, SloTracker, WindowedHistogram};
 pub use trace::{
     ps_from_units, PathStep, Trace, TraceBuf, TraceEvent, WallSpan, DEFAULT_TRACE_CAPACITY,
 };
@@ -83,9 +81,7 @@ pub mod prelude {
     pub use crate::json::{fnv1a64, parse, parse_with_limits, Json, JsonError, ParseLimits};
     pub use crate::metrics::Metrics;
     pub use crate::timer::{duration_ns, timed, SpanTimer};
-    pub use crate::timeseries::{
-        Exposition, SloPolicy, SloTracker, TimeSeries, WindowedHistogram,
-    };
+    pub use crate::timeseries::{SloPolicy, SloTracker, WindowedHistogram};
     pub use crate::trace::{ps_from_units, PathStep, Trace, TraceBuf, TraceEvent, WallSpan};
     pub use crate::vcd::VcdWriter;
 }

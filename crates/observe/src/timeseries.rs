@@ -1,5 +1,5 @@
-//! Live telemetry primitives: windowed time series, sliding-window
-//! histograms, SLO accounting, and Prometheus-style text exposition.
+//! Live telemetry primitives: sliding-window histograms and SLO
+//! accounting.
 //!
 //! Everything in [`hist`](crate::hist)/[`metrics`](crate::metrics) is
 //! *cumulative* — counters since startup, one histogram over the whole
@@ -8,149 +8,21 @@
 //! p99 *now*?" from the last few seconds, not from startup. This
 //! module adds the windowed side:
 //!
-//! * [`TimeSeries`] — a fixed-capacity ring of `(tick, value)` samples
-//!   (gauges over time: queue depth, in-flight count, hit rate);
 //! * [`WindowedHistogram`] — a rotating ring of [`LogHistogram`]
 //!   buckets over a tick window, giving *sliding* p50/p95/p99/p999:
 //!   old buckets age out instead of diluting the tail forever;
 //! * [`SloPolicy`] / [`SloTracker`] — a latency budget plus an
 //!   error-rate budget, with burn-rate accounting (how fast the error
-//!   budget is being consumed relative to the policy's allowance);
-//! * [`Exposition`] — a tiny deterministic Prometheus-text formatter
-//!   (`# HELP` / `# TYPE` / `name{labels} value` lines) so the same
-//!   numbers the JSON bodies carry can be scraped as plain text.
+//!   budget is being consumed relative to the policy's allowance).
 //!
-//! Hot-path discipline is the same as trace hooks: instrumented code
-//! holds an `Option<...>` around its telemetry and the disabled path
-//! is exactly one branch — no allocation, no atomics, no clock read
-//! (the `telemetry_overhead` bench pins this). Ticks are opaque `u64`s
-//! supplied by the caller (typically milliseconds since start), so
-//! nothing here ever reads a wall clock itself — which is what keeps
-//! telemetry *documents* deterministic when no samples arrive between
-//! two renders.
+//! Ticks are opaque `u64`s supplied by the caller (typically
+//! milliseconds since start), so nothing here ever reads a wall clock
+//! itself — which is what keeps telemetry *documents* deterministic
+//! when no samples arrive between two renders. The
+//! `telemetry_overhead` bench prices one record of each.
 
 use crate::hist::LogHistogram;
 use crate::json::Json;
-
-/// One `(tick, value)` observation in a [`TimeSeries`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// Caller-supplied monotonic tick (e.g. milliseconds since start).
-    pub tick: u64,
-    /// Observed value.
-    pub value: f64,
-}
-
-/// A fixed-capacity ring of `(tick, value)` samples: pushing past the
-/// capacity drops the oldest sample. Push is O(1) amortized and never
-/// allocates after construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    buf: Vec<Sample>,
-    /// Index of the oldest sample once the ring has wrapped.
-    head: usize,
-    /// Lifetime sample count (drops included).
-    pushed: u64,
-}
-
-impl TimeSeries {
-    /// An empty series holding at most `capacity` samples (floor 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        TimeSeries {
-            buf: Vec::with_capacity(capacity.max(1)),
-            head: 0,
-            pushed: 0,
-        }
-    }
-
-    /// Appends a sample, dropping the oldest when full.
-    pub fn push(&mut self, tick: u64, value: f64) {
-        let cap = self.buf.capacity();
-        if self.buf.len() < cap {
-            self.buf.push(Sample { tick, value });
-        } else {
-            self.buf[self.head] = Sample { tick, value };
-            self.head = (self.head + 1) % cap;
-        }
-        self.pushed += 1;
-    }
-
-    /// Samples currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the series holds no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Lifetime number of pushes (including samples since dropped).
-    #[must_use]
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// The most recent sample.
-    #[must_use]
-    pub fn latest(&self) -> Option<Sample> {
-        if self.buf.is_empty() {
-            None
-        } else if self.buf.len() < self.buf.capacity() {
-            self.buf.last().copied()
-        } else {
-            let last = (self.head + self.buf.len() - 1) % self.buf.len();
-            Some(self.buf[last])
-        }
-    }
-
-    /// Samples oldest-first.
-    #[must_use]
-    pub fn samples(&self) -> Vec<Sample> {
-        let n = self.buf.len();
-        (0..n).map(|i| self.buf[(self.head + i) % n.max(1)]).collect()
-    }
-
-    /// `(min, mean, max)` of the windowed values (`None` when empty).
-    #[must_use]
-    pub fn window_stats(&self) -> Option<(f64, f64, f64)> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for s in &self.buf {
-            min = min.min(s.value);
-            max = max.max(s.value);
-            sum += s.value;
-        }
-        Some((min, sum / self.buf.len() as f64, max))
-    }
-
-    /// Deterministic JSON: fixed shape, `samples` oldest-first as
-    /// `[tick, value]` pairs.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let samples = self
-            .samples()
-            .into_iter()
-            .map(|s| Json::Array(vec![Json::UInt(s.tick), Json::Float(s.value)]))
-            .collect();
-        let (min, mean, max) = self.window_stats().unwrap_or((0.0, 0.0, 0.0));
-        Json::obj(vec![
-            ("pushed", Json::UInt(self.pushed)),
-            ("window", Json::UInt(self.buf.len() as u64)),
-            ("min", Json::Float(min)),
-            ("mean", Json::Float(mean)),
-            ("max", Json::Float(max)),
-            ("samples", Json::Array(samples)),
-        ])
-    }
-}
 
 /// A sliding-window histogram: `buckets` rotating [`LogHistogram`]s,
 /// each covering `bucket_width` ticks. Recording into a tick beyond
@@ -423,160 +295,9 @@ impl SloTracker {
     }
 }
 
-/// A deterministic Prometheus-text-format builder: metrics render in
-/// insertion order as
-///
-/// ```text
-/// # HELP name help text
-/// # TYPE name counter|gauge
-/// name{label="value"} 123
-/// ```
-///
-/// Floats use the workspace's shortest-round-trip formatting
-/// ([`crate::json::fmt_f64`]), so the same numbers always produce the
-/// same bytes. Non-finite values render as `NaN`/`+Inf`/`-Inf` per the
-/// exposition format.
-#[derive(Debug, Default)]
-pub struct Exposition {
-    out: String,
-    /// Metric families already announced with HELP/TYPE lines.
-    announced: Vec<String>,
-}
-
-/// Escapes a label value per the exposition format.
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-fn fmt_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_owned()
-    } else if v.is_infinite() {
-        (if v > 0.0 { "+Inf" } else { "-Inf" }).to_owned()
-    } else {
-        crate::json::fmt_f64(v)
-    }
-}
-
-impl Exposition {
-    /// An empty exposition document.
-    #[must_use]
-    pub fn new() -> Self {
-        Exposition::default()
-    }
-
-    fn announce(&mut self, name: &str, kind: &str, help: &str) {
-        if self.announced.iter().any(|n| n == name) {
-            return;
-        }
-        self.out.push_str("# HELP ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(help);
-        self.out.push('\n');
-        self.out.push_str("# TYPE ");
-        self.out.push_str(name);
-        self.out.push(' ');
-        self.out.push_str(kind);
-        self.out.push('\n');
-        self.announced.push(name.to_owned());
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(k);
-                self.out.push_str("=\"");
-                self.out.push_str(&escape_label(v));
-                self.out.push('"');
-            }
-            self.out.push('}');
-        }
-        self.out.push(' ');
-        self.out.push_str(value);
-        self.out.push('\n');
-    }
-
-    /// Emits a counter sample (HELP/TYPE announced once per family).
-    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.announce(name, "counter", help);
-        self.sample(name, labels, &value.to_string());
-    }
-
-    /// Emits a gauge sample (HELP/TYPE announced once per family).
-    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.announce(name, "gauge", help);
-        self.sample(name, labels, &fmt_value(value));
-    }
-
-    /// Emits the standard quantile gauges (`p50`/`p95`/`p99`/`p999`)
-    /// plus a `_count` counter for a histogram, all sharing `labels`.
-    pub fn quantiles(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        hist: &LogHistogram,
-    ) {
-        self.announce(name, "gauge", help);
-        for (q, v) in [
-            ("0.5", hist.p50()),
-            ("0.95", hist.p95()),
-            ("0.99", hist.p99()),
-            ("0.999", hist.p999()),
-        ] {
-            let mut with_q: Vec<(&str, &str)> = labels.to_vec();
-            with_q.push(("quantile", q));
-            self.sample(name, &with_q, &v.unwrap_or(0).to_string());
-        }
-        let count_name = format!("{name}_count");
-        self.counter(&count_name, help, labels, hist.count());
-    }
-
-    /// The rendered exposition text.
-    #[must_use]
-    pub fn finish(self) -> String {
-        self.out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_drops_oldest_and_tracks_latest() {
-        let mut ts = TimeSeries::new(3);
-        assert!(ts.is_empty());
-        assert_eq!(ts.latest(), None);
-        for (tick, v) in [(1u64, 10.0), (2, 20.0), (3, 30.0), (4, 40.0)] {
-            ts.push(tick, v);
-        }
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.pushed(), 4);
-        let ticks: Vec<u64> = ts.samples().iter().map(|s| s.tick).collect();
-        assert_eq!(ticks, [2, 3, 4], "oldest sample was dropped");
-        assert_eq!(ts.latest().unwrap().value, 40.0);
-        let (min, mean, max) = ts.window_stats().unwrap();
-        assert_eq!((min, max), (20.0, 40.0));
-        assert!((mean - 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn series_json_shape_is_fixed() {
-        let mut ts = TimeSeries::new(2);
-        ts.push(5, 1.5);
-        let doc = ts.to_json();
-        assert_eq!(
-            doc.to_compact(),
-            r#"{"pushed":1,"window":1,"min":1.5,"mean":1.5,"max":1.5,"samples":[[5,1.5]]}"#
-        );
-    }
 
     #[test]
     fn windowed_histogram_ages_out_old_buckets() {
@@ -703,37 +424,5 @@ mod tests {
             SloPolicy::default().to_json().to_compact(),
             r#"{"latency_budget_ns":50000000,"target":0.99,"error_budget":0.01}"#
         );
-    }
-
-    #[test]
-    fn exposition_renders_deterministic_prometheus_text() {
-        let mut hist = LogHistogram::new();
-        hist.record(100);
-        hist.record(200);
-        let mut exp = Exposition::new();
-        exp.counter("serve_requests_total", "Requests served.", &[("op", "run")], 7);
-        exp.counter("serve_requests_total", "Requests served.", &[("op", "frontier")], 2);
-        exp.gauge("serve_in_flight", "In-flight requests.", &[], 1.5);
-        exp.quantiles("serve_latency_ns", "Latency quantiles.", &[("op", "run")], &hist);
-        let text = exp.finish();
-        // HELP/TYPE announced once per family, samples in order.
-        assert_eq!(text.matches("# TYPE serve_requests_total").count(), 1);
-        assert!(text.contains("serve_requests_total{op=\"run\"} 7\n"));
-        assert!(text.contains("serve_requests_total{op=\"frontier\"} 2\n"));
-        assert!(text.contains("serve_in_flight 1.5\n"));
-        assert!(text.contains("serve_latency_ns{op=\"run\",quantile=\"0.999\"}"));
-        assert!(text.contains("serve_latency_ns_count{op=\"run\"} 2\n"));
-        // Every non-comment line is `name{...} value` with a numeric value.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let (_, value) = line.rsplit_once(' ').expect("sample line has a value");
-            assert!(
-                value.parse::<f64>().is_ok() || value == "NaN" || value.ends_with("Inf"),
-                "unparsable value in line: {line}"
-            );
-        }
-        // Label values escape quotes and newlines.
-        let mut exp = Exposition::new();
-        exp.gauge("g", "h", &[("k", "a\"b\nc")], 1.0);
-        assert!(exp.finish().contains(r#"g{k="a\"b\nc"} 1"#));
     }
 }

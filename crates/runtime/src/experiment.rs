@@ -447,29 +447,38 @@ fn banner(exp: &dyn Experiment, cfg: &ExpConfig) -> String {
     )
 }
 
-/// The shared CLI driver: parse `args`, handle `--list`, run `name`
-/// out of `exps`, stream banner + report to stdout, honour `--json`.
-/// Returns the process exit code instead of exiting, so tests can
-/// call it.
-fn cli_main<I: IntoIterator<Item = String>>(
-    exps: &[&dyn Experiment],
+/// The CLI driver behind `experiments <name> [flags]`: parses `args`,
+/// runs `name` out of `registry`, streams banner + report to stdout,
+/// honours `--json`/`--trace`, and returns the process exit code
+/// instead of exiting, so front ends and tests can call it.
+///
+/// Returns 2 on a CLI error (`--help` prints usage and returns 0),
+/// and 1 when a requested artifact (e.g. the `--json` file) cannot
+/// be written or the `--trace` checker finds a violation. `--list`
+/// enumerates the whole registry.
+///
+/// # Panics
+///
+/// Panics if `name` is not registered — the caller checks the name
+/// against the registry first.
+pub fn run_cli_args<I: IntoIterator<Item = String>>(
+    registry: &Registry,
     name: &str,
     args: I,
 ) -> i32 {
+    let exp = registry
+        .get(name)
+        .unwrap_or_else(|| panic!("unregistered experiment `{name}`"));
     let mut cfg = match cli::resolve(USAGE, ExpConfig::from_args(args)) {
         Ok(cfg) => cfg,
         Err(code) => return code,
     };
     if cfg.list {
-        for exp in exps {
-            println!("{}", listing_line(*exp));
+        for exp in registry.iter() {
+            println!("{}", listing_line(exp));
         }
         return 0;
     }
-    let Some(exp) = exps.iter().copied().find(|e| e.name() == name) else {
-        eprintln!("unknown experiment `{name}`");
-        return 2;
-    };
     if let Err(code) = cli::resolve(USAGE, check_trials(exp, &cfg).map_err(CliError::Usage)) {
         return code;
     }
@@ -480,11 +489,6 @@ fn cli_main<I: IntoIterator<Item = String>>(
     let report = run_experiment(exp, &cfg);
     let artifact_failed = take_artifact_failure();
     let wall_ms = timer.elapsed_ms();
-    if !report.is_streaming() {
-        // An experiment not yet migrated to `cfg.report()` built a
-        // silent report; print it once here.
-        print!("{report}");
-    }
     if let Some(path) = &cfg.json {
         let run = RunInfo {
             threads: cfg.sweep().threads(),
@@ -539,32 +543,6 @@ fn export_trace(report: &Report, path: &str) -> i32 {
         }
         1
     }
-}
-
-/// The CLI driver behind `experiments <name> [flags]`: parses `args`,
-/// runs `name` out of `registry`, and returns the process exit code
-/// instead of exiting, so front ends and tests can call it.
-///
-/// Returns 2 on a CLI error (`--help` prints usage and returns 0),
-/// and 1 when a requested artifact (e.g. the `--json` file) cannot
-/// be written or the `--trace` checker finds a violation. `--list`
-/// enumerates the whole registry.
-///
-/// # Panics
-///
-/// Panics if `name` is not registered — the caller checks the name
-/// against the registry first.
-pub fn run_cli_args<I: IntoIterator<Item = String>>(
-    registry: &Registry,
-    name: &str,
-    args: I,
-) -> i32 {
-    assert!(
-        registry.get(name).is_some(),
-        "unregistered experiment `{name}`"
-    );
-    let exps: Vec<&dyn Experiment> = registry.iter().collect();
-    cli_main(&exps, name, args)
 }
 
 #[cfg(test)]
@@ -653,11 +631,18 @@ mod tests {
         assert!(ExpConfig::from_args(["--trace".to_owned()]).is_err());
     }
 
+    /// A registry holding only `exp`, for driving the CLI.
+    fn one(exp: impl Experiment + 'static) -> Registry {
+        let mut reg = Registry::new();
+        reg.register(Box::new(exp));
+        reg
+    }
+
     #[test]
     fn help_parses_successfully_and_exits_zero() {
         for flag in ["--help", "-h"] {
             assert_eq!(ExpConfig::from_args([flag.to_owned()]), Err(CliError::Help));
-            let code = cli_main(&[&Dummy as &dyn Experiment], "dummy", [flag.to_owned()]);
+            let code = run_cli_args(&one(Dummy), "dummy", [flag.to_owned()]);
             assert_eq!(code, 0, "{flag} must exit 0");
         }
     }
@@ -675,7 +660,7 @@ mod tests {
             let args = || bad.iter().map(|s| (*s).to_owned());
             let err = ExpConfig::from_args(args()).expect_err(&format!("{bad:?} must be rejected"));
             assert!(matches!(err, CliError::Usage(_)), "{bad:?} is not a usage error: {err:?}");
-            let code = cli_main(&[&Dummy as &dyn Experiment], "dummy", args());
+            let code = run_cli_args(&one(Dummy), "dummy", args());
             assert_eq!(code, 2, "{bad:?} must exit 2");
         }
         let err = ExpConfig::from_args(["--trials".to_owned(), "0".to_owned()])
@@ -706,7 +691,7 @@ mod tests {
 
     #[test]
     fn failed_artifact_write_fails_the_cli_run() {
-        let exps: &[&dyn Experiment] = &[&ArtifactExp];
+        let exps = &one(ArtifactExp);
         // A parent that is an existing regular file defeats both
         // create_dir_all and the write itself, on any platform, as any
         // user (an absolute bogus directory would be *created* by the
@@ -714,25 +699,25 @@ mod tests {
         let file_parent = std::env::temp_dir().join("sim_runtime_artifact_not_a_dir");
         std::fs::write(&file_parent, "occupied").expect("temp file");
         let bad = file_parent.join("x.vcd").to_string_lossy().into_owned();
-        let code = cli_main(exps, "artifact", ["--vcd".to_owned(), bad]);
+        let code = run_cli_args(exps, "artifact", ["--vcd".to_owned(), bad]);
         let _ = std::fs::remove_file(&file_parent);
         assert_eq!(code, 1, "a lost --vcd artifact must fail the run");
         // The flag is drained: a following clean run exits 0.
         let good = std::env::temp_dir().join("sim_runtime_artifact_test.vcd");
         let good_s = good.to_string_lossy().into_owned();
-        let code = cli_main(exps, "artifact", ["--vcd".to_owned(), good_s]);
+        let code = run_cli_args(exps, "artifact", ["--vcd".to_owned(), good_s]);
         assert_eq!(code, 0);
         let _ = std::fs::remove_file(&good);
     }
 
     #[test]
     fn write_artifact_creates_missing_parent_directories() {
-        let exps: &[&dyn Experiment] = &[&ArtifactExp];
+        let exps = &one(ArtifactExp);
         let root = std::env::temp_dir().join("sim_runtime_artifact_nested");
         let _ = std::fs::remove_dir_all(&root);
         let nested = root.join("a").join("b").join("x.vcd");
         let nested_s = nested.to_string_lossy().into_owned();
-        let code = cli_main(exps, "artifact", ["--vcd".to_owned(), nested_s]);
+        let code = run_cli_args(exps, "artifact", ["--vcd".to_owned(), nested_s]);
         assert_eq!(code, 0, "missing parent dirs must be created, not fatal");
         let written = std::fs::read_to_string(&nested).expect("artifact exists");
         assert_eq!(written, "$dumpvars\n");
@@ -876,8 +861,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("sim_runtime_cli_trace_test.json");
         let path_s = path.to_string_lossy().into_owned();
-        let code = cli_main(
-            &[&Timed as &dyn Experiment],
+        let code = run_cli_args(
+            &one(Timed),
             "timed",
             ["--trace".to_owned(), path_s.clone()],
         );

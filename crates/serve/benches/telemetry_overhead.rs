@@ -27,14 +27,7 @@ fn main() {
     // Primitives first: what one telemetry sample costs in isolation.
     group("timeseries_primitives");
     {
-        use sim_observe::timeseries::{SloTracker, TimeSeries, WindowedHistogram};
-        let mut series = TimeSeries::new(256);
-        let mut tick = 0u64;
-        bench("timeseries/push", || {
-            tick += 1;
-            series.push(tick, 1.5);
-            series.len()
-        });
+        use sim_observe::timeseries::{SloTracker, WindowedHistogram};
         let mut win = WindowedHistogram::new(60, 1_000);
         let mut t = 0u64;
         bench("windowed_histogram/record", || {
@@ -64,5 +57,4 @@ fn main() {
     // to poll every second, and it samples nothing (read-only).
     group("metrics_scrape");
     bench("metrics_scrape/json", || eng.metrics_json().to_compact().len());
-    bench("metrics_scrape/prometheus", || eng.metrics_prometheus().len());
 }

@@ -13,9 +13,8 @@
 //! how a supervising script triggers a graceful drain without
 //! signals. Draining finishes every accepted job before exiting.
 //!
-//! The live telemetry plane is always on: the `metrics` op and the
-//! `slo` section of `stats` account every request against the default
-//! SLO policy.
+//! The live telemetry plane is always on: the `metrics` op accounts
+//! every request against the default SLO policy.
 //!
 //! Exit codes follow the workspace convention: 0 on a clean drain,
 //! 1 on runtime failure (bind error), 2 on usage errors; `--help`

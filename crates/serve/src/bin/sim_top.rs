@@ -2,14 +2,14 @@
 //!
 //! ```text
 //! sim_top [--addr HOST:PORT] [--interval-ms N] [--count N] [--once]
-//!         [--format table|json|prom]
+//!         [--format table|json]
 //! ```
 //!
 //! Polls the server's `metrics` op and renders a refreshing table of
 //! per-op request counts, windowed latency quantiles, SLO state, and
-//! the latest gauge samples. `--format json` / `--format prom` print
-//! the raw metrics body instead (one document per poll), which is
-//! what the smoke scripts scrape.
+//! the last gauge readings. `--format json` prints the raw metrics
+//! body instead (one document per poll), which is what the smoke
+//! scripts scrape.
 //!
 //! Exits 0 on success, 1 when the server is unreachable or answers
 //! with an error, 2 on usage errors.
@@ -20,21 +20,15 @@ use sim_serve::{Backoff, Client};
 use std::net::{SocketAddr, ToSocketAddrs};
 
 const USAGE: &str = "usage: sim_top [--addr HOST:PORT] [--interval-ms N] [--count N] \
-[--once] [--format table|json|prom]";
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Table,
-    JsonBody,
-    Prom,
-}
+[--once] [--format table|json]";
 
 struct Opts {
     addr: String,
     interval_ms: u64,
     /// Number of polls; 0 means poll until interrupted.
     count: u64,
-    format: Format,
+    /// Print the raw JSON body instead of the table.
+    json: bool,
 }
 
 fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
@@ -42,7 +36,7 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
         addr: "127.0.0.1:7071".to_owned(),
         interval_ms: 1_000,
         count: 0,
-        format: Format::Table,
+        json: false,
     };
     while let Some(arg) = args.next_arg()? {
         match arg.as_str() {
@@ -51,13 +45,12 @@ fn parse_opts(mut args: Args) -> Result<Opts, CliError> {
             "--count" => opts.count = args.parse("--count", "a number")?,
             "--once" => opts.count = 1,
             "--format" => {
-                opts.format = match args.value("--format")?.as_str() {
-                    "table" => Format::Table,
-                    "json" => Format::JsonBody,
-                    "prom" | "prometheus" => Format::Prom,
+                opts.json = match args.value("--format")?.as_str() {
+                    "table" => false,
+                    "json" => true,
                     other => {
                         return Err(CliError::Usage(format!(
-                            "unknown format `{other}` (known: table, json, prom)"
+                            "unknown format `{other}` (known: table, json)"
                         )))
                     }
                 };
@@ -147,23 +140,12 @@ fn render_table(doc: &Json, addr: &SocketAddr, poll: u64) -> String {
             },
         ));
     }
-    let latest = |name: &str| {
-        doc.get("run")
-            .and_then(|r| r.get("series"))
-            .and_then(|s| s.get(name))
-            .and_then(|s| s.get("samples"))
-            .and_then(Json::as_array)
-            .and_then(<[Json]>::last)
-            .and_then(Json::as_array)
-            .and_then(|pair| pair.get(1))
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN)
-    };
+    let gauge = |name: &str| num(doc, &["run", "gauges", name]);
     out.push_str(&format!(
         "\ngauges: queue_depth={} in_flight={} cache_hit_rate={}\n",
-        latest("queue_depth"),
-        latest("in_flight"),
-        fmt_pct(latest("cache_hit_rate")),
+        gauge("queue_depth"),
+        gauge("in_flight"),
+        fmt_pct(gauge("cache_hit_rate")),
     ));
     out
 }
@@ -186,14 +168,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let line = match opts.format {
-        Format::Prom => r#"{"op":"metrics","format":"prom"}"#,
-        Format::Table | Format::JsonBody => r#"{"op":"metrics"}"#,
-    };
     let mut poll: u64 = 0;
     loop {
         poll += 1;
-        let (header, body) = match client.roundtrip_with_retry(line, &backoff) {
+        let (header, body) = match client.roundtrip_with_retry(r#"{"op":"metrics"}"#, &backoff) {
             Ok(pair) => pair,
             Err(e) => {
                 eprintln!("sim_top: {e}");
@@ -208,25 +186,22 @@ fn main() {
             );
             std::process::exit(1);
         }
-        match opts.format {
-            Format::JsonBody | Format::Prom => {
-                println!("{body}");
-            }
-            Format::Table => {
-                let doc = match parse_with_limits(&body, ParseLimits::network()) {
-                    Ok(doc) => doc,
-                    Err(e) => {
-                        eprintln!("sim_top: unparsable metrics body: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                // Clear + home between polls so the table refreshes in
-                // place; a single poll just prints.
-                if opts.count != 1 && poll > 1 {
-                    print!("\x1b[2J\x1b[H");
+        if opts.json {
+            println!("{body}");
+        } else {
+            let doc = match parse_with_limits(&body, ParseLimits::network()) {
+                Ok(doc) => doc,
+                Err(e) => {
+                    eprintln!("sim_top: unparsable metrics body: {e}");
+                    std::process::exit(1);
                 }
-                print!("{}", render_table(&doc, &addr, poll));
+            };
+            // Clear + home between polls so the table refreshes in
+            // place; a single poll just prints.
+            if opts.count != 1 && poll > 1 {
+                print!("\x1b[2J\x1b[H");
             }
+            print!("{}", render_table(&doc, &addr, poll));
         }
         if opts.count != 0 && poll >= opts.count {
             break;
@@ -249,7 +224,7 @@ mod tests {
         assert_eq!(opts.addr, "127.0.0.1:7071");
         assert_eq!(opts.interval_ms, 1_000);
         assert_eq!(opts.count, 0);
-        assert!(opts.format == Format::Table);
+        assert!(!opts.json, "the table is the default");
 
         let opts =
             parse(&["--addr", "h:1", "--interval-ms", "50", "--count", "3"]).unwrap();
@@ -258,15 +233,16 @@ mod tests {
         assert_eq!(opts.count, 3);
 
         assert_eq!(parse(&["--once"]).unwrap().count, 1);
-        assert!(parse(&["--format", "json"]).unwrap().format == Format::JsonBody);
-        assert!(parse(&["--format", "prom"]).unwrap().format == Format::Prom);
-        assert!(parse(&["--format", "prometheus"]).unwrap().format == Format::Prom);
+        assert!(parse(&["--format", "json"]).unwrap().json);
+        assert!(!parse(&["--format", "table"]).unwrap().json);
     }
 
     #[test]
     fn bad_flags_are_usage_errors() {
         for bad in [
             &["--format", "xml"][..],
+            &["--format", "prom"],
+            &["--format", "prometheus"],
             &["--interval-ms", "soon"],
             &["--count"],
             &["--frobnicate"],
@@ -288,11 +264,7 @@ mod tests {
                     "slo": {"attainment": 0.5, "latency_burn_rate": 2.0,
                             "error_burn_rate": 1.0, "healthy": false}
                 }},
-                "series": {
-                    "queue_depth": {"samples": [[0, 1.0], [5, 4.0]]},
-                    "in_flight": {"samples": [[5, 2.0]]},
-                    "cache_hit_rate": {"samples": [[5, 0.25]]}
-                }
+                "gauges": {"queue_depth": 4, "in_flight": 2, "cache_hit_rate": 0.25}
             }
         }"#;
         let doc = parse_with_limits(body, ParseLimits::network()).unwrap();
@@ -301,7 +273,8 @@ mod tests {
         assert!(table.contains("run"), "{table}");
         assert!(table.contains("50.0%"), "attainment rendered: {table}");
         assert!(table.contains("2.00/1.00"), "burn rates rendered: {table}");
-        assert!(table.contains("queue_depth=4"), "latest gauge sample: {table}");
+        assert!(table.contains("queue_depth=4"), "gauge reading: {table}");
+        assert!(table.contains("in_flight=2"), "{table}");
         assert!(table.contains("cache_hit_rate=25.0%"), "{table}");
         assert!(table.contains("1.00ms"), "window p50 in ms: {table}");
     }

@@ -20,7 +20,7 @@
 //!
 //! Every `run` and `frontier` call, served or refused, is timed into
 //! the engine's [`EngineTelemetry`], which is always on: the `metrics`
-//! op and the `slo` section of `stats` report it.
+//! op reports it.
 //!
 //! Lock discipline: the cache mutex and the in-flight mutex are never
 //! held at the same time. The price is a benign race — a job that
@@ -39,7 +39,7 @@ use crate::request::{FrontierRequest, Request};
 use crate::telemetry::{EngineTelemetry, GaugeSnapshot};
 use sim_observe::timeseries::SloPolicy;
 use sim_observe::duration_ns;
-use sim_runtime::{check_trials, json_core, run_experiment, Registry};
+use sim_runtime::{check_trials, json_core, panic_message, run_experiment, Registry};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -341,15 +341,9 @@ impl Engine {
         canonical: &str,
         compute: impl FnOnce() -> Result<Arc<str>, String>,
     ) {
-        let result = catch_unwind(AssertUnwindSafe(compute))
-            .unwrap_or_else(|panic| {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "job panicked".to_owned());
-                Err(format!("panic in `{label}`: {msg}"))
-            });
+        let result = catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|panic| {
+            Err(format!("panic in `{label}`: {}", panic_message(&*panic)))
+        });
 
         if let Ok(body) = &result {
             // Cache lock only.
@@ -395,12 +389,6 @@ impl Engine {
         self.telemetry.lock().expect("telemetry mutex").to_json()
     }
 
-    /// The `metrics` op's Prometheus-text body.
-    #[must_use]
-    pub fn metrics_prometheus(&self) -> String {
-        self.telemetry.lock().expect("telemetry mutex").to_prometheus()
-    }
-
     /// Cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
@@ -419,13 +407,13 @@ impl Engine {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// The `stats` op payload: cache snapshot, pool counters, and SLO
-    /// state — a fixed deterministic shape with volatile values.
+    /// The `stats` op payload: cache snapshot, pool counters, and the
+    /// coalesced count — a fixed deterministic shape with volatile
+    /// values. SLO state is the `metrics` op's.
     #[must_use]
     pub fn stats_json(&self) -> sim_observe::Json {
         use sim_observe::Json;
         let pool = self.pool_stats();
-        let slo = self.telemetry.lock().expect("telemetry mutex").slo_json();
         Json::obj(vec![
             ("cache", self.cache.lock().expect("cache mutex").stats_json()),
             (
@@ -438,7 +426,6 @@ impl Engine {
                 ]),
             ),
             ("coalesced", Json::UInt(self.coalesced_count())),
-            ("slo", slo),
         ])
     }
 
@@ -611,18 +598,12 @@ mod tests {
     fn stats_json_shape_is_fixed() {
         let eng = engine(&EngineConfig::default());
         let doc = eng.stats_json();
-        for path in ["cache", "pool", "coalesced", "slo"] {
-            assert!(doc.get(path).is_some(), "missing {path}");
-        }
+        let Json::Object(pairs) = &doc else { panic!("stats is an object") };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["cache", "pool", "coalesced"], "SLO state is the metrics op's");
         let pool = doc.get("pool").unwrap();
         for field in ["submitted", "rejected_busy", "completed", "panicked"] {
             assert!(pool.get(field).is_some(), "missing pool.{field}");
-        }
-        for section in ["policy", "overall", "run", "frontier"] {
-            assert!(
-                doc.get("slo").unwrap().get(section).is_some(),
-                "missing slo.{section}"
-            );
         }
     }
 
@@ -645,9 +626,35 @@ mod tests {
             Some(&Json::UInt(3)),
             "SLO accounting sees every request, hits and errors included"
         );
-        let prom = eng.metrics_prometheus();
-        assert!(prom.contains("serve_requests_total{op=\"run\"} 3"), "{prom}");
-        assert!(prom.contains("serve_errors_total{op=\"run\"} 1"), "{prom}");
+        assert_eq!(run_op.get("slo").unwrap().get("errors"), Some(&Json::UInt(1)));
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_request_and_the_engine_serves_on() {
+        let eng = engine(&EngineConfig { workers: 1, ..EngineConfig::default() });
+        // A `&str` payload and a `String` payload, each named after the
+        // job's label.
+        let err = eng
+            .serve_body("boom-str", "k1".to_owned(), "boom", || {
+                std::panic::panic_any("str payload")
+            })
+            .expect_err("a panicking job fails");
+        assert_eq!(err, ServeError::Failed("panic in `boom`: str payload".to_owned()));
+        let err = eng
+            .serve_body("boom-string", "k2".to_owned(), "boom", || {
+                std::panic::panic_any(String::from("string payload"))
+            })
+            .expect_err("a panicking job fails");
+        assert_eq!(err, ServeError::Failed("panic in `boom`: string payload".to_owned()));
+        assert_eq!(err.status(), "failed");
+        // The engine caught both panics: the flights are retracted,
+        // nothing was cached, and the pool saw no panicked job.
+        assert!(eng.inflight.lock().unwrap().is_empty(), "in-flight entries retracted");
+        assert_eq!(eng.cache_stats().insertions, 0);
+        assert_eq!(eng.pool_stats().panicked, 0);
+        // ...and the same engine serves the next request.
+        let out = eng.run(&fast_request("e2", 5)).expect("served after the panics");
+        assert!(!out.cached);
     }
 
     use sim_observe::Json;

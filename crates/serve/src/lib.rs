@@ -20,11 +20,14 @@
 //! * [`server`] — TCP accept loop, per-connection driver, graceful
 //!   drain that finishes in-flight work.
 //! * [`client`] — blocking protocol client.
+//! * [`telemetry`] — the `metrics` op's one JSON document: per-op
+//!   counts, windowed latency, SLO state, last gauge readings.
 //! * [`loadgen`] — seeded request-mix generator and the
 //!   `BENCH_serve.json` snapshot for the regression gate.
 //!
-//! The binaries `sim_serve` (server) and `sim_loadgen` (load
-//! generator) are thin argument-parsing shells over these modules.
+//! The binaries `sim_serve` (server), `sim_loadgen` (load generator)
+//! and `sim_top` (metrics viewer) are thin argument-parsing shells
+//! over these modules.
 //!
 //! Served bodies are the *deterministic core* of the CLI's `--json`
 //! output (`sim_runtime::json_core`), byte-identical across thread

@@ -11,7 +11,7 @@
 //! | `frontier` | the [`FrontierRequest`] fields          | header + frontier body |
 //! | `ping`     | —                                       | header only |
 //! | `stats`    | —                                       | header + stats body |
-//! | `metrics`  | optional `format`: `json` (default) or `prom` | header + metrics body |
+//! | `metrics`  | —                                       | header + metrics body |
 //! | `shutdown` | —                                       | header only, then drain |
 //!
 //! Every server reply starts with one compact JSON **header line**.
@@ -45,13 +45,9 @@ pub enum Op {
     Ping,
     /// Cache/pool/coalescing counter snapshot.
     Stats,
-    /// Live telemetry document: windowed latency quantiles, SLO
-    /// state, gauge series. `prom` selects Prometheus text exposition
-    /// over the default JSON body.
-    Metrics {
-        /// Serve Prometheus text instead of JSON.
-        prom: bool,
-    },
+    /// Live telemetry document (JSON): per-op counts, windowed
+    /// latency quantiles, SLO state, the last gauge readings.
+    Metrics,
     /// Begin a graceful drain; the server stops accepting connections.
     Shutdown,
 }
@@ -77,20 +73,13 @@ pub fn parse_line(line: &str) -> Result<Op, String> {
         "ping" => Ok(Op::Ping),
         "stats" => Ok(Op::Stats),
         "metrics" => {
-            let prom = match doc.get("format") {
-                None => false,
-                Some(Json::Str(s)) => match s.as_str() {
-                    "json" => false,
-                    "prom" | "prometheus" => true,
-                    other => {
-                        return Err(format!(
-                            "unknown metrics format `{other}` (known: json, prom)"
-                        ))
-                    }
-                },
-                Some(_) => return Err("`format` must be a string".to_owned()),
-            };
-            Ok(Op::Metrics { prom })
+            let fields = doc.as_object().unwrap_or_default();
+            match fields.iter().find(|(k, _)| k != "op") {
+                Some((field, _)) => Err(format!(
+                    "unknown metrics field `{field}` (the op takes no field but `op`)"
+                )),
+                None => Ok(Op::Metrics),
+            }
         }
         "shutdown" => Ok(Op::Shutdown),
         other => Err(format!(
@@ -247,20 +236,17 @@ mod tests {
         assert_eq!(parse_line(r#"{"op":"ping"}"#).unwrap(), Op::Ping);
         assert_eq!(parse_line(r#"{"op":"stats"}"#).unwrap(), Op::Stats);
         assert_eq!(parse_line(r#"{"op":"shutdown"}"#).unwrap(), Op::Shutdown);
-        assert_eq!(
-            parse_line(r#"{"op":"metrics"}"#).unwrap(),
-            Op::Metrics { prom: false },
-            "metrics defaults to the JSON body"
-        );
-        assert_eq!(
-            parse_line(r#"{"op":"metrics","format":"json"}"#).unwrap(),
-            Op::Metrics { prom: false }
-        );
-        for prom in [r#"{"op":"metrics","format":"prom"}"#, r#"{"op":"metrics","format":"prometheus"}"#] {
-            assert_eq!(parse_line(prom).unwrap(), Op::Metrics { prom: true });
-        }
-        for bad in [r#"{"op":"metrics","format":"xml"}"#, r#"{"op":"metrics","format":7}"#] {
-            assert!(parse_line(bad).is_err(), "{bad}");
+        assert_eq!(parse_line(r#"{"op":"metrics"}"#).unwrap(), Op::Metrics);
+        // The metrics op takes no field beyond `op`: the retired
+        // `format` (any value) and any other field are refused by name.
+        for (bad, field) in [
+            (r#"{"op":"metrics","format":"prom"}"#, "format"),
+            (r#"{"op":"metrics","format":"json"}"#, "format"),
+            (r#"{"format":7,"op":"metrics"}"#, "format"),
+            (r#"{"op":"metrics","window":60}"#, "window"),
+        ] {
+            let err = parse_line(bad).expect_err(bad);
+            assert!(err.contains(&format!("unknown metrics field `{field}`")), "{bad}: {err}");
         }
         let Op::Run(req) = parse_line(r#"{"experiment":"e2","seed":3}"#).unwrap()
         else {

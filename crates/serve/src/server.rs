@@ -207,28 +207,11 @@ fn serve_line(
     };
     match op {
         Op::Ping => writer.write_all(proto::ok_header("ping").as_bytes()).is_ok(),
-        Op::Stats => {
-            // Introspection bodies are compact: one machine-readable
-            // line, uniform with every other auxiliary op. (Report
-            // bodies from `run`/`frontier` stay pretty — their exact
-            // bytes are the cache/determinism contract.)
-            let body = engine.stats_json().to_compact();
-            writer
-                .write_all(proto::payload_header("stats", body.len()).as_bytes())
-                .and_then(|()| writer.write_all(body.as_bytes()))
-                .is_ok()
-        }
-        Op::Metrics { prom } => {
-            let body = if prom {
-                engine.metrics_prometheus()
-            } else {
-                engine.metrics_json().to_compact()
-            };
-            writer
-                .write_all(proto::payload_header("metrics", body.len()).as_bytes())
-                .and_then(|()| writer.write_all(body.as_bytes()))
-                .is_ok()
-        }
+        // Introspection bodies are compact: one machine-readable line
+        // per op. (Report bodies from `run`/`frontier` stay pretty —
+        // their exact bytes are the cache/determinism contract.)
+        Op::Stats => write_payload("stats", &engine.stats_json().to_compact(), writer),
+        Op::Metrics => write_payload("metrics", &engine.metrics_json().to_compact(), writer),
         Op::Shutdown => {
             let _ = writer.write_all(proto::ok_header("shutdown").as_bytes());
             stop.store(true, Ordering::SeqCst);
@@ -237,6 +220,15 @@ fn serve_line(
         Op::Run(req) => write_outcome(engine.run(&req), writer),
         Op::Frontier(req) => write_outcome(engine.frontier(&req), writer),
     }
+}
+
+/// Writes a compact introspection body behind its header. Returns
+/// `false` when the connection should close.
+fn write_payload(op: &str, body: &str, writer: &mut TcpStream) -> bool {
+    writer
+        .write_all(proto::payload_header(op, body.len()).as_bytes())
+        .and_then(|()| writer.write_all(body.as_bytes()))
+        .is_ok()
 }
 
 /// Writes a body-carrying outcome (or its error header). Returns
@@ -317,10 +309,8 @@ mod tests {
             "stats body must be the compact encoding"
         );
         assert!(!stats.contains('\n'));
-        assert!(
-            doc.get("slo").and_then(|s| s.get("overall")).is_some(),
-            "stats carries the SLO section"
-        );
+        assert_eq!(doc.get("coalesced"), Some(&sim_observe::Json::UInt(0)));
+        assert!(doc.get("slo").is_none(), "SLO state is the metrics op's, not stats'");
 
         let (hd, _) = client.roundtrip(r#"{"op":"shutdown"}"#).expect("shutdown");
         assert!(hd.is_ok());
@@ -384,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_op_serves_json_and_prometheus_bodies() {
+    fn metrics_op_serves_json_and_refuses_fields() {
         let (addr, stop, handle) = start_server(&EngineConfig::default());
         let mut client = Client::connect(addr).expect("connect");
         client.roundtrip(&fast_line("e2", 21)).expect("traffic first");
@@ -404,13 +394,21 @@ mod tests {
             .and_then(|o| o.get("run"))
             .expect("per-op section");
         assert_eq!(run_op.get("requests"), Some(&sim_observe::Json::UInt(1)));
+        assert_eq!(
+            run_op.get("requests"),
+            run_op.get("slo").and_then(|s| s.get("total")),
+            "requests is the SLO tracker's total"
+        );
 
-        let (hp, text) = client
+        // The retired `format` field is a malformed line, named in the
+        // answer, and the connection keeps serving.
+        let (hp, _) = client
             .roundtrip(r#"{"op":"metrics","format":"prom"}"#)
-            .expect("prometheus scrape");
-        assert!(hp.is_ok());
-        assert!(text.contains("# TYPE serve_requests_total counter"), "{text}");
-        assert!(text.contains("serve_slo_attainment{op=\"run\"}"), "{text}");
+            .expect("answered");
+        assert_eq!(hp.status, "malformed");
+        assert!(hp.error.as_deref().unwrap_or("").contains("`format`"), "{hp:?}");
+        let (h, _) = client.roundtrip(r#"{"op":"ping"}"#).expect("ping");
+        assert!(h.is_ok(), "connection survives the refusal");
 
         stop.store(true, Ordering::SeqCst);
         drop(client);

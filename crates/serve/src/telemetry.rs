@@ -1,19 +1,21 @@
 //! [`EngineTelemetry`]: the engine's live telemetry plane.
 //!
 //! The `stats` op reports *cumulative* counters (cache hits since
-//! startup, jobs submitted since startup). This module holds the
-//! *windowed* state behind the `metrics` op: per-op sliding-window
-//! latency quantiles, SLO budget accounting, and short gauge series
-//! (queue depth, in-flight count, cache hit rate) sampled at request
-//! completion.
+//! startup, jobs submitted since startup). This module holds the state
+//! behind the `metrics` op, the one telemetry document the server
+//! serves: per-op request and error counts, sliding-window latency
+//! quantiles and SLO budget accounting, plus the last reading of three
+//! gauges (queue depth, in-flight count, cache hit rate) taken at
+//! request completion. Each number is kept once: an op's request and
+//! error counts are its [`SloTracker`]'s.
 //!
 //! Two properties the serve-determinism suite pins:
 //!
-//! * **No scrape-time sampling.** Every sample is pushed when a
+//! * **No scrape-time sampling.** Every sample is taken when a
 //!   request completes, never when the document renders — so two
 //!   consecutive scrapes with no intervening traffic produce
 //!   byte-identical bodies.
-//! * **Fixed shape.** Op order, series names, and the SLO policy are
+//! * **Fixed shape.** Op order, gauge names, and the SLO policy are
 //!   declared up front, so the deterministic core of the metrics
 //!   document is byte-identical across thread counts and machines;
 //!   only values inside the volatile `run` section move.
@@ -22,13 +24,13 @@
 //! against [`SloPolicy::default`]; the `telemetry_overhead` bench
 //! prices a sample, a cache-hit request and a scrape.
 
-use sim_observe::timeseries::{Exposition, SloPolicy, SloTracker, TimeSeries, WindowedHistogram};
+use sim_observe::timeseries::{SloPolicy, SloTracker, WindowedHistogram};
 use sim_observe::{Json, LogHistogram};
 
 /// Schema marker of the `metrics` op's JSON body.
 pub const METRICS_SCHEMA: &str = "vlsi-sync/serve-metrics";
 /// Version of [`METRICS_SCHEMA`].
-pub const METRICS_SCHEMA_VERSION: u64 = 1;
+pub const METRICS_SCHEMA_VERSION: u64 = 2;
 
 /// Ops the engine instruments, in document order. `ping`/`stats`/
 /// `metrics` are deliberately absent: introspection must not perturb
@@ -38,27 +40,22 @@ pub const INSTRUMENTED_OPS: [&str; 2] = ["run", "frontier"];
 /// Sliding-window geometry: 60 buckets × 1000 ms = one minute.
 const WINDOW_BUCKETS: usize = 60;
 const BUCKET_WIDTH_MS: u64 = 1_000;
-/// Gauge series capacity (one sample per completed request).
-const SERIES_CAP: usize = 256;
 
 /// Telemetry of one instrumented op.
 #[derive(Debug)]
 struct OpTelemetry {
-    requests: u64,
-    errors: u64,
     /// Cumulative latency since startup.
     latency: LogHistogram,
     /// Sliding-window latency (ticks are milliseconds since engine
     /// start).
     window: WindowedHistogram,
+    /// Budget accounting; also the op's request and error counts.
     slo: SloTracker,
 }
 
 impl OpTelemetry {
     fn new(policy: SloPolicy) -> Self {
         OpTelemetry {
-            requests: 0,
-            errors: 0,
             latency: LogHistogram::new(),
             window: WindowedHistogram::new(WINDOW_BUCKETS, BUCKET_WIDTH_MS),
             slo: SloTracker::new(policy),
@@ -66,10 +63,6 @@ impl OpTelemetry {
     }
 
     fn record(&mut self, tick_ms: u64, latency_ns: u64, ok: bool) {
-        self.requests += 1;
-        if !ok {
-            self.errors += 1;
-        }
         self.latency.record(latency_ns);
         self.window.record(tick_ms, latency_ns);
         self.slo.record(latency_ns, ok);
@@ -77,8 +70,8 @@ impl OpTelemetry {
 
     fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("requests", Json::UInt(self.requests)),
-            ("errors", Json::UInt(self.errors)),
+            ("requests", Json::UInt(self.slo.total())),
+            ("errors", Json::UInt(self.slo.errors())),
             ("latency_ns", self.latency.to_json()),
             ("window", self.window.to_json()),
             ("slo", self.slo.to_json()),
@@ -88,7 +81,7 @@ impl OpTelemetry {
 
 /// One completed request's gauge readings, taken by the engine outside
 /// the telemetry lock.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GaugeSnapshot {
     /// Outstanding pool jobs (submitted − completed).
     pub queue_depth: u64,
@@ -98,15 +91,13 @@ pub struct GaugeSnapshot {
     pub cache_hit_rate: f64,
 }
 
-/// The engine's windowed telemetry state (behind the engine's
-/// `Mutex`).
+/// The engine's telemetry state (behind the engine's `Mutex`).
 #[derive(Debug)]
 pub struct EngineTelemetry {
-    policy: SloPolicy,
-    ops: Vec<OpTelemetry>,
-    queue_depth: TimeSeries,
-    in_flight: TimeSeries,
-    cache_hit_rate: TimeSeries,
+    ops: [OpTelemetry; INSTRUMENTED_OPS.len()],
+    /// Gauges as the last completed request read them (all zero
+    /// before the first).
+    gauges: GaugeSnapshot,
 }
 
 impl EngineTelemetry {
@@ -114,11 +105,8 @@ impl EngineTelemetry {
     #[must_use]
     pub fn new(policy: SloPolicy) -> Self {
         EngineTelemetry {
-            policy,
-            ops: INSTRUMENTED_OPS.iter().map(|_| OpTelemetry::new(policy)).collect(),
-            queue_depth: TimeSeries::new(SERIES_CAP),
-            in_flight: TimeSeries::new(SERIES_CAP),
-            cache_hit_rate: TimeSeries::new(SERIES_CAP),
+            ops: INSTRUMENTED_OPS.map(|_| OpTelemetry::new(policy)),
+            gauges: GaugeSnapshot::default(),
         }
     }
 
@@ -135,33 +123,7 @@ impl EngineTelemetry {
         if let Some(i) = INSTRUMENTED_OPS.iter().position(|&n| n == op) {
             self.ops[i].record(tick_ms, latency_ns, ok);
         }
-        self.queue_depth.push(tick_ms, gauges.queue_depth as f64);
-        self.in_flight.push(tick_ms, gauges.in_flight as f64);
-        self.cache_hit_rate.push(tick_ms, gauges.cache_hit_rate);
-    }
-
-    /// An SLO tracker over *all* instrumented ops (for summary lines).
-    #[must_use]
-    pub fn slo_overall(&self) -> SloTracker {
-        let mut merged = SloTracker::new(self.policy);
-        for op in &self.ops {
-            merged.merge(&op.slo);
-        }
-        merged
-    }
-
-    /// The `slo` section of the `stats` op: overall plus per-op
-    /// tracker state. Fixed shape, volatile values.
-    #[must_use]
-    pub fn slo_json(&self) -> Json {
-        let mut pairs = vec![
-            ("policy".to_owned(), self.policy.to_json()),
-            ("overall".to_owned(), self.slo_overall().to_json()),
-        ];
-        for (name, op) in INSTRUMENTED_OPS.iter().zip(&self.ops) {
-            pairs.push(((*name).to_owned(), op.slo.to_json()));
-        }
-        Json::Object(pairs)
+        self.gauges = gauges;
     }
 
     /// The `metrics` op's JSON body. Top-level fields outside `run`
@@ -186,7 +148,7 @@ impl EngineTelemetry {
                         .collect(),
                 ),
             ),
-            ("slo_policy", self.policy.to_json()),
+            ("slo_policy", self.ops[0].slo.policy().to_json()),
             (
                 "window",
                 Json::obj(vec![
@@ -199,95 +161,16 @@ impl EngineTelemetry {
                 Json::obj(vec![
                     ("ops", Json::Object(ops)),
                     (
-                        "series",
+                        "gauges",
                         Json::obj(vec![
-                            ("queue_depth", self.queue_depth.to_json()),
-                            ("in_flight", self.in_flight.to_json()),
-                            ("cache_hit_rate", self.cache_hit_rate.to_json()),
+                            ("queue_depth", Json::UInt(self.gauges.queue_depth)),
+                            ("in_flight", Json::UInt(self.gauges.in_flight)),
+                            ("cache_hit_rate", Json::Float(self.gauges.cache_hit_rate)),
                         ]),
                     ),
                 ]),
             ),
         ])
-    }
-
-    /// The `metrics` op's Prometheus-text body. Same sources as
-    /// [`EngineTelemetry::to_json`], same no-scrape-sampling rule.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut exp = Exposition::new();
-        for (name, op) in INSTRUMENTED_OPS.iter().zip(&self.ops) {
-            let labels = [("op", *name)];
-            exp.counter(
-                "serve_requests_total",
-                "Requests served per op.",
-                &labels,
-                op.requests,
-            );
-            exp.counter(
-                "serve_errors_total",
-                "Requests that returned an error, per op.",
-                &labels,
-                op.errors,
-            );
-            exp.quantiles(
-                "serve_latency_ns",
-                "Cumulative request latency quantiles, nanoseconds.",
-                &labels,
-                &op.latency,
-            );
-            exp.quantiles(
-                "serve_window_latency_ns",
-                "Sliding-window request latency quantiles, nanoseconds.",
-                &labels,
-                &op.window.merged(),
-            );
-            exp.gauge(
-                "serve_slo_attainment",
-                "Fraction of requests within the latency budget.",
-                &labels,
-                op.slo.attainment(),
-            );
-            exp.gauge(
-                "serve_slo_latency_burn_rate",
-                "Latency budget burn rate (1.0 = burning at the allowed rate).",
-                &labels,
-                op.slo.latency_burn_rate(),
-            );
-            exp.gauge(
-                "serve_slo_error_burn_rate",
-                "Error budget burn rate (1.0 = burning at the allowed rate).",
-                &labels,
-                op.slo.error_burn_rate(),
-            );
-            exp.gauge(
-                "serve_slo_healthy",
-                "1 when both SLO budgets hold, else 0.",
-                &labels,
-                if op.slo.healthy() { 1.0 } else { 0.0 },
-            );
-        }
-        for (name, help, series) in [
-            (
-                "serve_queue_depth",
-                "Outstanding pool jobs at last request completion.",
-                &self.queue_depth,
-            ),
-            (
-                "serve_in_flight",
-                "Single-flight entries at last request completion.",
-                &self.in_flight,
-            ),
-            (
-                "serve_cache_hit_rate",
-                "Cumulative cache hit rate at last request completion.",
-                &self.cache_hit_rate,
-            ),
-        ] {
-            let latest = series.latest().map_or(0.0, |s| s.value);
-            exp.gauge(name, help, &[], latest);
-        }
-        exp.finish()
     }
 }
 
@@ -308,14 +191,12 @@ mod tests {
         let mut tel = EngineTelemetry::new(SloPolicy::default());
         tel.record("run", 5, 1_000_000, true, gauges());
         let json_a = tel.to_json().to_compact();
-        let prom_a = tel.to_prometheus();
         // Rendering must not perturb state: scrape twice, same bytes.
         assert_eq!(tel.to_json().to_compact(), json_a);
-        assert_eq!(tel.to_prometheus(), prom_a);
-        // Wait: telemetry ticks come from requests, not wall clocks,
-        // so even "later" idle scrapes stay identical.
+        // Telemetry ticks come from requests, not wall clocks, so even
+        // "later" idle scrapes stay identical.
         assert_eq!(tel.to_json().to_compact(), json_a);
-        // record() was a no-op on series? No — traffic must move them.
+        // Traffic, on the other hand, must move the document.
         tel.record("run", 9, 2_000_000, true, gauges());
         assert_ne!(tel.to_json().to_compact(), json_a);
     }
@@ -359,68 +240,53 @@ mod tests {
         let qd = doc
             .get("run")
             .unwrap()
-            .get("series")
+            .get("gauges")
             .unwrap()
             .get("queue_depth")
             .unwrap();
-        assert_eq!(qd.get("pushed"), Some(&Json::UInt(1)));
+        assert_eq!(qd, &Json::UInt(2), "ping's gauge reading is kept");
     }
 
     #[test]
-    fn prometheus_body_carries_slo_and_quantiles() {
+    fn requests_and_errors_are_the_slo_counts() {
         let mut tel = EngineTelemetry::new(SloPolicy::default());
-        for i in 0..100 {
-            tel.record("run", i / 10, (i + 1) * 10_000, i != 50, gauges());
+        for i in 0..10 {
+            tel.record("run", i, 1_000, i % 4 != 0, gauges());
         }
-        tel.record("frontier", 10, 123, true, gauges());
-        let text = tel.to_prometheus();
-        for needle in [
-            "# TYPE serve_requests_total counter",
-            "serve_requests_total{op=\"run\"} 100",
-            "serve_requests_total{op=\"frontier\"} 1",
-            "serve_errors_total{op=\"run\"} 1",
-            "serve_latency_ns{op=\"run\",quantile=\"0.999\"}",
-            "serve_window_latency_ns{op=\"run\",quantile=\"0.5\"}",
-            "serve_slo_attainment{op=\"run\"}",
-            "serve_slo_healthy{op=\"run\"} 1",
-            "serve_queue_depth 2",
-            "serve_cache_hit_rate 0.5",
-        ] {
-            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        tel.record("frontier", 10, 1_000, false, gauges());
+        let doc = tel.to_json();
+        for (op, requests, errors) in [("run", 10, 3), ("frontier", 1, 1)] {
+            let o = doc.get("run").unwrap().get("ops").unwrap().get(op).unwrap();
+            let slo = o.get("slo").unwrap();
+            assert_eq!(o.get("requests"), Some(&Json::UInt(requests)), "{op}");
+            assert_eq!(o.get("errors"), Some(&Json::UInt(errors)), "{op}");
+            assert_eq!(o.get("requests"), slo.get("total"), "{op}");
+            assert_eq!(o.get("errors"), slo.get("errors"), "{op}");
         }
     }
 
     #[test]
-    fn slo_json_reports_overall_and_per_op() {
+    fn gauge_snapshot_lands_in_every_gauge() {
         let mut tel = EngineTelemetry::new(SloPolicy::default());
-        tel.record("run", 1, 1_000, true, gauges());
-        tel.record("frontier", 2, 2_000, false, gauges());
-        let doc = tel.slo_json();
-        assert!(doc.get("policy").is_some());
-        assert_eq!(
-            doc.get("overall").unwrap().get("total"),
-            Some(&Json::UInt(2))
-        );
-        assert_eq!(doc.get("run").unwrap().get("total"), Some(&Json::UInt(1)));
-        assert_eq!(
-            doc.get("frontier").unwrap().get("errors"),
-            Some(&Json::UInt(1))
-        );
-        let _ = gauges(); // silence the helper when cfgs shift
-    }
-
-    #[test]
-    fn gauge_snapshot_lands_in_every_series() {
-        let mut tel = EngineTelemetry::new(SloPolicy::default());
+        let fresh = tel.to_json();
         tel.record("run", 3, 1_000, true, gauges());
         let doc = tel.to_json();
-        let series = doc.get("run").unwrap().get("series").unwrap();
-        for name in ["queue_depth", "in_flight", "cache_hit_rate"] {
-            assert_eq!(
-                series.get(name).unwrap().get("pushed"),
-                Some(&Json::UInt(1)),
-                "series {name}"
-            );
-        }
+        let read = |doc: &Json| doc.get("run").unwrap().get("gauges").unwrap().to_compact();
+        assert_eq!(
+            read(&fresh),
+            r#"{"queue_depth":0,"in_flight":0,"cache_hit_rate":0.0}"#,
+            "no request, no reading"
+        );
+        assert_eq!(
+            read(&doc),
+            r#"{"queue_depth":2,"in_flight":1,"cache_hit_rate":0.5}"#
+        );
+        // The last reading wins.
+        let later = GaugeSnapshot { queue_depth: 7, in_flight: 0, cache_hit_rate: 0.75 };
+        tel.record("frontier", 4, 1_000, true, later);
+        assert_eq!(
+            read(&tel.to_json()),
+            r#"{"queue_depth":7,"in_flight":0,"cache_hit_rate":0.75}"#
+        );
     }
 }

@@ -4,8 +4,8 @@
 # BENCH_serve.json through the regression gate, and prove the server
 # drains cleanly when its stdin closes.
 #
-# Also scrapes the live telemetry plane through sim_top (JSON, table,
-# and Prometheus bodies) and asserts the SLO accounting is present.
+# Also scrapes the live telemetry plane through sim_top (JSON body and
+# table) and asserts the SLO accounting is present.
 #
 # Usage: scripts/serve_smoke.sh [BIN_DIR]
 #   BIN_DIR   directory holding sim_serve/sim_loadgen/sim_top/
@@ -73,26 +73,20 @@ echo "$HOT_OUT" | grep -q "slo: attainment=" \
     || fail "loadgen output is missing the SLO summary line"
 
 # Scrape the live telemetry plane: the JSON body carries the SLO
-# state, the Prometheus body carries the exposition, and the table
-# renders. Two back-to-back quiet scrapes must be byte-identical —
-# scraping never samples.
+# state and the gauges, and the table renders. Two back-to-back quiet
+# scrapes must be byte-identical — scraping never samples.
 echo "==> sim_top metrics scrapes"
 METRICS=$("$BIN/sim_top" --addr "$ADDR" --once --format json) \
     || fail "sim_top JSON scrape failed"
 for field in '"schema":"vlsi-sync/serve-metrics"' '"slo_policy"' \
-    '"attainment"' '"latency_burn_rate"' '"error_burn_rate"' '"healthy"'; do
+    '"attainment"' '"latency_burn_rate"' '"error_burn_rate"' '"healthy"' \
+    '"gauges":{"queue_depth":'; do
     echo "$METRICS" | grep -qF "$field" \
         || fail "metrics JSON is missing $field"
 done
 METRICS2=$("$BIN/sim_top" --addr "$ADDR" --once --format json) \
     || fail "second sim_top scrape failed"
 [ "$METRICS" = "$METRICS2" ] || fail "quiet metrics scrapes must be byte-identical"
-PROM=$("$BIN/sim_top" --addr "$ADDR" --once --format prom) \
-    || fail "sim_top Prometheus scrape failed"
-echo "$PROM" | grep -q '^serve_requests_total{op="run"} [0-9]' \
-    || fail "Prometheus body is missing the run request counter"
-echo "$PROM" | grep -q '^serve_slo_attainment{op="run"} ' \
-    || fail "Prometheus body is missing the SLO attainment gauge"
 "$BIN/sim_top" --addr "$ADDR" --once | grep -q "^gauges:" \
     || fail "sim_top table render is missing its gauges line"
 echo "==> telemetry plane scrapes cleanly (SLO fields present)"
@@ -108,6 +102,22 @@ echo "$REFUSAL" | grep -qF 'unknown request field `fault_rates`' \
     || fail "fault_rates answer does not name the unknown field: $REFUSAL"
 printf '%s\n' '{"op":"ping"}' >&8
 read -r -t 30 PONG <&8 || fail "no answer to ping after the refusal"
+echo "$PONG" | grep -qF '"status":"ok"' || fail "server stopped serving: $PONG"
+exec 8>&-
+
+# The metrics op takes no field but `op`: a line asking for the retired
+# Prometheus format is answered malformed, naming `format`, and the
+# same connection keeps serving.
+echo "==> metrics line with a format field"
+exec 8<>"/dev/tcp/127.0.0.1/$PORT"
+printf '%s\n' '{"op":"metrics","format":"prom"}' >&8
+read -r -t 30 REFUSAL <&8 || fail "no answer to the metrics format line"
+echo "$REFUSAL" | grep -qF '"status":"malformed"' \
+    || fail "metrics format line was not answered malformed: $REFUSAL"
+echo "$REFUSAL" | grep -qF 'unknown metrics field `format`' \
+    || fail "metrics format answer does not name the field: $REFUSAL"
+printf '%s\n' '{"op":"ping"}' >&8
+read -r -t 30 PONG <&8 || fail "no answer to ping after the metrics refusal"
 echo "$PONG" | grep -qF '"status":"ok"' || fail "server stopped serving: $PONG"
 exec 8>&-
 

@@ -58,6 +58,10 @@ rc=0; "$BIN/sweep_shard" --manifest x --shard -3 --dir y 2>/dev/null || rc=$?
 # Telemetry is always on: the old off switch is an unknown flag.
 rc=0; "$BIN/sim_serve" --no-telemetry >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || fail "sim_serve must exit 2 on --no-telemetry (got $rc)"
+# The metrics body is JSON only: the retired Prometheus format is a
+# usage error, refused before any connection is tried.
+rc=0; "$BIN/sim_top" --format prom >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || fail "sim_top must exit 2 on --format prom (got $rc)"
 # A floor or tolerance that no measurement can cross disarms its gate.
 for bad in "NaN" "-1"; do
     rc=0; "$BIN/bench_regress" --wall-tol "$bad" >/dev/null 2>&1 || rc=$?

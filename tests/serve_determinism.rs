@@ -107,33 +107,16 @@ fn metrics_op_round_trips_and_quiet_scrapes_are_byte_identical() {
     assert_eq!(run_op.get("requests"), Some(&Json::UInt(3)));
     assert!(run_op.get("slo").and_then(|s| s.get("attainment")).is_some());
 
-    // The Prometheus exposition parses back line by line: every
-    // non-comment line is `name[{labels}] value` with a float value.
-    let (h, prom) = client
-        .roundtrip(r#"{"op":"metrics","format":"prom"}"#)
-        .expect("prom scrape");
-    assert!(h.is_ok());
-    let mut samples = 0;
-    for line in prom.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.rsplit_once(' ').expect("name value");
-        assert!(!name.is_empty(), "{line}");
-        assert!(value.parse::<f64>().is_ok(), "unparsable value in `{line}`");
-        samples += 1;
-    }
-    assert!(samples > 10, "a real exposition has many samples, got {samples}");
-    assert!(prom.contains(r#"serve_requests_total{op="run"} 3"#), "{prom}");
+    assert_eq!(
+        run_op.get("requests"),
+        run_op.get("slo").and_then(|s| s.get("total")),
+        "requests is the SLO tracker's total"
+    );
 
     // No-scrape-sampling contract: scraping records nothing, so two
-    // quiet scrapes produce byte-identical bodies — JSON and prom.
+    // quiet scrapes produce byte-identical bodies.
     let (_, body2) = client.roundtrip(r#"{"op":"metrics"}"#).expect("quiet scrape");
     assert_eq!(body, body2, "quiet JSON scrapes must be byte-identical");
-    let (_, prom2) = client
-        .roundtrip(r#"{"op":"metrics","format":"prom"}"#)
-        .expect("quiet prom scrape");
-    assert_eq!(prom, prom2, "quiet prom scrapes must be byte-identical");
 
     stop.store(true, Ordering::SeqCst);
     drop(client);
