@@ -16,21 +16,27 @@
 //! probability and throughput retention (nominal period / degraded
 //! period over surviving trials).
 
-use crate::grid::{
-    clocked_trial, link, policy, tally_results, Clocked, DELTA, EPS, M, RATES, SPACING, TOKENS,
-    WAVES,
-};
+use crate::grid::{self, build_cell, link, policy, tally_results, RATES};
 use crate::{f, Table};
-use array_layout::prelude::*;
-use clock_tree::prelude::*;
 use netlist::prelude::*;
 use selftimed::prelude::*;
 use sim_faults::{FaultPlan, FaultRates, RunOutcome};
 use sim_runtime::{rline, ExpConfig, Experiment, Report, SimRng};
+use sim_sweep::GridPoint;
 
 /// See the module docs.
 #[derive(Debug)]
 pub struct E12;
+
+/// The five schemes under test, in table order: the report label, then
+/// the design-space grid cell (scheme, topology) that simulates it.
+const SCHEMES: [(&str, &str, &str); 5] = [
+    ("global-spine", "global", "spine"),
+    ("global-htree", "global", "htree"),
+    ("pipelined-htree", "pipelined", "htree"),
+    ("hybrid", "hybrid", "mesh"),
+    ("selftimed", "selftimed", "chain"),
+];
 
 fn ps(v: u64) -> SimTime {
     SimTime::from_ps(v)
@@ -155,7 +161,6 @@ impl Experiment for E12 {
         let trials = cfg.trials_or(200);
         let sizes = cfg.size(3, 2);
         let ks = &[4usize, 8, 16][..sizes];
-        let wdm = WireDelayModel::new(M, EPS);
         let sweep = cfg.sweep();
         let pol = policy();
 
@@ -171,49 +176,13 @@ impl Experiment for E12 {
 
         // success[scheme][rate] for the current size; kept after the
         // loop for the largest-array ordering check.
-        let scheme_names = [
-            "global-spine",
-            "global-htree",
-            "pipelined-htree",
-            "hybrid",
-            "selftimed",
-        ];
         let mut success = [[0.0f64; RATES.len()]; 5];
         for &k in ks {
             let n = k * k;
-            let comm = CommGraph::linear(n);
-            let row = Layout::linear_row(&comm);
-            let comb = Layout::comb(&comm, k);
-            let spine_tree = spine(&comm, &row);
-            let htree_tree = htree(&comm, &comb).equalized();
-            let pairs = comm.communicating_pairs();
-            let clocked = [
-                Clocked {
-                    tree: spine_tree,
-                    dist: Distribution::Equipotential { alpha: 1.0 },
-                    slack: 0.25 * DELTA,
-                    local: false,
-                },
-                Clocked {
-                    tree: htree_tree.clone(),
-                    dist: Distribution::Equipotential { alpha: 1.0 },
-                    slack: 0.5 * DELTA,
-                    local: false,
-                },
-                Clocked {
-                    tree: htree_tree,
-                    dist: Distribution::Pipelined {
-                        buffer_delay: 1.0,
-                        spacing: SPACING,
-                        unit_wire_delay: M,
-                    },
-                    slack: 0.75 * DELTA,
-                    local: true,
-                },
-            ];
-            let hybrid = HybridArray::over_mesh(k, HybridParams::new(4, DELTA, M, EPS, link()));
-            let chain = HandshakeChain::new(n, link(), 1.0);
-            let clean_period = chain.run(TOKENS, None, None).period;
+            let cells = SCHEMES.map(|(_, scheme, topology)| {
+                build_cell(&GridPoint::new(scheme, topology, k as u64, 0.0))
+                    .expect("e12's schemes are grid cells")
+            });
 
             let mut table = Table::new(&[
                 "scheme",
@@ -227,40 +196,12 @@ impl Experiment for E12 {
                 "retention",
             ]);
             for (ri, &rate) in RATES.iter().enumerate() {
-                let rates_cfg = FaultRates::uniform(rate);
                 let plan_seed =
                     cfg.seed ^ ((k as u64) << 32) ^ ((ri as u64 + 1) << 8);
-                for (si, name) in scheme_names.iter().enumerate() {
-                    let results = match si {
-                        0..=2 => {
-                            let scheme = &clocked[si];
-                            sweep.run_isolated(trials, plan_seed, |t, rng| {
-                                let plan = FaultPlan::new(plan_seed, t as u64, rates_cfg);
-                                clocked_trial(scheme, &pairs, &wdm, &plan, rng)
-                            })
-                        }
-                        3 => sweep.run_isolated(trials, plan_seed, |t, _rng| {
-                            let plan = FaultPlan::new(plan_seed, t as u64, rates_cfg);
-                            let (outcome, period) =
-                                hybrid.simulate_period_faulty(WAVES, &plan, pol);
-                            let retention = if outcome.is_ok() {
-                                hybrid.cycle_time() / period
-                            } else {
-                                0.0
-                            };
-                            (outcome, retention)
-                        }),
-                        _ => sweep.run_isolated(trials, plan_seed, |t, _rng| {
-                            let plan = FaultPlan::new(plan_seed, t as u64, rates_cfg);
-                            let run = chain.run(TOKENS, Some((&plan, pol)), None);
-                            let retention = if run.outcome.is_ok() {
-                                clean_period / run.period
-                            } else {
-                                0.0
-                            };
-                            (run.outcome, retention)
-                        }),
-                    };
+                for (si, (name, ..)) in SCHEMES.iter().enumerate() {
+                    let results = sweep.run(0..trials, plan_seed, |t, rng| {
+                        grid::trial(&cells[si], rate, plan_seed, t as u64, rng)
+                    });
                     let (tally, retention) = tally_results(&results);
                     assert_eq!(
                         tally.total(),
@@ -296,13 +237,13 @@ impl Experiment for E12 {
                 assert!(
                     (per_rate[0] - 1.0).abs() < 1e-12,
                     "{}: rate 0 must be all-ok",
-                    scheme_names[si]
+                    SCHEMES[si].0
                 );
                 for w in per_rate.windows(2) {
                     assert!(
                         w[1] <= w[0] + 0.08,
                         "{}: success should not grow with the fault rate",
-                        scheme_names[si]
+                        SCHEMES[si].0
                     );
                 }
             }
@@ -318,8 +259,8 @@ impl Experiment for E12 {
                     assert!(
                         success[survivor][hi] > success[global][hi],
                         "{} should out-survive {} at peak stress",
-                        scheme_names[survivor],
-                        scheme_names[global]
+                        SCHEMES[survivor].0,
+                        SCHEMES[global].0
                     );
                 }
             }

@@ -176,16 +176,13 @@ impl Experiment for E13 {
                     // Same plan seed for every scheme: one fault
                     // environment, three reactions.
                     let plan_seed = cfg.seed ^ ((k as u64) << 32) ^ ((ri as u64 + 1) << 8);
-                    let results = sweep.run_isolated(trials, plan_seed, |t, _rng| {
+                    let results = sweep.run(0..trials, plan_seed, |t, _rng| {
                         let episodes = episode_config(rate);
                         let recovery = recovery_config();
                         episode_trial(scheme, episodes, &recovery, plan_seed, t as u64, None)
                     });
                     let mut stats = CellStats::default();
-                    for res in &results {
-                        let (episodes, rep) = res
-                            .as_ref()
-                            .expect("recovery trials do not panic");
+                    for (episodes, rep) in &results {
                         stats.absorb(*episodes, rep);
                     }
                     let q = |v: Option<u64>| {

@@ -6,17 +6,20 @@
 //! TRIX/PALS cells, which face *episode* faults (transient outages
 //! with onset and repair) and are judged by whether every skew
 //! violation heals.
-//! This module extracts that machinery so it can serve two masters:
-//! the e12 experiment itself (tables, in-report asserts) and the
+//! This module is that machinery, written once for two masters: the
+//! e12 experiment itself (tables, in-report asserts) and the
 //! `sim-sweep` mega-sweep (the `explore` / `sweep_shard` binaries and
 //! the `frontier` op in sim-serve), which walks the same grid across
-//! checkpointed shards and prunes it to a Pareto frontier.
+//! checkpointed shards and prunes it to a Pareto frontier. Both build
+//! their cells with [`build_cell`], run every fault trial through
+//! [`trial`] (the one place a trial's panic is caught) and fold the
+//! results with [`tally_results`]; the sweep only adds the JSON record
+//! codec around them ([`run_trial`] encodes, [`aggregate`] decodes).
 //!
 //! Everything here is deterministic in `(manifest seed, global trial
-//! index)`: trial results are pure JSON values, aggregation is an
-//! in-order fold, and the hardware-cost proxy is a pure function of
-//! the grid point — so shard merges stay byte-identical to
-//! single-process runs.
+//! index)`: trial results are pure values, aggregation is an in-order
+//! fold, and the hardware-cost proxy is a pure function of the grid
+//! point — so shard merges stay byte-identical to single-process runs.
 
 use crate::episode::{episode_trial, EpisodeScheme};
 use array_layout::prelude::*;
@@ -101,7 +104,7 @@ pub fn link() -> HandshakeLink {
 
 /// Worst arrival-time spread over every clocked cell.
 #[must_use]
-pub fn global_skew(tree: &ClockTree, at: &ArrivalTimes) -> f64 {
+fn global_skew(tree: &ClockTree, at: &ArrivalTimes) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for c in tree.attached_cells() {
@@ -118,7 +121,7 @@ pub fn global_skew(tree: &ClockTree, at: &ArrivalTimes) -> f64 {
 
 /// Worst skew over communicating pairs only (the pipelined discipline).
 #[must_use]
-pub fn local_skew(tree: &ClockTree, at: &ArrivalTimes, pairs: &[(CellId, CellId)]) -> f64 {
+fn local_skew(tree: &ClockTree, at: &ArrivalTimes, pairs: &[(CellId, CellId)]) -> f64 {
     pairs
         .iter()
         .map(|&(a, b)| at.skew(tree, a, b))
@@ -143,7 +146,7 @@ pub struct Clocked {
 /// buffers stretch edges. The margin test compares faulted against
 /// nominal skew *under the same sampled wire rates*, so a fault-free
 /// trial always passes and the verdict isolates fault damage.
-pub fn clocked_trial(
+fn clocked_trial(
     s: &Clocked,
     pairs: &[(CellId, CellId)],
     wdm: &WireDelayModel,
@@ -176,8 +179,9 @@ pub fn clocked_trial(
     (RunOutcome::Ok, nominal_period / degraded_period)
 }
 
-/// Folds per-trial results (panics included) into a tally plus the
-/// mean throughput retention over the surviving trials.
+/// Folds per-trial [`trial`] results (panics included), in order, into
+/// a tally plus the mean throughput retention over the surviving
+/// trials — the one outcome fold of e12 and the sweep.
 #[must_use]
 pub fn tally_results(results: &[Result<(RunOutcome, f64), String>]) -> (OutcomeTally, f64) {
     let mut tally = OutcomeTally::new();
@@ -455,30 +459,32 @@ pub fn point_cost(point: &GridPoint) -> Result<f64, String> {
     }
 }
 
-/// Runs one Monte-Carlo trial of a grid point. The fault plan derives
-/// from `(point_seed, trial)` and the wire-rate sampling from `rng`
-/// (whose stream is keyed to the *global* trial index by the sweep
-/// runner), so the result is deterministic and shard-independent.
-/// Panics are isolated and reported as the `"panic"` outcome.
+/// Runs one Monte-Carlo fault trial of a prebuilt cell at fault rate
+/// `rate` — the one trial kernel of e12 and the sweep. The fault plan
+/// derives from `(plan_seed, trial)` and the wire-rate sampling from
+/// `rng` (whose stream is keyed to the *global* trial index by the
+/// sweep runner), so the result is deterministic and shard-independent.
 ///
-/// The returned object is the sweep's per-trial record:
-/// `{"o": outcome-label, "r": throughput-retention}`, plus a
-/// `"m"` truncated-message field on panicked trials only.
-pub fn run_trial(
+/// This is the one place a fault trial is isolated: a panic inside the
+/// trial is caught and comes back as `Err` carrying its
+/// [`truncate_panic_reason`]-truncated message, so one pathological
+/// trial cannot take out the rest of its sweep. (The panic still runs
+/// the global panic hook, so its message may appear on stderr.)
+///
+/// # Errors
+///
+/// The truncated message of a panicking trial.
+pub fn trial(
     cell: &Cell,
-    point: &GridPoint,
-    point_seed: u64,
+    rate: f64,
+    plan_seed: u64,
     trial: u64,
     rng: &mut SimRng,
-) -> Json {
-    let rates = FaultRates::uniform(point.fault_rate);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cell {
-        Cell::Clocked(c) => {
-            let plan = FaultPlan::new(point_seed, trial, rates);
-            clocked_trial(&c.scheme, &c.pairs, &c.wdm, &plan, rng)
-        }
+) -> Result<(RunOutcome, f64), String> {
+    let plan = FaultPlan::new(plan_seed, trial, FaultRates::uniform(rate));
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cell {
+        Cell::Clocked(c) => clocked_trial(&c.scheme, &c.pairs, &c.wdm, &plan, rng),
         Cell::Hybrid(hybrid) => {
-            let plan = FaultPlan::new(point_seed, trial, rates);
             let (outcome, period) = hybrid.simulate_period_faulty(WAVES, &plan, policy());
             let retention = if outcome.is_ok() {
                 hybrid.cycle_time() / period
@@ -491,7 +497,6 @@ pub fn run_trial(
             chain,
             clean_period,
         } => {
-            let plan = FaultPlan::new(point_seed, trial, rates);
             let run = chain.run(TOKENS, Some((&plan, policy())), None);
             let retention = if run.outcome.is_ok() {
                 clean_period / run.period
@@ -500,33 +505,51 @@ pub fn run_trial(
             };
             (run.outcome, retention)
         }
-        Cell::Trix(p) => {
-            episode_outcome(EpisodeScheme::Trix(*p), point.fault_rate, point_seed, trial)
-        }
-        Cell::Pals(p) => {
-            episode_outcome(EpisodeScheme::Pals(*p), point.fault_rate, point_seed, trial)
-        }
-    }));
-    match result {
+        Cell::Trix(p) => episode_outcome(EpisodeScheme::Trix(*p), rate, plan_seed, trial),
+        Cell::Pals(p) => episode_outcome(EpisodeScheme::Pals(*p), rate, plan_seed, trial),
+    }))
+    .map_err(|payload| truncate_panic_reason(&panic_message(payload.as_ref())))
+}
+
+/// Runs one [`trial`] of a grid point and encodes it as the sweep's
+/// per-trial record: `{"o": outcome-label, "r": throughput-retention}`,
+/// with `"o": "panic"`, `"r": 0` and a `"m"` truncated-message field on
+/// panicked trials only.
+pub fn run_trial(
+    cell: &Cell,
+    point: &GridPoint,
+    point_seed: u64,
+    trial: u64,
+    rng: &mut SimRng,
+) -> Json {
+    match self::trial(cell, point.fault_rate, point_seed, trial, rng) {
         Ok((outcome, retention)) => Json::obj(vec![
             ("o", Json::Str(outcome.label().to_owned())),
             ("r", Json::Float(retention)),
         ]),
-        Err(payload) => Json::obj(vec![
+        Err(msg) => Json::obj(vec![
             ("o", Json::Str("panic".to_owned())),
             ("r", Json::Float(0.0)),
-            (
-                "m",
-                Json::Str(truncate_panic_reason(&panic_message(payload.as_ref()))),
-            ),
+            ("m", Json::Str(msg)),
         ]),
+    }
+}
+
+/// The inverse of [`run_trial`]'s encoding: a record back into its
+/// [`trial`] result. An unknown outcome label (the `"panic"` marker
+/// included) reads as a panic carrying `"m"`, or `""` when it has none.
+fn decode_trial(record: &Json) -> Result<(RunOutcome, f64), String> {
+    let label = record.get("o").and_then(Json::as_str).unwrap_or("panic");
+    match RunOutcome::from_label(label) {
+        Some(outcome) => Ok((outcome, record.get("r").and_then(Json::as_f64).unwrap_or(0.0))),
+        None => Err(record.get("m").and_then(Json::as_str).unwrap_or("").to_owned()),
     }
 }
 
 /// Aggregates one grid point's ordered trial records into its summary:
 /// the outcome tally, survival rate, mean throughput retention over
-/// surviving trials (an in-order fold, so shard merges reproduce it
-/// exactly), and the [`point_cost`] proxy.
+/// surviving trials (the in-order [`tally_results`] fold, so shard
+/// merges reproduce it exactly), and the [`point_cost`] proxy.
 ///
 /// # Panics
 ///
@@ -534,28 +557,8 @@ pub fn run_trial(
 /// callers validate the manifest by building cells first.
 #[must_use]
 pub fn aggregate(point: &GridPoint, trials: &[Json]) -> Json {
-    let mut tally = OutcomeTally::new();
-    let mut sum = 0.0;
-    for t in trials {
-        let label = t.get("o").and_then(Json::as_str).unwrap_or("panic");
-        match RunOutcome::from_label(label) {
-            Some(outcome) => {
-                tally.record(outcome);
-                if outcome.is_ok() {
-                    sum += t.get("r").and_then(Json::as_f64).unwrap_or(0.0);
-                }
-            }
-            None => {
-                let msg = t.get("m").and_then(Json::as_str).unwrap_or("");
-                tally.record_panic_reason(msg);
-            }
-        }
-    }
-    let retention = if tally.ok == 0 {
-        0.0
-    } else {
-        sum / tally.ok as f64
-    };
+    let results: Vec<_> = trials.iter().map(decode_trial).collect();
+    let (tally, retention) = tally_results(&results);
     let cost = point_cost(point).expect("aggregate over a validated manifest");
     Json::obj(vec![
         ("trials", Json::UInt(trials.len() as u64)),
@@ -694,6 +697,79 @@ mod tests {
             outcomes.get("panic_reason").and_then(Json::as_str),
             Some("index out of bounds")
         );
+    }
+
+    /// e12's five cells, as grid (scheme, topology) pairs.
+    const E12_CELLS: [(&str, &str); 5] = [
+        ("global", "spine"),
+        ("global", "htree"),
+        ("pipelined", "htree"),
+        ("hybrid", "mesh"),
+        ("selftimed", "chain"),
+    ];
+
+    #[test]
+    fn aggregate_decodes_exactly_what_run_trial_encodes() {
+        for (scheme, topology) in E12_CELLS {
+            let p = GridPoint::new(scheme, topology, 4, 0.05);
+            let cell = build_cell(&p).expect("cell");
+            let mut records = Vec::new();
+            let mut results = Vec::new();
+            for t in 0..40 {
+                records.push(run_trial(&cell, &p, 99, t, &mut SimRng::for_trial(7, t)));
+                results.push(trial(&cell, 0.05, 99, t, &mut SimRng::for_trial(7, t)));
+            }
+            let summary = aggregate(&p, &records);
+            let (tally, retention) = tally_results(&results);
+            let at = format!("{scheme}/{topology}");
+            assert_eq!(summary.get("outcomes"), Some(&tally.to_json()), "{at}");
+            assert_eq!(summary.get("survival"), Some(&Json::Float(tally.success_rate())), "{at}");
+            assert_eq!(summary.get("retention"), Some(&Json::Float(retention)), "{at}");
+        }
+        // A hand-made panic record decodes to the panic it encodes.
+        let boom = Json::obj(vec![
+            ("o", Json::Str("panic".to_owned())),
+            ("r", Json::Float(0.0)),
+            ("m", Json::Str("index out of bounds".to_owned())),
+        ]);
+        assert_eq!(decode_trial(&boom), Err("index out of bounds".to_owned()));
+        let p = GridPoint::new("global", "spine", 4, 0.0);
+        let (tally, _) = tally_results(&[Err("index out of bounds".to_owned())]);
+        assert_eq!(aggregate(&p, &[boom]).get("outcomes"), Some(&tally.to_json()));
+    }
+
+    #[test]
+    fn a_panicking_trial_is_isolated_and_reported_truncated() {
+        // A pipelined cell whose pair list names a cell the tree never
+        // clocks: every trial that gets past the dead-buffer check
+        // panics in the local-skew lookup.
+        let p = GridPoint::new("pipelined", "htree", 4, 0.0);
+        let Ok(Cell::Clocked(mut c)) = build_cell(&p) else {
+            panic!("pipelined/htree is a clocked cell");
+        };
+        let stray = CellId::new(1_000);
+        c.pairs.push((CellId::new(0), stray));
+        let cell = Cell::Clocked(c);
+        let expected = truncate_panic_reason(&format!("cell {stray} not attached to the clock tree"));
+
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let run = |threads| {
+            sim_runtime::ParallelSweep::new(threads)
+                .run(0..23, 42, |t, rng| trial(&cell, 0.2, 42, t as u64, rng))
+        };
+        let (single, multi) = (run(1), run(4));
+        std::panic::set_hook(prev);
+
+        assert_eq!(single, multi, "isolation preserves determinism");
+        let panicked = multi.iter().filter(|r| r.is_err()).count();
+        assert!(panicked > 0 && panicked < multi.len(), "{panicked} of {} panicked", multi.len());
+        for r in &multi {
+            match r {
+                Ok((outcome, _)) => assert_eq!(*outcome, RunOutcome::Deadlock),
+                Err(msg) => assert_eq!(msg, &expected),
+            }
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use crate::jitter::{max_reliable_depth, propagate_event_train, SpacingStats};
     pub use crate::period::{clock_period, clock_period_exact_form, Distribution};
     pub use crate::skew::{
-        achievable_skew_lower_bound, attribute_skew, max_worst_case_skew, monte_carlo_skew,
-        monte_carlo_skew_par, worst_case_skew,
+        achievable_skew_lower_bound, attribute_skew, max_worst_case_skew, monte_carlo_skew_par,
+        worst_case_skew,
         ArrivalTimes, DifferenceModel, EdgeContribution, SkewBreakdown, SkewSample,
         SummationModel,
     };

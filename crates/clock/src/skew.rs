@@ -19,7 +19,7 @@
 use crate::delay::WireDelayModel;
 use crate::tree::{ClockTree, NodeId};
 use array_layout::graph::{CellId, CommGraph};
-use sim_runtime::{ParallelSweep, Rng};
+use sim_runtime::ParallelSweep;
 
 /// Clock arrival time at every tree node for one concrete assignment
 /// of per-edge delays.
@@ -51,12 +51,6 @@ impl ArrivalTimes {
             }
         }
         ArrivalTimes { arrival }
-    }
-
-    /// Arrival time at a tree node.
-    #[must_use]
-    pub fn at_node(&self, node: NodeId) -> f64 {
-        self.arrival[node.index()]
     }
 
     /// Arrival time at the node clocking `cell`.
@@ -425,48 +419,10 @@ pub struct SkewSample {
 
 /// Samples `samples` fabrications of the tree's wire delays and
 /// reports the largest skew seen between communicating cells of
-/// `comm`, plus the mean over pairs of each pair's own maximum.
-///
-/// # Panics
-///
-/// Panics if `samples == 0` or some cell of `comm` is not attached.
-#[must_use]
-pub fn monte_carlo_skew<R: Rng>(
-    tree: &ClockTree,
-    comm: &CommGraph,
-    model: WireDelayModel,
-    samples: usize,
-    rng: &mut R,
-) -> SkewSample {
-    assert!(samples > 0, "at least one sample required");
-    let pairs = comm.communicating_pairs();
-    let mut per_pair_max = vec![0.0f64; pairs.len()];
-    for _ in 0..samples {
-        let rates = model.sample_rates(tree, rng);
-        let arrivals = ArrivalTimes::from_rates(tree, &rates);
-        for (slot, &(a, b)) in per_pair_max.iter_mut().zip(&pairs) {
-            let s = arrivals.skew(tree, a, b);
-            if s > *slot {
-                *slot = s;
-            }
-        }
-    }
-    let max_skew = per_pair_max.iter().copied().fold(0.0, f64::max);
-    let mean_pair_skew = if pairs.is_empty() {
-        0.0
-    } else {
-        per_pair_max.iter().sum::<f64>() / pairs.len() as f64
-    };
-    SkewSample {
-        max_skew,
-        mean_pair_skew,
-    }
-}
-
-/// Parallel variant of [`monte_carlo_skew`] for the E1 fabrication
-/// sweep: samples fan out across a [`ParallelSweep`], each fabrication
-/// drawing from its own per-trial stream, so the result depends only
-/// on `seed` — never on the worker count.
+/// `comm`, plus the mean over pairs of each pair's own maximum — the
+/// E1 fabrication sweep. Samples fan out across a [`ParallelSweep`],
+/// each fabrication drawing from its own per-trial stream, so the
+/// result depends only on `seed`, never on the worker count.
 ///
 /// # Panics
 ///
@@ -637,8 +593,7 @@ mod tests {
         let t = two_leaf_tree();
         let comm = pair_comm();
         let m = WireDelayModel::new(1.0, 0.2);
-        let mut rng = SimRng::seed_from_u64(11);
-        let sample = monte_carlo_skew(&t, &comm, m, 500, &mut rng);
+        let sample = monte_carlo_skew_par(&t, &comm, m, 500, 11, &ParallelSweep::new(1));
         let wc = max_worst_case_skew(&t, &comm, m);
         assert!(sample.max_skew <= wc + 1e-9, "{} > {}", sample.max_skew, wc);
         // With 500 samples the observed max should come close to the

@@ -119,11 +119,6 @@ impl OutcomeTally {
         }
     }
 
-    /// Counts one trial that panicked instead of returning an outcome.
-    pub fn record_panic(&mut self) {
-        self.panicked += 1;
-    }
-
     /// Counts one panicked trial and keeps its (truncated) message —
     /// first panic wins, so the retained reason is deterministic under
     /// in-order folds.
@@ -131,18 +126,6 @@ impl OutcomeTally {
         self.panicked += 1;
         if self.panic_reason.is_none() && !msg.is_empty() {
             self.panic_reason = Some(truncate_panic_reason(msg));
-        }
-    }
-
-    /// Adds another tally into this one (sweep-merge).
-    pub fn merge(&mut self, other: &OutcomeTally) {
-        self.ok += other.ok;
-        self.timing += other.timing;
-        self.deadlock += other.deadlock;
-        self.budget += other.budget;
-        self.panicked += other.panicked;
-        if self.panic_reason.is_none() {
-            self.panic_reason.clone_from(&other.panic_reason);
         }
     }
 
@@ -168,15 +151,6 @@ impl OutcomeTally {
         }
     }
 
-    /// Builds a tally from an iterator of classified outcomes.
-    pub fn from_outcomes(outcomes: impl IntoIterator<Item = RunOutcome>) -> Self {
-        let mut tally = OutcomeTally::new();
-        for o in outcomes {
-            tally.record(o);
-        }
-        tally
-    }
-
     /// The tally as a deterministic JSON object (fixed key order), the
     /// form sweep reports embed per grid point. The `panic_reason` key
     /// appears only when a reason was recorded, so panic-free reports
@@ -198,41 +172,31 @@ impl OutcomeTally {
     }
 }
 
-impl fmt::Display for OutcomeTally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ok={} timing={} deadlock={} budget={} panicked={}",
-            self.ok, self.timing, self.deadlock, self.budget, self.panicked
-        )?;
-        if let Some(reason) = &self.panic_reason {
-            write!(f, " ({reason})")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn tally_counts_and_merges() {
-        let mut a = OutcomeTally::from_outcomes([
+    fn tally_counts_every_class() {
+        let mut a = OutcomeTally::new();
+        for o in [
             RunOutcome::Ok,
             RunOutcome::Ok,
             RunOutcome::Deadlock,
             RunOutcome::TimingViolation,
-        ]);
-        let mut b = OutcomeTally::new();
-        b.record(RunOutcome::Budget);
-        b.record_panic();
-        a.merge(&b);
+            RunOutcome::Budget,
+        ] {
+            a.record(o);
+        }
+        a.record_panic_reason("");
         assert_eq!(a.total(), 6);
         assert_eq!(a.failures(), 4);
         assert_eq!(a.ok, 2);
         assert!((a.success_rate() - 2.0 / 6.0).abs() < 1e-12);
-        assert_eq!(a.to_string(), "ok=2 timing=1 deadlock=1 budget=1 panicked=1");
+        assert_eq!(
+            a.to_json().to_compact(),
+            r#"{"ok":2,"timing":1,"deadlock":1,"budget":1,"panicked":1}"#
+        );
     }
 
     #[test]
@@ -259,7 +223,7 @@ mod tests {
         let mut t = OutcomeTally::new();
         t.record(RunOutcome::Ok);
         t.record(RunOutcome::Budget);
-        t.record_panic();
+        t.record_panic_reason("");
         assert_eq!(
             t.to_json().to_compact(),
             r#"{"ok":1,"timing":0,"deadlock":0,"budget":1,"panicked":1}"#
@@ -278,10 +242,6 @@ mod tests {
             "first line of the first panic wins"
         );
         assert_eq!(
-            t.to_string(),
-            "ok=0 timing=0 deadlock=0 budget=0 panicked=2 (index out of bounds: the len is 4)"
-        );
-        assert_eq!(
             t.to_json().to_compact(),
             r#"{"ok":0,"timing":0,"deadlock":0,"budget":0,"panicked":2,"panic_reason":"index out of bounds: the len is 4"}"#
         );
@@ -289,11 +249,12 @@ mod tests {
         let long = "x".repeat(200);
         assert_eq!(truncate_panic_reason(&long), format!("{}...", "x".repeat(80)));
         assert_eq!(truncate_panic_reason(""), "");
-        // merge keeps the earliest reason.
+        // A reason-less panic keeps the slot open for the first reason.
         let mut a = OutcomeTally::new();
-        a.record_panic();
+        a.record_panic_reason("");
         assert_eq!(a.panic_reason, None, "reason-less panics stay reason-less");
-        a.merge(&t);
+        a.record_panic_reason("index out of bounds: the len is 4");
+        a.record_panic_reason("a later, different panic");
         assert_eq!(a.panicked, 3);
         assert_eq!(a.panic_reason.as_deref(), Some("index out of bounds: the len is 4"));
     }

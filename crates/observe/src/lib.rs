@@ -13,10 +13,11 @@
 //!   ([`Json`]). Objects are insertion-ordered pair lists, numbers use
 //!   shortest round-trip formatting, non-finite floats become `null`;
 //!   the same tree always serializes to the same bytes.
-//! * [`hist`] + [`metrics`] — [`LogHistogram`] (log-scale buckets,
-//!   exact count/min/max/mean, ≈6 % `p50`/`p95`/`p99`) and the
-//!   [`Metrics`] registry of counters, gauges, and histograms with
-//!   sorted-key snapshots.
+//! * [`hist`] — [`LogHistogram`] (log-scale buckets, exact
+//!   count/min/max/mean, ≈6 % `p50`/`p95`/`p99`), which holds sweep
+//!   trial timings, recovery latencies and serve latency windows.
+//! * [`metrics`] — the [`Metrics`] registry of counters and gauges
+//!   with sorted-key snapshots.
 //! * [`timer`] — [`SpanTimer`] monotonic spans for the volatile
 //!   (wall-clock) side of a report.
 //! * [`timeseries`] — the *live* side: sliding-window
@@ -43,7 +44,7 @@
 //!
 //! let mut m = Metrics::new();
 //! m.add("events", 3);
-//! m.observe("latency_ns", 1200);
+//! m.gauge("utilization", 0.75);
 //! let snapshot = m.to_json();
 //! assert_eq!(snapshot.get("counters").unwrap().get("events"), Some(&Json::UInt(3)));
 //! // Deterministic bytes: sorted keys, stable number formatting.
@@ -67,7 +68,7 @@ pub use check::{check_trace, CheckReport, Violation};
 pub use hist::LogHistogram;
 pub use json::{fmt_f64, fnv1a64, parse, parse_with_limits, Json, JsonError, ParseLimits};
 pub use metrics::Metrics;
-pub use timer::{duration_ns, timed, SpanTimer};
+pub use timer::{duration_ns, SpanTimer};
 pub use timeseries::{SloPolicy, SloTracker, WindowedHistogram};
 pub use trace::{
     ps_from_units, PathStep, Trace, TraceBuf, TraceEvent, WallSpan, DEFAULT_TRACE_CAPACITY,
@@ -80,7 +81,7 @@ pub mod prelude {
     pub use crate::hist::LogHistogram;
     pub use crate::json::{fnv1a64, parse, parse_with_limits, Json, JsonError, ParseLimits};
     pub use crate::metrics::Metrics;
-    pub use crate::timer::{duration_ns, timed, SpanTimer};
+    pub use crate::timer::{duration_ns, SpanTimer};
     pub use crate::timeseries::{SloPolicy, SloTracker, WindowedHistogram};
     pub use crate::trace::{ps_from_units, PathStep, Trace, TraceBuf, TraceEvent, WallSpan};
     pub use crate::vcd::VcdWriter;

@@ -5,7 +5,6 @@
 //! bands, never exactly). The types here make the measuring side
 //! one-liners.
 
-use crate::metrics::Metrics;
 use std::time::{Duration, Instant};
 
 /// A started monotonic span.
@@ -45,14 +44,6 @@ impl SpanTimer {
     pub fn elapsed_ms(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e3
     }
-
-    /// Ends the span, recording its nanosecond length into the named
-    /// histogram of `metrics`; returns the duration.
-    pub fn stop_into(self, metrics: &mut Metrics, name: &str) -> Duration {
-        let d = self.elapsed();
-        metrics.observe(name, duration_ns(d));
-        d
-    }
 }
 
 /// A duration as saturating nanoseconds (histograms take `u64`).
@@ -61,32 +52,18 @@ pub fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs `f`, returning its result and how long it took.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let span = SpanTimer::start();
-    let out = f();
-    (out, span.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn span_records_into_metrics() {
-        let mut m = Metrics::new();
+    fn span_measures_elapsed_time() {
         let span = SpanTimer::start();
         std::hint::black_box((0..10_000u64).sum::<u64>());
-        let d = span.stop_into(&mut m, "work_ns");
+        let d = span.elapsed();
         assert!(d.as_nanos() > 0);
-        assert_eq!(m.hist("work_ns").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn timed_returns_result_and_duration() {
-        let (v, d) = timed(|| 7u32);
-        assert_eq!(v, 7);
-        assert!(d.as_nanos() < u128::from(u64::MAX));
+        assert!(span.elapsed() >= d, "a span's clock only moves forward");
+        assert!(span.elapsed_ms() >= d.as_secs_f64() * 1e3);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   `SIM_THREADS=8`) and of how the range is sharded. Its whole trial
 //!   API is `stream` (the one trial loop: results handed back in trial
 //!   order as each prefix completes, stoppable by the consumer), and on
-//!   it `run`, `run_timed` (adds wall-clock stats and per-trial spans),
-//!   `run_isolated` (catches panicking trials) and `count`;
+//!   it `run`, `run_timed` (adds wall-clock stats and per-trial spans)
+//!   and `count`. A panicking trial stops the sweep and resumes on the
+//!   caller; fault trials isolate their own panics (`bench::grid::trial`);
 //! * [`experiment`] — the [`Experiment`] trait, [`ExpConfig`]
 //!   (`--trials/--seed/--threads/--fast/--json/--vcd/--trace/--list`),
 //!   and the [`Registry`] of `e1`–`e14` that the `experiments` binary

@@ -226,28 +226,6 @@ impl ParallelSweep {
         stats
     }
 
-    /// Like [`ParallelSweep::run`] over `0..trials`, but isolates every
-    /// trial behind `catch_unwind`: a panicking trial yields
-    /// `Err(message)` in its slot instead of tearing down the worker
-    /// (and with it the whole sweep). Fault-injection sweeps use this
-    /// so that one pathological trial cannot take out the other N−1 —
-    /// the sweep always returns one classified result per trial.
-    ///
-    /// Trial-to-RNG derivation is identical to `run`, so the `Ok`
-    /// values (and which trials panic) stay bit-identical across
-    /// worker counts. Note the panicking trial still runs the global
-    /// panic hook, so its message may appear on stderr.
-    pub fn run_isolated<T, F>(&self, trials: usize, seed: u64, f: F) -> Vec<Result<T, String>>
-    where
-        T: Send,
-        F: Fn(usize, &mut SimRng) -> T + Sync,
-    {
-        self.run(0..trials, seed, |i, rng| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, rng)))
-                .map_err(|payload| panic_message(payload.as_ref()))
-        })
-    }
-
     /// Runs trials `0..trials` and counts those for which `pred`
     /// returns `true` — the common yield/failure-rate reduction.
     pub fn count<F>(&self, trials: usize, seed: u64, pred: F) -> usize
@@ -588,30 +566,6 @@ mod tests {
         assert!(j.get("trial_ns").and_then(|h| h.get("p99")).is_some());
         let util = stats.utilization();
         assert!((0.0..=1.0).contains(&util), "utilization {util}");
-    }
-
-    #[test]
-    fn isolated_trials_survive_a_panicking_neighbour() {
-        // Suppress the default panic hook's stderr spew for the
-        // deliberately panicking trials.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let f = |i: usize, rng: &mut SimRng| -> u64 {
-            assert!(!i.is_multiple_of(5), "trial {i} hit the planted fault");
-            rng.next_u64() % 100
-        };
-        let single = ParallelSweep::new(1).run_isolated(23, 42, f);
-        let multi = ParallelSweep::new(4).run_isolated(23, 42, f);
-        std::panic::set_hook(prev);
-        assert_eq!(single, multi, "isolation preserves determinism");
-        for (i, r) in multi.iter().enumerate() {
-            if i % 5 == 0 {
-                let msg = r.as_ref().expect_err("multiple of 5 panics");
-                assert!(msg.contains("planted fault"), "{msg}");
-            } else {
-                assert!(r.is_ok(), "trial {i}");
-            }
-        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! | `metrics`  | —                                       | header + metrics body |
 //! | `shutdown` | —                                       | header only, then drain |
 //!
+//! The four ops without a payload take no field but `op`; any other
+//! field is refused by name.
+//!
 //! Every server reply starts with one compact JSON **header line**.
 //! If and only if the header carries a `bytes` field, exactly that
 //! many raw body bytes follow it — the body is *not* line-framed
@@ -70,21 +73,25 @@ pub fn parse_line(line: &str) -> Result<Op, String> {
     match op {
         "run" => Ok(Op::Run(Request::from_json(&doc)?)),
         "frontier" => Ok(Op::Frontier(FrontierRequest::from_json(&doc)?)),
-        "ping" => Ok(Op::Ping),
-        "stats" => Ok(Op::Stats),
-        "metrics" => {
-            let fields = doc.as_object().unwrap_or_default();
-            match fields.iter().find(|(k, _)| k != "op") {
-                Some((field, _)) => Err(format!(
-                    "unknown metrics field `{field}` (the op takes no field but `op`)"
-                )),
-                None => Ok(Op::Metrics),
-            }
-        }
-        "shutdown" => Ok(Op::Shutdown),
+        "ping" => bodyless(&doc, op, Op::Ping),
+        "stats" => bodyless(&doc, op, Op::Stats),
+        "metrics" => bodyless(&doc, op, Op::Metrics),
+        "shutdown" => bodyless(&doc, op, Op::Shutdown),
         other => Err(format!(
             "unknown op `{other}` (known: run, frontier, ping, stats, metrics, shutdown)"
         )),
+    }
+}
+
+/// An op without a body takes no field but `op`; any other field is
+/// refused by name.
+fn bodyless(doc: &Json, op: &str, parsed: Op) -> Result<Op, String> {
+    let fields = doc.as_object().unwrap_or_default();
+    match fields.iter().find(|(k, _)| k != "op") {
+        Some((field, _)) => Err(format!(
+            "unknown {op} field `{field}` (the op takes no field but `op`)"
+        )),
+        None => Ok(parsed),
     }
 }
 
@@ -247,6 +254,16 @@ mod tests {
         ] {
             let err = parse_line(bad).expect_err(bad);
             assert!(err.contains(&format!("unknown metrics field `{field}`")), "{bad}: {err}");
+        }
+        // So do the other ops without a body.
+        for (bad, op, field) in [
+            (r#"{"op":"ping","format":"prom"}"#, "ping", "format"),
+            (r#"{"op":"ping","bogus":1}"#, "ping", "bogus"),
+            (r#"{"op":"stats","bogus":1}"#, "stats", "bogus"),
+            (r#"{"now":true,"op":"shutdown"}"#, "shutdown", "now"),
+        ] {
+            let err = parse_line(bad).expect_err(bad);
+            assert!(err.contains(&format!("unknown {op} field `{field}`")), "{bad}: {err}");
         }
         let Op::Run(req) = parse_line(r#"{"experiment":"e2","seed":3}"#).unwrap()
         else {

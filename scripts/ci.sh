@@ -32,6 +32,19 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline
 # committed baselines (deterministic sections exact, run section
 # structural — wall-clock banding is opt-in via --wall-tol).
 run target/release/bench_regress --fast --out target/bench --baselines baselines
+# Seed sweep: every experiment's in-report checks at the seeds the
+# benchmark runs, the way its paper_repro workload runs them (--fast,
+# e7 at full size because its statistical assert needs the full trial
+# count, one thread). Any failing check exits nonzero.
+echo "==> experiments e1-e14 at seeds 9001 9002 9003"
+for seed in 9001 9002 9003; do
+    for n in $(seq 1 14); do
+        size=--fast
+        [ "$n" = 7 ] && size=
+        target/release/experiments "e$n" $size --threads 1 --seed "$seed" > /dev/null \
+            || { echo "e$n failed its checks at seed $seed" >&2; exit 1; }
+    done
+done
 # Netlist-core throughput smoke: the million-gate workloads (1M-stage
 # pipelined string + 1000x1000 mesh waves) run through the event loop
 # and must hold an events/sec floor — a scheduler or settle-loop

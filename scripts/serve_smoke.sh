@@ -121,6 +121,25 @@ read -r -t 30 PONG <&8 || fail "no answer to ping after the metrics refusal"
 echo "$PONG" | grep -qF '"status":"ok"' || fail "server stopped serving: $PONG"
 exec 8>&-
 
+# So do ping and shutdown: each line with an extra field is answered
+# malformed, naming the field; the shutdown line must not start a drain,
+# so a ping on the same connection still answers ok.
+echo "==> ping and shutdown lines with extra fields"
+exec 8<>"/dev/tcp/127.0.0.1/$PORT"
+for line in '{"op":"ping","bogus":1}|unknown ping field `bogus`' \
+            '{"op":"shutdown","now":true}|unknown shutdown field `now`'; do
+    printf '%s\n' "${line%%|*}" >&8
+    read -r -t 30 REFUSAL <&8 || fail "no answer to ${line%%|*}"
+    echo "$REFUSAL" | grep -qF '"status":"malformed"' \
+        || fail "${line%%|*} was not answered malformed: $REFUSAL"
+    echo "$REFUSAL" | grep -qF "${line#*|}" \
+        || fail "${line%%|*} answer does not name the field: $REFUSAL"
+done
+printf '%s\n' '{"op":"ping"}' >&8
+read -r -t 30 PONG <&8 || fail "no answer to ping after the bodyless-op refusals"
+echo "$PONG" | grep -qF '"status":"ok"' || fail "server stopped serving: $PONG"
+exec 8>&-
+
 # Snapshot through the same regression gate the experiments use:
 # config/mix exact, run structural.
 echo "==> bench_regress --compare BENCH_serve.json"
